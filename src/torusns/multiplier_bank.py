@@ -146,23 +146,25 @@ class MultiplierSet:
             sqrt_one_minus_phi_sq=_derive(phi, "sqrt_one_minus_phi_sq"),
         )
 
-    def labelled(self, label: str) -> RadialMultiplier:
-        for m in (self.phi, self.chi, self.one_minus_phi, self.sqrt_one_minus_phi_sq):
-            if m.label == label:
-                return m
-        raise KeyError(label)
-
 
 def evaluate_on_grid(mult: RadialMultiplier, grid, scale: float = 1.0) -> np.ndarray:
-    """Profile evaluated at scale*|k| over the grid lattice, cached for scale=1."""
+    """Profile evaluated at scale*|k| over the grid lattice.
+
+    Values for scale=1 are cached for the most recent lattice (n, L) only:
+    every ledger row builds a w-grid with a new box length, so the entries of
+    any other lattice would never be read again.
+    """
     if scale == 1.0:
-        key = (grid.n, grid.box_length, mult.label, mult.alpha, mult.sharpness)
+        lattice = (grid.n, grid.box_length)
+        key = lattice + (mult.label, mult.alpha, mult.sharpness)
         with _cache_lock:
             hit = _profile_cache.get(key)
         if hit is not None:
             return hit
         values = mult(grid.k_mag)
         with _cache_lock:
+            if any(cached[:2] != lattice for cached in _profile_cache):
+                _profile_cache.clear()
             _profile_cache[key] = values
         return values
     return mult(scale * grid.k_mag)

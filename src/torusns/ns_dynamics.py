@@ -5,6 +5,15 @@ integrated exactly through the heat-kernel factor exp(-|k|^2 dt) while the
 dealiased, projected advection term is advanced with classical RK4.  The mean
 mode is pinned to zero and the field stays real, divergence-free, and
 band-limited for the whole run.
+
+Inside a step the velocity is held as its half spectrum (3, n, n, n//2 + 1),
+the modes with m3 >= 0 of a real field, and moved with real-to-complex
+transforms.  The advection term is evaluated in rotational form,
+P[u x omega] with omega = curl u: it differs from -P[(u . grad) u] only by
+the gradient grad(|u|^2 / 2), which the projection removes, and costs two
+inverse and one forward real 3-vector transform per RK4 stage.  States and
+`nonlinear_rhs` values cross the public API as full-spectrum fields, rebuilt
+exactly Hermitian by `spectral_core.full_spectrum`.
 """
 
 from __future__ import annotations
@@ -126,23 +135,50 @@ def make_initial_data(config: SimulationConfig, grid: SpectralGrid | None = None
     return VectorField(grid, coef, SPECTRAL)
 
 
-def nonlinear_rhs(u_hat: VectorField) -> VectorField:
-    """Projected, dealiased advection term -P[F[(u . grad) u]].
+def _cross(a, b) -> np.ndarray:
+    """Componentwise a x b of two 3-vectors; `a` may be three broadcastable arrays."""
+    first = a[1] * b[2] - a[2] * b[1]
+    out = np.empty((3,) + first.shape, dtype=first.dtype)
+    out[0] = first
+    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
+    return out
 
-    The pressure gradient never appears: the projection removes it.  The
-    output is mean-free and divergence-free.
+
+def _rhs_half(coef: np.ndarray, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The projected, dealiased rotational term P[dealias(F[u x omega])] on
+    the half spectrum, together with the physical velocity it sampled.
+
+    The last-axis Nyquist plane carries k3 = -n/2 from the full-spectrum
+    ordering; it is zero in every state and zeroed again by the dealias mask.
     """
-    conv_hat = spectral_core.to_spectral(spectral_core.convective_product(u_hat))
-    out = spectral_core.leray_project(spectral_core.dealias(conv_hat))
-    data = -out.data
-    data[:, 0, 0, 0] = 0.0
-    return VectorField(u_hat.grid, data, SPECTRAL)
+    n, h = grid.n, grid.half_modes
+    ik = [1j * grid.k[0], 1j * grid.k[1], 1j * grid.k[2][..., :h]]
+    u = spectral_core.half_to_physical(coef, n)
+    omega = spectral_core.half_to_physical(_cross(ik, coef), n)
+    lamb = spectral_core.half_to_spectral(_cross(u, omega))
+    lamb *= grid.dealias_mask[..., :h]
+    out = spectral_core.project_coefficients(lamb, grid.wavevectors[..., :h], grid.k_sq[..., :h])
+    out[:, 0, 0, 0] = 0.0
+    return out, u
 
 
-def _advective_limit(state: TrajectoryState) -> float:
-    grid = state.u_hat.grid
-    u_phys = spectral_core.to_physical(state.u_hat)
-    vmax = float(np.sqrt(np.max(np.sum(u_phys.data**2, axis=0))))
+def nonlinear_rhs(u_hat: VectorField) -> VectorField:
+    """Projected, dealiased advection term -P[F[(u . grad) u]], evaluated as
+    P[F[u x omega]].
+
+    The two agree because (u . grad) u = grad(|u|^2 / 2) - u x omega and the
+    projection removes gradients, as it removes the pressure gradient.  The
+    output is mean-free, divergence-free and exactly Hermitian.
+    """
+    u_hat = spectral_core.ensure_spectral(u_hat)
+    grid = u_hat.grid
+    out, _ = _rhs_half(u_hat.data[..., : grid.half_modes], grid)
+    return VectorField(grid, spectral_core.full_spectrum(out, grid.n), SPECTRAL)
+
+
+def _advective_limit(u_phys: np.ndarray, grid: SpectralGrid) -> float:
+    vmax = float(np.sqrt(np.max(np.sum(u_phys**2, axis=0))))
     return grid.dx / vmax if vmax > 0.0 else math.inf
 
 
@@ -151,10 +187,12 @@ def cfl_dt(state: TrajectoryState, c_cfl: float = 1.0) -> float:
 
     The viscous bound is informational (the integrating factor is exact) but
     it is what limits dt for small data; the advective bound takes over for
-    energetic fields.
+    energetic fields.  max|u| costs one inverse real transform.
     """
-    viscous = 1.0 / state.u_hat.grid.max_wavenumber**2
-    return c_cfl * min(_advective_limit(state), viscous)
+    grid = state.u_hat.grid
+    u_phys = spectral_core.half_to_physical(state.u_hat.data[..., : grid.half_modes], grid.n)
+    viscous = 1.0 / grid.max_wavenumber**2
+    return c_cfl * min(_advective_limit(u_phys, grid), viscous)
 
 
 def step(state: TrajectoryState, dt: float) -> TrajectoryState:
@@ -162,28 +200,33 @@ def step(state: TrajectoryState, dt: float) -> TrajectoryState:
 
     With the advection term zeroed this reduces to the heat kernel
     exp(-|k|^2 dt) exactly; with it, the scheme is classical fourth order.
+    The stages run on the half spectrum (two inverse and one forward real
+    transform each); the advective bound reuses the first stage's physical
+    velocity.  The returned state is full-spectrum and exactly Hermitian.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    grid = state.u_hat.grid
+    h = grid.half_modes
+    u0 = state.u_hat.data[..., :h]
+    rhs_a, u_phys = _rhs_half(u0, grid)
     # Only advection limits stability: the viscous part is integrated exactly.
-    limit = _advective_limit(state)
+    limit = _advective_limit(u_phys, grid)
     if dt > limit * (1.0 + 1e-9):
         raise ValueError(f"dt={dt} exceeds the advective stability bound {limit}")
-    grid = state.u_hat.grid
-    e_half = np.exp(-grid.k_sq * (0.5 * dt))
+    e_half = np.exp(-grid.k_sq[..., :h] * (0.5 * dt))
     e_full = e_half * e_half
 
     def rhs(coef: np.ndarray) -> np.ndarray:
-        return nonlinear_rhs(VectorField(grid, coef, SPECTRAL)).data
+        return _rhs_half(coef, grid)[0]
 
-    u0 = state.u_hat.data
-    ka = dt * rhs(u0)
+    ka = dt * rhs_a
     kb = dt * rhs(e_half * (u0 + 0.5 * ka))
     kc = dt * rhs(e_half * u0 + 0.5 * kb)
     kd = dt * rhs(e_full * u0 + e_half * kc)
     u1 = e_full * u0 + (e_full * ka + 2.0 * e_half * (kb + kc) + kd) / 6.0
     return TrajectoryState(
-        u_hat=VectorField(grid, u1, SPECTRAL),
+        u_hat=VectorField(grid, spectral_core.full_spectrum(u1, grid.n), SPECTRAL),
         t=state.t + dt,
         step_index=state.step_index + 1,
         last_dt=dt,

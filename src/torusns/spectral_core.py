@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -107,6 +108,16 @@ class SpectralGrid:
         return self.n**3
 
     @property
+    def half_modes(self) -> int:
+        """Length n//2 + 1 of the last axis in the half-spectrum layout."""
+        return self.n // 2 + 1
+
+    @cached_property
+    def wavevectors(self) -> np.ndarray:
+        """The three wavevector components stacked into one (3, n, n, n) array."""
+        return np.stack(np.broadcast_arrays(*self.k))
+
+    @property
     def max_wavenumber(self) -> float:
         """Largest wavenumber magnitude on the lattice, sqrt(3)*pi*n/L."""
         return float(np.sqrt(3.0) * np.pi * self.n / self.box_length)
@@ -170,12 +181,63 @@ def to_physical(field: VectorField) -> VectorField:
     return VectorField(field.grid, np.ascontiguousarray(vals.real), PHYSICAL)
 
 
+def half_to_spectral(values: np.ndarray) -> np.ndarray:
+    """Forward real transform of (3, n, n, n) samples to the half spectrum.
+
+    The result has shape (3, n, n, n//2 + 1): the modes with m3 >= 0 of the
+    module normalization; the others follow from coef(-k) = conj(coef(k)).
+    """
+    return scipy.fft.rfftn(values, axes=(1, 2, 3), norm="forward", workers=get_fft_workers())
+
+
+def half_to_physical(coef: np.ndarray, n: int) -> np.ndarray:
+    """Inverse real transform of half-spectrum coefficients to (3, n, n, n) samples."""
+    return scipy.fft.irfftn(
+        coef, s=(n, n, n), axes=(1, 2, 3), norm="forward", workers=get_fft_workers()
+    )
+
+
+def _reflect_modes(planes: np.ndarray) -> np.ndarray:
+    """planes[:, -m1, -m2, ...]: index -m lives at position n-m, 0 stays at 0."""
+    return np.roll(planes[:, ::-1, ::-1], 1, axis=(1, 2))
+
+
+def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
+    """The (3, n, n, n) coefficients of the real field with half spectrum `half`.
+
+    The planes m3 = 0 and m3 = n/2 are their own mirror images and are first
+    made exactly Hermitian, 0.5 * (P + conj(P[-m1, -m2])); the modes m3 < 0
+    are then copied as conj(coef(-k)).  The result satisfies
+    coef(-k) = conj(coef(k)) bitwise, so `hermitian_defect` reads 0.0.
+    """
+    h = n // 2 + 1
+    out = np.empty(half.shape[:3] + (n,), dtype=np.complex128)
+    out[..., :h] = half
+    for m3 in (0, n // 2):
+        plane = out[..., m3]
+        out[..., m3] = 0.5 * (plane + np.conj(_reflect_modes(plane)))
+    out[..., h:] = np.conj(_reflect_modes(out[..., h - 2 : 0 : -1]))
+    return out
+
+
 def ensure_spectral(field: VectorField) -> VectorField:
     return field if field.representation == SPECTRAL else to_spectral(field)
 
 
 def ensure_physical(field: VectorField) -> VectorField:
     return field if field.representation == PHYSICAL else to_physical(field)
+
+
+def project_coefficients(coef: np.ndarray, kvec: np.ndarray, k_sq: np.ndarray) -> np.ndarray:
+    """Array form of the Leray projection: coef - kvec (kvec . coef) / |k|^2.
+
+    `coef` is (3, ...) and `kvec` stacks the three wavevector components on
+    the same lattice, full spectrum or half spectrum alike.  The k=0 mode is
+    left unchanged.
+    """
+    k_dot = kvec[0] * coef[0] + kvec[1] * coef[1] + kvec[2] * coef[2]
+    k_dot /= np.where(k_sq == 0.0, 1.0, k_sq)
+    return coef - kvec * k_dot
 
 
 def leray_project(field: VectorField) -> VectorField:
@@ -187,12 +249,7 @@ def leray_project(field: VectorField) -> VectorField:
     if field.representation != SPECTRAL:
         raise RepresentationError("leray_project expects a spectral field")
     g = field.grid
-    k_sq = np.where(g.k_sq == 0.0, 1.0, g.k_sq)
-    k_dot_u = g.k[0] * field.data[0] + g.k[1] * field.data[1] + g.k[2] * field.data[2]
-    coef = np.empty_like(field.data)
-    for j in range(3):
-        coef[j] = field.data[j] - g.k[j] * k_dot_u / k_sq
-    return VectorField(g, coef, SPECTRAL)
+    return VectorField(g, project_coefficients(field.data, g.wavevectors, g.k_sq), SPECTRAL)
 
 
 def spectral_derivative(field: VectorField, beta: tuple[int, int, int]) -> VectorField:

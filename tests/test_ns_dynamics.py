@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 import torusns as tn
+from torusns.multiplier_bank import MultiplierSet
 from torusns.ns_dynamics import NumericalBlowupError, TrajectoryState, _ledger_row
 from torusns.spectral_core import (
     SPECTRAL,
     VectorField,
+    convective_product,
+    dealias,
     divergence_ratio,
     hermitian_defect,
     inner_l2,
@@ -81,6 +84,21 @@ class TestNonlinearTerm:
         rhs = tn.nonlinear_rhs(u)
         assert np.max(np.abs(rhs.data)) < 1e-14
 
+    def test_matches_convective_form_oracle(self, grid16, rng, random_field_factory):
+        # -P[(u . grad) u] and P[u x omega] differ by the gradient of |u|^2/2
+        for _ in range(5):
+            u = random_field_factory(grid16, rng, divergence_free=True)
+            u = VectorField(grid16, u.data / tn.norms(u).sup, SPECTRAL)  # max|u| = 1
+            conv = tn.to_spectral(convective_product(u))
+            oracle = -tn.leray_project(dealias(conv)).data
+            oracle[:, 0, 0, 0] = 0.0
+            rhs = tn.nonlinear_rhs(u).data
+            assert np.max(np.abs(rhs - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_exactly_hermitian(self, grid16, rng, random_field_factory):
+        u = random_field_factory(grid16, rng, divergence_free=True)
+        assert hermitian_defect(tn.nonlinear_rhs(u)) == 0.0
+
     def test_energy_neutrality(self, grid16, rng, random_field_factory):
         for _ in range(5):
             u = random_field_factory(grid16, rng, divergence_free=True, k_max=4.0)
@@ -149,6 +167,24 @@ class TestStep:
             state = tn.step(state, dt)
         assert divergence_ratio(state.u_hat) <= 1e-11
         assert hermitian_defect(state.u_hat) <= 1e-11
+
+    def test_state_stays_exactly_hermitian(self, grid16):
+        for kind, delta in (("random_low_mode", 0.3), ("taylor_green", 1.0)):
+            config = tn.SimulationConfig(n=16, initial_kind=kind, delta=delta, seed=5)
+            state = TrajectoryState(tn.make_initial_data(config, grid16), 0.0, 0, 0.0)
+            for _ in range(3):
+                state = tn.step(state, tn.cfl_dt(state))
+                assert hermitian_defect(state.u_hat) == 0.0
+
+    def test_route_gap_on_step64_config(self):
+        # e_high is ~1e-49 of the energy here: any non-Hermitian roundoff in
+        # the state shows up as a gap between the two routes
+        config = tn.SimulationConfig(n=64, delta=0.01, horizon=0.0019, seed=51, stride=2)
+        state = TrajectoryState(tn.make_initial_data(config), 0.0, 0, 0.0)
+        for _ in range(2):
+            state = tn.step(state, tn.cfl_dt(state, config.c_cfl))
+        row = _ledger_row(state, config, MultiplierSet.build(config.alpha))
+        assert row.route_gap <= 1e-10
 
     def test_discrete_energy_law(self, grid16):
         config = tn.SimulationConfig(n=16, initial_kind="taylor_green", delta=1.0)

@@ -102,7 +102,39 @@ class TestTransforms:
             tn.to_physical(tn.to_physical(f))
 
 
+class TestHalfSpectrum:
+    def test_transforms_match_full_spectrum(self, grid16, rng, random_field_factory):
+        f = random_field_factory(grid16, rng)
+        phys = tn.to_physical(f).data
+        half = tn.spectral_core.half_to_spectral(phys)
+        assert half.shape == (3, 16, 16, grid16.half_modes)
+        assert np.max(np.abs(half - f.data[..., :9])) <= 1e-14 * np.max(np.abs(f.data))
+        back = tn.spectral_core.half_to_physical(half, 16)
+        assert np.max(np.abs(back - phys)) <= 1e-13 * np.max(np.abs(phys))
+
+    def test_full_spectrum_is_exactly_hermitian(self, grid16, rng):
+        values = rng.standard_normal((3, 16, 16, 16))
+        half = tn.spectral_core.half_to_spectral(values)
+        full = tn.spectral_core.full_spectrum(half, 16)
+        assert hermitian_defect(VectorField(grid16, full, SPECTRAL)) == 0.0
+        expected = tn.to_spectral(VectorField(grid16, values, PHYSICAL)).data
+        assert np.max(np.abs(full - expected)) <= 1e-14 * np.max(np.abs(expected))
+        # even a half spectrum whose self-mirrored planes are not Hermitian
+        noisy = half + 1e-3 * (rng.standard_normal(half.shape) + 1j)
+        full = tn.spectral_core.full_spectrum(noisy, 16)
+        assert hermitian_defect(VectorField(grid16, full, SPECTRAL)) == 0.0
+
+
 class TestLerayProjection:
+    def test_matches_componentwise_reference(self, grid16, rng, random_field_factory):
+        f = random_field_factory(grid16, rng)
+        k, coef = grid16.k, f.data
+        k_sq = np.where(grid16.k_sq == 0.0, 1.0, grid16.k_sq)
+        k_dot = k[0] * coef[0] + k[1] * coef[1] + k[2] * coef[2]
+        expected = np.stack([coef[j] - k[j] * k_dot / k_sq for j in range(3)])
+        projected = tn.leray_project(f).data
+        assert np.max(np.abs(projected - expected)) <= 1e-14 * np.max(np.abs(expected))
+
     def test_gradient_field_annihilated(self, grid16, rng):
         # coefficients parallel to k are pure gradient
         scalar = rng.standard_normal((16, 16, 16)) + 1j * rng.standard_normal((16, 16, 16))
