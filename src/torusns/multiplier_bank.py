@@ -147,34 +147,32 @@ class MultiplierSet:
         )
 
 
-def evaluate_on_grid(mult: RadialMultiplier, grid, scale: float = 1.0) -> np.ndarray:
-    """Profile evaluated at scale*|k| over the grid lattice.
+def evaluate_on_grid(mult: RadialMultiplier, grid) -> np.ndarray:
+    """Profile evaluated at |k| over the grid lattice.
 
-    Values for scale=1 are cached for the most recent lattice (n, L) only:
-    every ledger row builds a w-grid with a new box length, so the entries of
-    any other lattice would never be read again.
+    Values are cached for the most recent lattice (n, L) only, so fields on a
+    sequence of boxes (such as `similarity_frame.build_w_field` makes) keep
+    the cache bounded.
     """
-    if scale == 1.0:
-        lattice = (grid.n, grid.box_length)
-        key = lattice + (mult.label, mult.alpha, mult.sharpness)
-        with _cache_lock:
-            hit = _profile_cache.get(key)
-        if hit is not None:
-            return hit
-        values = mult(grid.k_mag)
-        with _cache_lock:
-            if any(cached[:2] != lattice for cached in _profile_cache):
-                _profile_cache.clear()
-            _profile_cache[key] = values
-        return values
-    return mult(scale * grid.k_mag)
+    lattice = (grid.n, grid.box_length)
+    key = lattice + (mult.label, mult.alpha, mult.sharpness)
+    with _cache_lock:
+        hit = _profile_cache.get(key)
+    if hit is not None:
+        return hit
+    values = mult(grid.k_mag)
+    with _cache_lock:
+        if any(cached[:2] != lattice for cached in _profile_cache):
+            _profile_cache.clear()
+        _profile_cache[key] = values
+    return values
 
 
-def apply(mult: RadialMultiplier, field: VectorField, scale: float = 1.0) -> VectorField:
-    """Multiply the coefficients by profile(scale * |k|)."""
+def apply(mult: RadialMultiplier, field: VectorField) -> VectorField:
+    """Multiply the coefficients by profile(|k|)."""
     if field.representation != SPECTRAL:
         raise RepresentationError("multipliers act on spectral fields")
-    weights = evaluate_on_grid(mult, field.grid, scale)
+    weights = evaluate_on_grid(mult, field.grid)
     return VectorField(field.grid, field.data * weights, SPECTRAL)
 
 

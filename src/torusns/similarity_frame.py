@@ -5,18 +5,24 @@ For a horizon T the rescaling is
     y = x / sqrt(T - t),    tau = -ln(T - t),    w(y, tau) = sqrt(T - t) u(x, t)
 
 and every functional of w is obtained from the u-state without ever
-time-stepping the rescaled system.  Two independent computation routes are
-provided and audited against each other:
+time-stepping the rescaled system.  The w-field is the u-lattice relabelled:
+box side L/sqrt(s), coefficients sqrt(s) * u_hat, wavevectors sqrt(s) * k,
+so a radial profile acts on it as profile(sqrt(s) |k_u|) and no grid is built
+per row.  Two computation routes are provided and audited against each other:
 
 * the *scaling route* multiplies u-side integrals by exact powers of
   s = T - t (the normative exponent table below) and evaluates the
-  frequency-split functionals on an explicitly constructed w-field via
-  physical-space quadrature;
-* the *multiplier route* stays on the u-grid and evaluates rescaled radial
-  symbols profile(sqrt(s) |k|) against the u-coefficients directly.
+  frequency-split functionals on the w-field via physical-space quadrature;
+* the *multiplier route* evaluates the rescaled symbols against the
+  u-coefficients in spectral sums, and the signed integrals on the w-field.
 
-Both reduce to the same numbers in exact arithmetic; the ledger records their
-maximum relative gap per time step.
+Both work on the half spectrum of the real field with real transforms, and
+neither reads an array the other computed.  Both take the signed integrals
+from `spectral_core.nonlinear_integrals`, so on those two columns the gap
+audits only the exponent table; their independent checks are the analytic
+oracles in the spectral-core tests.  The remaining independence is spectral
+sums against physical quadrature.  The routes agree in exact arithmetic; the
+ledger records their maximum relative gap per time step.
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import multiplier_bank, spectral_core
+from . import spectral_core
 from .multiplier_bank import MultiplierSet
-from .spectral_core import SPECTRAL, VectorField, make_grid
+from .spectral_core import SPECTRAL, VectorField, half_spectrum_sum, make_grid
 
 #: Normative scaling exponents: functional(w) = s**power * functional(u).
 #: Squared integral quantities unless noted; `sup` and `l4` are plain norms.
@@ -181,82 +187,49 @@ def build_w_field(u_hat: VectorField, clock: SimilarityClock) -> VectorField:
     return VectorField(w_grid, u_hat.data * root, SPECTRAL)
 
 
-def _trilinear_with_scale(field: VectorField) -> tuple[float, float]:
-    """Signed gradient triple product together with int |grad f|^3 dx."""
-    spec = spectral_core.ensure_spectral(field)
-    g = field.grid
-    grads = np.empty((3, 3, g.n, g.n, g.n))
-    for j in range(3):
-        dj = spectral_core.to_physical(
-            VectorField(g, spec.data * (1j * g.k[j]), SPECTRAL)
-        )
-        grads[j] = dj.data
-    total = 0.0
-    for j in range(3):
-        for k in range(3):
-            for l in range(3):
-                total += float(np.sum(grads[j, k] * grads[j, l] * grads[l, k]))
-    mag_cubed = np.sum(grads**2, axis=(0, 1)) ** 1.5
-    return total * g.cell_volume, float(np.sum(mag_cubed)) * g.cell_volume
-
-
-def _lap_coupling_with_scale(field: VectorField) -> tuple[float, float]:
-    """Laplacian coupling integral and its Cauchy-Schwarz majorant."""
-    spec = spectral_core.ensure_spectral(field)
-    g = field.grid
-    conv_hat = spectral_core.to_spectral(spectral_core.convective_product(field))
-    w4 = g.k_sq**2
-    value = g.volume * float(np.real(np.sum(w4 * spec.data * np.conj(conv_hat.data))))
-    lap_f = g.volume * float(np.sum(w4 * np.sum(np.abs(spec.data) ** 2, axis=0)))
-    lap_c = g.volume * float(np.sum(w4 * np.sum(np.abs(conv_hat.data) ** 2, axis=0)))
-    return value, math.sqrt(lap_f * lap_c)
-
-
 def w_functionals_scaling_route(
     u_hat: VectorField, clock: SimilarityClock, mults: MultiplierSet
 ) -> WFunctionals:
     """w-functionals from u-side integrals and the exponent table.
 
-    The frequency-split quantities are evaluated on the explicitly
-    constructed w-field: multiplier application on the w-grid followed by
-    physical-space quadrature, a code path disjoint from the spectral sums of
-    the multiplier route.
+    The Plancherel norms, the sup norm and the two signed integrals are taken
+    on the u-lattice and multiplied by exact powers of s.  The
+    frequency-split quantities are evaluated on the w-field by physical-space
+    quadrature of its real inverse transforms.
     """
     s = clock.remaining
-    ns_u = spectral_core.norms(u_hat)
-    tri_u, tri_scale_u = _trilinear_with_scale(u_hat)
-    lap_u, lap_scale_u = _lap_coupling_with_scale(u_hat)
-
-    w_field = build_w_field(u_hat, clock)
-    low = multiplier_bank.apply(mults.phi, w_field)
-    low_phys = spectral_core.to_physical(low)
-    low_mag_sq = np.sum(low_phys.data**2, axis=0)
-    vol = w_field.grid.cell_volume
-    low_l2_sq = float(np.sum(low_mag_sq)) * vol
-    low_sup = float(np.sqrt(np.max(low_mag_sq)))
-    low_l4 = float((np.sum(low_mag_sq**2) * vol) ** 0.25)
-    e_low = spectral_core.quadrature_l2_sq(multiplier_bank.apply(mults.chi, w_field))
-    e_high = spectral_core.quadrature_l2_sq(
-        multiplier_bank.apply(mults.sqrt_one_minus_phi_sq, w_field)
+    root = math.sqrt(s)
+    g = u_hat.grid
+    coef, u, kvec = spectral_core.half_terms(u_hat)
+    (tri_u, tri_scale_u), (lap_u, lap_scale_u) = spectral_core.nonlinear_integrals(
+        coef, u, kvec, g.volume
     )
-    high = multiplier_bank.apply(mults.one_minus_phi, w_field)
-    grad_high_sq = 0.0
-    for j in range(3):
-        grad_high_sq += spectral_core.quadrature_l2_sq(
-            spectral_core.spectral_derivative(high, ((1, 0, 0), (0, 1, 0), (0, 0, 1))[j])
-        )
+    k_sq = g.k_sq[..., : g.half_modes]
+    power = np.sum(np.abs(coef) ** 2, axis=0)
+    l2_u, h1_u, h2_u = (g.volume * half_spectrum_sum(k_sq**p * power) for p in (0, 1, 2))
+    sup_u = float(np.sqrt(np.max(np.sum(u**2, axis=0))))
+
+    xi = root * g.k_mag[..., : g.half_modes]
+    cell_w = (g.box_length / root / g.n) ** 3
+    w_coef = root * coef
+
+    def physical(weight: np.ndarray) -> np.ndarray:
+        return spectral_core.half_to_physical(w_coef * weight, g.n)
+
+    low_mag_sq = np.sum(physical(mults.phi(xi)) ** 2, axis=0)
+    grad_high = spectral_core.gradient_tensor(w_coef * mults.one_minus_phi(xi), root * kvec, g.n)
 
     return WFunctionals(
-        w_l2_sq=scale_factor("l2_sq", s) * ns_u.l2_sq,
-        w_h1_sq=scale_factor("h1_sq", s) * ns_u.h1_sq,
-        w_h2_sq=scale_factor("h2_sq", s) * ns_u.h2_sq,
-        w_sup=scale_factor("sup", s) * ns_u.sup,
-        low_l2_sq=low_l2_sq,
-        e_low=e_low,
-        e_high=e_high,
-        low_l4=low_l4,
-        low_sup=low_sup,
-        grad_high_sq=grad_high_sq,
+        w_l2_sq=scale_factor("l2_sq", s) * l2_u,
+        w_h1_sq=scale_factor("h1_sq", s) * h1_u,
+        w_h2_sq=scale_factor("h2_sq", s) * h2_u,
+        w_sup=scale_factor("sup", s) * sup_u,
+        low_l2_sq=float(np.sum(low_mag_sq)) * cell_w,
+        e_low=float(np.sum(physical(mults.chi(xi)) ** 2) * cell_w),
+        e_high=float(np.sum(physical(mults.sqrt_one_minus_phi_sq(xi)) ** 2) * cell_w),
+        low_l4=float((np.sum(low_mag_sq**2) * cell_w) ** 0.25),
+        low_sup=float(np.sqrt(np.max(low_mag_sq))),
+        grad_high_sq=float(np.sum(grad_high**2) * cell_w),
         trilinear=scale_factor("trilinear", s) * tri_u,
         lap_coupling=scale_factor("lap_coupling", s) * lap_u,
         trilinear_scale=scale_factor("trilinear", s) * tri_scale_u,
@@ -269,53 +242,38 @@ def w_functionals_multiplier_route(
 ) -> WFunctionals:
     """w-functionals via rescaled radial symbols applied to the u-coefficients.
 
-    Every quadratic functional is a spectral sum with weights evaluated at
-    xi = sqrt(s) |k|; sup/L4 quantities reconstruct the filtered field on the
-    u-lattice and rescale the samples.
+    Every quadratic functional is a half-spectrum sum with weights evaluated
+    at xi = sqrt(s) |k|; sup/L4 quantities reconstruct the filtered field on
+    the u-lattice and rescale the samples.  The two signed integrals are
+    taken on the w-field itself, on the box of side L/sqrt(s).
     """
     s = clock.remaining
     root = math.sqrt(s)
     g = u_hat.grid
-    if u_hat.representation != SPECTRAL:
-        raise spectral_core.RepresentationError("multiplier route expects spectral input")
-    power = np.sum(np.abs(u_hat.data) ** 2, axis=0)
-    xi_sq = s * g.k_sq
+    coef, u, kvec = spectral_core.half_terms(u_hat)
+    power = np.sum(np.abs(coef) ** 2, axis=0)
+    xi = root * g.k_mag[..., : g.half_modes]
+    xi_sq = s * g.k_sq[..., : g.half_modes]
+    phi_xi = mults.phi(xi)
     pref = scale_factor("l2_sq", s) * g.volume
 
-    phi_xi = multiplier_bank.evaluate_on_grid(mults.phi, g, scale=root)
-    chi_xi = multiplier_bank.evaluate_on_grid(mults.chi, g, scale=root)
-    split_hi = multiplier_bank.evaluate_on_grid(mults.sqrt_one_minus_phi_sq, g, scale=root)
-
-    w_l2_sq = pref * float(np.sum(power))
-    w_h1_sq = pref * float(np.sum(xi_sq * power))
-    w_h2_sq = pref * float(np.sum(xi_sq**2 * power))
-    low_l2_sq = pref * float(np.sum(phi_xi**2 * power))
-    e_low = pref * float(np.sum(chi_xi**2 * power))
-    e_high = pref * float(np.sum(split_hi**2 * power))
-    grad_high_sq = pref * float(np.sum(xi_sq * (1.0 - phi_xi) ** 2 * power))
-
-    u_phys = spectral_core.to_physical(u_hat)
-    w_sup = root * float(np.sqrt(np.max(np.sum(u_phys.data**2, axis=0))))
-    low_u = spectral_core.to_physical(VectorField(g, u_hat.data * phi_xi, SPECTRAL))
-    low_mag_sq = np.sum(low_u.data**2, axis=0)
-    low_sup = root * float(np.sqrt(np.max(low_mag_sq)))
-    low_l4 = scale_factor("l4", s) * float((np.sum(low_mag_sq**2) * g.cell_volume) ** 0.25)
-
-    w_field = build_w_field(u_hat, clock)
-    trilinear, tri_scale = _trilinear_with_scale(w_field)
-    lap_coupling, lap_scale = _lap_coupling_with_scale(w_field)
+    w_sup = root * float(np.sqrt(np.max(np.sum(u**2, axis=0))))
+    low_mag_sq = np.sum(spectral_core.half_to_physical(coef * phi_xi, g.n) ** 2, axis=0)
+    (trilinear, tri_scale), (lap_coupling, lap_scale) = spectral_core.nonlinear_integrals(
+        root * coef, root * u, root * kvec, (g.box_length / root) ** 3
+    )
 
     return WFunctionals(
-        w_l2_sq=w_l2_sq,
-        w_h1_sq=w_h1_sq,
-        w_h2_sq=w_h2_sq,
+        w_l2_sq=pref * half_spectrum_sum(power),
+        w_h1_sq=pref * half_spectrum_sum(xi_sq * power),
+        w_h2_sq=pref * half_spectrum_sum(xi_sq**2 * power),
         w_sup=w_sup,
-        low_l2_sq=low_l2_sq,
-        e_low=e_low,
-        e_high=e_high,
-        low_l4=low_l4,
-        low_sup=low_sup,
-        grad_high_sq=grad_high_sq,
+        low_l2_sq=pref * half_spectrum_sum(phi_xi**2 * power),
+        e_low=pref * half_spectrum_sum(mults.chi.sq(xi) * power),
+        e_high=pref * half_spectrum_sum(mults.sqrt_one_minus_phi_sq.sq(xi) * power),
+        low_l4=scale_factor("l4", s) * float((np.sum(low_mag_sq**2) * g.cell_volume) ** 0.25),
+        low_sup=root * float(np.sqrt(np.max(low_mag_sq))),
+        grad_high_sq=pref * half_spectrum_sum(xi_sq * (1.0 - phi_xi) ** 2 * power),
         trilinear=trilinear,
         lap_coupling=lap_coupling,
         trilinear_scale=tri_scale,

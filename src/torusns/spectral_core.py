@@ -1,5 +1,5 @@
 """Spectral discretization of a periodic box: transforms, differentiation,
-dealiasing, divergence-free projection, and norms.
+dealiasing, divergence-free projection, norms, and the nonlinear integrals.
 
 Conventions
 -----------
@@ -182,18 +182,19 @@ def to_physical(field: VectorField) -> VectorField:
 
 
 def half_to_spectral(values: np.ndarray) -> np.ndarray:
-    """Forward real transform of (3, n, n, n) samples to the half spectrum.
+    """Forward real transform of (..., n, n, n) samples to the half spectrum.
 
-    The result has shape (3, n, n, n//2 + 1): the modes with m3 >= 0 of the
+    The result has shape (..., n, n, n//2 + 1): the modes with m3 >= 0 of the
     module normalization; the others follow from coef(-k) = conj(coef(k)).
+    Leading axes (vector and tensor components) are transformed as a batch.
     """
-    return scipy.fft.rfftn(values, axes=(1, 2, 3), norm="forward", workers=get_fft_workers())
+    return scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward", workers=get_fft_workers())
 
 
 def half_to_physical(coef: np.ndarray, n: int) -> np.ndarray:
-    """Inverse real transform of half-spectrum coefficients to (3, n, n, n) samples."""
+    """Inverse real transform of half-spectrum coefficients to (..., n, n, n) samples."""
     return scipy.fft.irfftn(
-        coef, s=(n, n, n), axes=(1, 2, 3), norm="forward", workers=get_fft_workers()
+        coef, s=(n, n, n), axes=(-3, -2, -1), norm="forward", workers=get_fft_workers()
     )
 
 
@@ -357,42 +358,75 @@ def hermitian_defect(field: VectorField) -> float:
     return float(defect / scale)
 
 
-def convective_product(field: VectorField) -> VectorField:
-    """Pointwise advection product (u . grad) u, returned in physical space."""
-    spec = ensure_spectral(field)
-    phys = ensure_physical(field)
+def gradient_tensor(coef: np.ndarray, kvec: np.ndarray, n: int) -> np.ndarray:
+    """Samples grads[j, c] = d_j f_c of the real field with half spectrum `coef`.
+
+    `kvec` stacks the three wavevector components on the half lattice of the
+    field's box; the nine components take one batched inverse real transform.
+    """
+    return half_to_physical(1j * kvec[:, None] * coef, n)
+
+
+def _advect(u: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """(u . grad) u from the samples of u and of its gradient tensor."""
+    return u[0] * grads[0] + u[1] * grads[1] + u[2] * grads[2]
+
+
+def half_spectrum_sum(values: np.ndarray) -> float:
+    """The full-spectrum sum of a real, even function of k given on the half lattice.
+
+    Every mode with 0 < m3 < n/2 stands for itself and its mirror -k; the
+    planes m3 = 0 and m3 = n/2 are their own mirror images and count once.
+    """
+    return float(np.sum(values[..., 0]) + np.sum(values[..., -1]) + 2.0 * np.sum(values[..., 1:-1]))
+
+
+def nonlinear_integrals(
+    coef: np.ndarray, u: np.ndarray, kvec: np.ndarray, volume: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The gradient triple product and the Laplacian coupling, each with its majorant.
+
+    `coef` is the half spectrum of a real field f, `u` its samples and `kvec`
+    the wavevectors on the half lattice of a box of volume `volume`.  With
+    G[j, c] = d_j f_c, the triple product sum_{j,k,l} int d_j f_k d_j f_l d_l f_k dx
+    is the contraction int tr(G^T G G) dx, bounded by int |G|^3 dx; collocation
+    quadrature is exact for it while 3 * max_mode < n.  The coupling
+    int (Lap f) . Lap((f . grad) f) dx pairs |k|^4 under Plancherel and is
+    bounded by Cauchy-Schwarz.  Returns ((triple, majorant), (coupling, majorant)).
+    """
+    n = u.shape[-1]
+    cell = volume / n**3
+    grads = gradient_tensor(coef, kvec, n)
+    triple = float(np.einsum("jkxyz,jlxyz,lkxyz->", grads, grads, grads)) * cell
+    mag_cubed = np.einsum("jkxyz,jkxyz->xyz", grads, grads) ** 1.5
+    conv_hat = half_to_spectral(_advect(u, grads))
+    w4 = np.sum(kvec**2, axis=0) ** 2
+    coupling = volume * half_spectrum_sum(w4 * np.sum(np.real(coef * np.conj(conv_hat)), axis=0))
+    lap_f = volume * half_spectrum_sum(w4 * np.sum(np.abs(coef) ** 2, axis=0))
+    lap_c = volume * half_spectrum_sum(w4 * np.sum(np.abs(conv_hat) ** 2, axis=0))
+    return (triple, float(np.sum(mag_cubed)) * cell), (coupling, float(np.sqrt(lap_f * lap_c)))
+
+
+def half_terms(field: VectorField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half spectrum, samples and half-lattice wavevectors of a real spectral field."""
+    if field.representation != SPECTRAL:
+        raise RepresentationError("half_terms expects a spectral field")
     g = field.grid
-    out = np.zeros((3, g.n, g.n, g.n))
-    for j in range(3):
-        dj = to_physical(VectorField(g, spec.data * (1j * g.k[j]), SPECTRAL))
-        out += phys.data[j] * dj.data
-    return VectorField(g, out, PHYSICAL)
+    coef = field.data[..., : g.half_modes]
+    return coef, half_to_physical(coef, g.n), g.wavevectors[..., : g.half_modes]
+
+
+def convective_product(field: VectorField) -> VectorField:
+    """Pointwise advection product (u . grad) u of a real field, in physical space."""
+    coef, u, kvec = half_terms(ensure_spectral(field))
+    return VectorField(field.grid, _advect(u, gradient_tensor(coef, kvec, field.grid.n)), PHYSICAL)
 
 
 def trilinear_form(field: VectorField) -> float:
-    """The gradient triple product sum_{j,k,l} int d_j f_k d_j f_l d_l f_k dx.
-
-    The integrand is a cubic of band-limited factors, so collocation
-    quadrature is exact as long as 3 * max_mode < n.
-    """
-    spec = ensure_spectral(field)
-    g = field.grid
-    grads = np.empty((3, 3, g.n, g.n, g.n))
-    for j in range(3):
-        dj = to_physical(VectorField(g, spec.data * (1j * g.k[j]), SPECTRAL))
-        grads[j] = dj.data  # grads[j, c] = d_j f_c
-    total = 0.0
-    for j in range(3):
-        for k in range(3):
-            for l in range(3):
-                total += float(np.sum(grads[j, k] * grads[j, l] * grads[l, k]))
-    return total * g.cell_volume
+    """The gradient triple product of a real field; see `nonlinear_integrals`."""
+    return nonlinear_integrals(*half_terms(ensure_spectral(field)), field.grid.volume)[0][0]
 
 
 def advective_laplacian_form(field: VectorField) -> float:
-    """The coupling integral int (Lap f) . Lap((f . grad) f) dx."""
-    spec = ensure_spectral(field)
-    g = field.grid
-    conv_hat = to_spectral(convective_product(field))
-    weight = g.k_sq**2  # two Laplacians pair to |k|^4 under Plancherel
-    return g.volume * float(np.real(np.sum(weight * spec.data * np.conj(conv_hat.data))))
+    """The coupling integral int (Lap f) . Lap((f . grad) f) dx of a real field."""
+    return nonlinear_integrals(*half_terms(ensure_spectral(field)), field.grid.volume)[1][0]

@@ -113,17 +113,18 @@ class TestOperatorIdentities:
         assert np.array_equal(a, mults.chi(grid16.k_mag))
 
     def test_profile_cache_flat_in_row_count(self):
-        # every row builds a w-grid with a new box length; only the latest
-        # lattice's profiles may stay cached
+        # ledger rows evaluate the rescaled profiles on the u-lattice and
+        # leave the cache alone, however many rows a run logs
         from torusns.multiplier_bank import _profile_cache
 
+        _profile_cache.clear()
         sizes = []
         for horizon in (0.03, 0.09):
             ledger = tn.run(tn.SimulationConfig(n=16, delta=0.01, horizon=horizon, stride=1))
             sizes.append((len(ledger), len(_profile_cache)))
         (rows_short, entries_short), (rows_long, entries_long) = sizes
         assert rows_long > 2 * rows_short
-        assert entries_short == entries_long == 4
+        assert entries_short == entries_long == 0
 
 
 class TestQuadratureConstant:

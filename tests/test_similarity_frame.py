@@ -8,17 +8,68 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torusns as tn
-from torusns.multiplier_bank import MultiplierSet
+from torusns import ns_dynamics, spectral_core
+from torusns.multiplier_bank import MultiplierSet, apply
 from torusns.similarity_frame import (
     SCALING_EXPONENTS,
     SimilarityClock,
+    WFunctionals,
     build_w_field,
     route_gap,
     scale_factor,
     w_functionals_multiplier_route,
     w_functionals_scaling_route,
 )
-from torusns.spectral_core import SPECTRAL, VectorField, spectral_derivative
+from torusns.spectral_core import (
+    PHYSICAL,
+    SPECTRAL,
+    SpectralGrid,
+    VectorField,
+    hermitian_defect,
+    quadrature_l2_sq,
+    spectral_derivative,
+)
+
+UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def reference_functionals(u, clock, mults):
+    """Every w-functional on the explicit w-field, from full-spectrum complex
+    transforms: norms, multiplier application, quadrature, the 27-term
+    triple-product loop and the convective product taken from the gradients."""
+    w = build_w_field(u, clock)
+    g = w.grid
+    ns_w = tn.norms(w)
+    low_mag_sq = np.sum(tn.to_physical(apply(mults.phi, w)).data ** 2, axis=0)
+    high = apply(mults.one_minus_phi, w)
+    grads = np.stack([tn.to_physical(spectral_derivative(w, b)).data for b in UNIT])
+    trilinear = 0.0
+    for j in range(3):
+        for k in range(3):
+            for l in range(3):
+                trilinear += float(np.sum(grads[j, k] * grads[j, l] * grads[l, k]))
+    w_phys = tn.to_physical(w).data
+    conv = sum(w_phys[j] * grads[j] for j in range(3))
+    conv_hat = tn.to_spectral(VectorField(g, conv, PHYSICAL)).data
+    w4 = g.k_sq**2
+    lap_f = g.volume * float(np.sum(w4 * np.abs(w.data) ** 2))
+    lap_c = g.volume * float(np.sum(w4 * np.abs(conv_hat) ** 2))
+    return WFunctionals(
+        w_l2_sq=ns_w.l2_sq,
+        w_h1_sq=ns_w.h1_sq,
+        w_h2_sq=ns_w.h2_sq,
+        w_sup=ns_w.sup,
+        low_l2_sq=float(np.sum(low_mag_sq)) * g.cell_volume,
+        e_low=quadrature_l2_sq(apply(mults.chi, w)),
+        e_high=quadrature_l2_sq(apply(mults.sqrt_one_minus_phi_sq, w)),
+        low_l4=float((np.sum(low_mag_sq**2) * g.cell_volume) ** 0.25),
+        low_sup=float(np.sqrt(np.max(low_mag_sq))),
+        grad_high_sq=sum(quadrature_l2_sq(spectral_derivative(high, b)) for b in UNIT),
+        trilinear=trilinear * g.cell_volume,
+        lap_coupling=g.volume * float(np.real(np.sum(w4 * w.data * np.conj(conv_hat)))),
+        trilinear_scale=float(np.sum(np.sum(grads**2, axis=(0, 1)) ** 1.5)) * g.cell_volume,
+        lap_scale=math.sqrt(lap_f * lap_c),
+    )
 
 
 class TestClock:
@@ -157,6 +208,57 @@ class TestTwoRoutes:
         wa = w_functionals_scaling_route(u, clock, mults)
         wb = w_functionals_multiplier_route(u, clock, mults)
         assert route_gap(wa, wb) <= 1e-10
+
+    @pytest.mark.parametrize("s", [1.0, 0.25, 0.01])
+    def test_routes_match_full_spectrum_reference(self, s, grid16, rng, random_field_factory):
+        # route_gap measures the signed integrals against their majorants
+        mults = MultiplierSet.build(1.0 / 16.0)
+        clock = SimilarityClock(horizon=1.0, t=1.0 - s)
+        for _ in range(3):
+            u = random_field_factory(grid16, rng, divergence_free=True)
+            ref = reference_functionals(u, clock, mults)
+            for route in (w_functionals_scaling_route, w_functionals_multiplier_route):
+                assert route_gap(route(u, clock, mults), ref) <= 1e-12, route.__name__
+
+    def test_ledger_row_transforms(self, monkeypatch):
+        # a row of an exactly Hermitian state runs on real transforms of the
+        # half spectrum: the one complex transform is the one inside norms,
+        # which runs once, and no w-grid is built
+        config = tn.SimulationConfig(n=16, delta=0.01, horizon=0.03)
+        state = ns_dynamics.TrajectoryState(tn.make_initial_data(config), 0.0, 0, 0.0)
+        state = ns_dynamics.step(state, ns_dynamics.cfl_dt(state))
+        assert hermitian_defect(state.u_hat) == 0.0
+        counts = {"norms": 0, "complex_transforms": 0, "grids": 0}
+        inside_norms = []
+        norms = spectral_core.norms
+
+        def counted_norms(field):
+            counts["norms"] += 1
+            inside_norms.append(True)
+            try:
+                return norms(field)
+            finally:
+                inside_norms.pop()
+
+        def counted(transform):
+            def wrapper(field):
+                counts["complex_transforms"] += not inside_norms
+                return transform(field)
+
+            return wrapper
+
+        grid_init = SpectralGrid.__post_init__
+
+        def counted_grid(grid):
+            counts["grids"] += 1
+            grid_init(grid)
+
+        monkeypatch.setattr(spectral_core, "norms", counted_norms)
+        for name in ("to_physical", "to_spectral"):
+            monkeypatch.setattr(spectral_core, name, counted(getattr(spectral_core, name)))
+        monkeypatch.setattr(SpectralGrid, "__post_init__", counted_grid)
+        ns_dynamics._ledger_row(state, config, MultiplierSet.build(config.alpha))
+        assert counts == {"norms": 1, "complex_transforms": 0, "grids": 0}
 
     def test_split_identity(self, grid16, rng, random_field_factory):
         u = random_field_factory(grid16, rng, divergence_free=True)
