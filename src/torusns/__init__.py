@@ -8,7 +8,6 @@ from .inequality_lab import (
     CertificateConstant,
     EnergyLedger,
     InequalityReport,
-    LedgerRow,
     corrupt_ledger,
     d_dtau,
     two_route_audit,

@@ -11,7 +11,7 @@ deterministic functions of the ledger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
@@ -54,46 +54,39 @@ class LedgerError(ValueError):
     """A ledger failed one of its structural invariants."""
 
 
-@dataclass(frozen=True)
-class LedgerRow:
-    t: float
-    tau: float
-    dt: float
-    u_l2sq: float
-    u_h1sq: float
-    u_h2sq: float
-    u_sup: float
-    w_l2sq: float
-    w_h1sq: float
-    w_h2sq: float
-    w_sup: float
-    E_low: float
-    E_high: float
-    low_l4: float
-    low_sup: float
-    grad_high_sq: float
-    trilinear_w: float
-    lap_coupling: float
-    route_gap: float
+_COLUMN_INDEX = {name: i for i, name in enumerate(CSV_COLUMNS)}
 
 
-@dataclass
 class EnergyLedger:
-    """Ordered ledger rows plus run metadata (alpha, grid, seed, ...)."""
+    """Ledger rows as one read-only (rows, len(CSV_COLUMNS)) float64 table,
+    columns in CSV_COLUMNS order, plus run metadata (alpha, grid, seed, ...).
 
-    rows: list[LedgerRow]
-    meta: dict = field(default_factory=dict)
+    The ledger copies the table, validates it once and then freezes it, so
+    every verifier can rely on the invariants of `validate` without
+    re-checking them.  The copy is column-major, so each `column` view is
+    contiguous.
+    """
+
+    def __init__(self, table, meta: dict | None = None) -> None:
+        table = np.array(table, dtype=float, order="F")
+        if table.ndim != 2 or table.shape[1] != len(CSV_COLUMNS):
+            raise LedgerError(
+                f"ledger table must have shape (rows, {len(CSV_COLUMNS)}), got {table.shape}"
+            )
+        table.flags.writeable = False
+        self.table = table
+        self.meta = dict(meta or {})
+        self.validate()
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.table)
 
     def column(self, name: str) -> np.ndarray:
-        if name not in CSV_COLUMNS:
-            raise KeyError(name)
-        return np.array([getattr(r, name) for r in self.rows], dtype=float)
+        """Read-only view of one column."""
+        return self.table[:, _COLUMN_INDEX[name]]
 
     def validate(self) -> None:
-        if not self.rows:
+        if not len(self.table):
             raise LedgerError("empty ledger")
         tau = self.column("tau")
         if not np.all(np.diff(tau) > 0):
@@ -104,9 +97,8 @@ class EnergyLedger:
         worst_gap = float(np.max(self.column("route_gap")))
         if worst_gap > ROUTE_GAP_LIMIT:
             raise LedgerError(f"route disagreement {worst_gap} exceeds {ROUTE_GAP_LIMIT}")
-        first = self.rows[0]
-        energy0 = first.E_low + first.E_high
-        if energy0 > first.w_l2sq * (1.0 + 1e-12) + 1e-300:
+        energy0 = self.column("E_low")[0] + self.column("E_high")[0]
+        if energy0 > self.column("w_l2sq")[0] * (1.0 + 1e-12) + 1e-300:
             raise LedgerError("initial split energy exceeds the total energy")
 
     def subsample(self, stride: int) -> "EnergyLedger":
@@ -114,17 +106,17 @@ class EnergyLedger:
         output stride would have produced from the same physics."""
         if stride < 1:
             raise ValueError("stride must be >= 1")
-        keep = list(range(0, len(self.rows), stride))
-        if keep[-1] != len(self.rows) - 1:
-            keep.append(len(self.rows) - 1)
+        keep = list(range(0, len(self.table), stride))
+        if keep[-1] != len(self.table) - 1:
+            keep.append(len(self.table) - 1)
         meta = dict(self.meta)
         meta["stride"] = meta.get("stride", 1) * stride
-        return EnergyLedger(rows=[self.rows[i] for i in keep], meta=meta)
+        return EnergyLedger(self.table[keep], meta=meta)
 
     def to_csv_text(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
-        for r in self.rows:
-            lines.append(",".join(f"{getattr(r, c):.17g}" for c in CSV_COLUMNS))
+        for row in self.table.tolist():
+            lines.append(",".join(f"{v:.17g}" for v in row))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -141,11 +133,10 @@ class EnergyLedger:
             if len(parts) != len(CSV_COLUMNS):
                 raise LedgerError(f"line {number}: malformed ledger line: {ln!r}")
             try:
-                values = {c: float(v) for c, v in zip(CSV_COLUMNS, parts)}
+                rows.append([float(v) for v in parts])
             except ValueError as exc:
                 raise LedgerError(f"line {number}: bad number in ledger: {ln!r}") from exc
-            rows.append(LedgerRow(**values))
-        return cls(rows=rows, meta=dict(meta or {}))
+        return cls(np.array(rows, dtype=float).reshape(-1, len(CSV_COLUMNS)), meta=meta)
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -281,7 +272,8 @@ def _headline(
 
 
 def _tau_range(ledger: EnergyLedger) -> tuple[float, float]:
-    return (ledger.rows[0].tau, ledger.rows[-1].tau)
+    tau = ledger.column("tau")
+    return (float(tau[0]), float(tau[-1]))
 
 
 def _burn_in_index(tau: np.ndarray, burn_in: float) -> int:
@@ -297,7 +289,6 @@ def verify_l2_inequality(ledger: EnergyLedger, tol: float | None = None) -> Ineq
     its dissipation bound, and -- equivalently through the change of
     variables -- rowwise monotonicity of the physical-variable energy.
     """
-    ledger.validate()
     tau = ledger.column("tau")
     w2 = ledger.column("w_l2sq")
     h1 = ledger.column("w_h1sq")
@@ -345,7 +336,6 @@ def verify_h1_inequality(ledger: EnergyLedger, tol: float | None = None) -> Ineq
     Envelope:  ||grad w||^2(tau) <= e^{-(tau-tau0)/2} ||grad w||^2(tau0)
                                      + 2 c (1 - e^{-(tau-tau0)/2})
     """
-    ledger.validate()
     tau = ledger.column("tau")
     f = ledger.column("w_h1sq")
     h2 = ledger.column("w_h2sq")
@@ -409,7 +399,6 @@ def verify_h2_inequality(
     ||Lap w||^2(tau0) and compares it against the target 3/2 less the fitted
     gradient certificate scaled by the measured high-part gradient bound.
     """
-    ledger.validate()
     tau = ledger.column("tau")
     f = ledger.column("w_h2sq")
     lap = ledger.column("lap_coupling")
@@ -478,7 +467,6 @@ def verify_decomposition_decay(
     (c) requires the low-pass L4/sup norms and the high split energy to be
         nonincreasing after burn-in and to end at <= 10% of their start.
     """
-    ledger.validate()
     meta_alpha = ledger.meta.get("alpha")
     if meta_alpha is not None and abs(meta_alpha - alpha) > 1e-12:
         raise LedgerError(f"ledger was built with alpha={meta_alpha}, not {alpha}")
@@ -548,7 +536,6 @@ def verify_blowup_rate(ledger: EnergyLedger, epsilon: float) -> InequalityReport
     column.  With epsilon too small to ever be met the verdict is
     inconclusive, never violated: the bound is an eventual statement.
     """
-    ledger.validate()
     q = ledger.column("w_sup")
     t = ledger.column("t")
     over = q > epsilon
@@ -614,33 +601,22 @@ def corrupt_ledger(ledger: EnergyLedger, kind: str) -> EnergyLedger:
     """
     if kind not in CORRUPTION_KINDS:
         raise ValueError(f"unknown corruption kind {kind!r}")
-    rows = list(ledger.rows)
+    table = ledger.table.copy()
+    col = _COLUMN_INDEX
     if kind == "energy_bump":
-        mid = len(rows) // 2
-        rows[mid] = replace(
-            rows[mid],
-            u_l2sq=rows[mid].u_l2sq * 1.5,
-            w_l2sq=rows[mid].w_l2sq * 1.5,
-        )
+        mid = len(table) // 2
+        table[mid, [col["u_l2sq"], col["w_l2sq"]]] *= 1.5
     elif kind == "trilinear_flip":
-        rows = [replace(r, trilinear_w=-r.trilinear_w) for r in rows]
+        table[:, col["trilinear_w"]] = -table[:, col["trilinear_w"]]
     else:
         alpha = float(ledger.meta.get("alpha", 0.0625))
-        tau0 = rows[0].tau
-        first = rows[0]
-        rows = [
-            replace(
-                r,
-                E_low=first.E_low * math.exp(-0.5 * alpha * (r.tau - tau0)),
-                E_high=first.E_high * math.exp(-0.5 * alpha * (r.tau - tau0)),
-                low_l4=first.low_l4 * math.exp(-0.5 * alpha * (r.tau - tau0)),
-                low_sup=first.low_sup * math.exp(-0.5 * alpha * (r.tau - tau0)),
-            )
-            for r in rows
-        ]
+        tau = table[:, col["tau"]]
+        decay = np.array([math.exp(-0.5 * alpha * (x - tau[0])) for x in tau])
+        split = [col[c] for c in ("E_low", "E_high", "low_l4", "low_sup")]
+        table[:, split] = np.outer(decay, table[0, split])
     meta = dict(ledger.meta)
     meta["corruption"] = kind
-    return EnergyLedger(rows=rows, meta=meta)
+    return EnergyLedger(table, meta=meta)
 
 
 def verify_all(

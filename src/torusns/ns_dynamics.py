@@ -19,12 +19,12 @@ exactly Hermitian by `spectral_core.full_spectrum`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import spectral_core
-from .inequality_lab import EnergyLedger, LedgerRow
+from .inequality_lab import EnergyLedger
 from .multiplier_bank import MultiplierSet
 from .similarity_frame import (
     SimilarityClock,
@@ -58,7 +58,6 @@ class SimulationConfig:
     c_cfl: float = 1.0
     t_min: float = float("nan")  # filled with horizon * e^-6 when unset
     stride: int = 2
-    strict: bool = False
 
     def __post_init__(self) -> None:
         if math.isnan(self.t_min):
@@ -243,33 +242,34 @@ def _abort_if_not_finite(state: TrajectoryState) -> None:
 
 def _ledger_row(
     state: TrajectoryState, config: SimulationConfig, mults: MultiplierSet
-) -> LedgerRow:
+) -> tuple[float, ...]:
+    """One ledger row, its values in `inequality_lab.CSV_COLUMNS` order."""
     clock = SimilarityClock(horizon=config.horizon, t=state.t)
     u_norms = spectral_core.norms(state.u_hat)
     wa = w_functionals_scaling_route(state.u_hat, clock, mults)
     wb = w_functionals_multiplier_route(state.u_hat, clock, mults)
     wa.validate()
     wb.validate()
-    return LedgerRow(
-        t=state.t,
-        tau=clock.tau,
-        dt=state.last_dt,
-        u_l2sq=u_norms.l2_sq,
-        u_h1sq=u_norms.h1_sq,
-        u_h2sq=u_norms.h2_sq,
-        u_sup=u_norms.sup,
-        w_l2sq=wa.w_l2_sq,
-        w_h1sq=wa.w_h1_sq,
-        w_h2sq=wa.w_h2_sq,
-        w_sup=wa.w_sup,
-        E_low=wa.e_low,
-        E_high=wa.e_high,
-        low_l4=wa.low_l4,
-        low_sup=wa.low_sup,
-        grad_high_sq=wa.grad_high_sq,
-        trilinear_w=wa.trilinear,
-        lap_coupling=wa.lap_coupling,
-        route_gap=route_gap(wa, wb),
+    return (
+        state.t,
+        clock.tau,
+        state.last_dt,
+        u_norms.l2_sq,
+        u_norms.h1_sq,
+        u_norms.h2_sq,
+        u_norms.sup,
+        wa.w_l2_sq,
+        wa.w_h1_sq,
+        wa.w_h2_sq,
+        wa.w_sup,
+        wa.e_low,
+        wa.e_high,
+        wa.low_l4,
+        wa.low_sup,
+        wa.grad_high_sq,
+        wa.trilinear,
+        wa.lap_coupling,
+        route_gap(wa, wb),
     )
 
 
@@ -277,7 +277,9 @@ def run(config: SimulationConfig) -> EnergyLedger:
     """Integrate from t = 0 to horizon - t_min, recording ledger rows.
 
     Rows are emitted at step 0, every `stride` steps, and at the final step.
-    A non-finite field aborts with NumericalBlowupError.
+    A non-finite field aborts with NumericalBlowupError; a ledger that fails
+    its invariants raises LedgerError.  The metadata is every field of
+    `config` plus the number of steps taken.
     """
     grid = make_grid(config.n, config.box_length)
     mults = MultiplierSet.build(config.alpha)
@@ -294,18 +296,4 @@ def run(config: SimulationConfig) -> EnergyLedger:
         done = state.t >= t_end * (1.0 - 1e-12)
         if done or state.step_index % config.stride == 0:
             rows.append(_ledger_row(state, config, mults))
-    meta = {
-        "alpha": config.alpha,
-        "n": config.n,
-        "box_length": config.box_length,
-        "horizon": config.horizon,
-        "delta": config.delta,
-        "seed": config.seed,
-        "initial_kind": config.initial_kind,
-        "stride": config.stride,
-        "strict": config.strict,
-        "steps": state.step_index,
-    }
-    ledger = EnergyLedger(rows=rows, meta=meta)
-    ledger.validate()
-    return ledger
+    return EnergyLedger(rows, meta={**asdict(config), "steps": state.step_index})

@@ -5,7 +5,7 @@ no nesting.  Ledgers go to CSV with a fixed header; verdict bundles go to
 JSON with an integer ``schema`` field.  Exit codes are a stable contract:
 
     0  every enabled check holds (with or without certificate)
-    1  configuration or usage error
+    1  configuration or usage error, or an invalid ledger given to verify
     2  some check was violated or inconclusive
     3  the integrator aborted on non-finite values
     4  output files could not be written
@@ -21,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import scipy
@@ -31,6 +32,7 @@ from .inequality_lab import (
     HOLDS_WITH_CERTIFICATE,
     CertificateConstant,
     EnergyLedger,
+    LedgerError,
     verify_all,
 )
 from .ns_dynamics import NumericalBlowupError, SimulationConfig
@@ -81,21 +83,10 @@ class ReportBundle:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Full harness configuration; defaults reproduce the standard run."""
+class RunConfig(SimulationConfig):
+    """Full harness configuration: the simulation fields plus the harness
+    keys below; defaults reproduce the standard run."""
 
-    n: int = 32
-    box_length: float = 2.0 * math.pi
-    horizon: float = 1.0
-    alpha: float = 0.0625
-    delta: float = 0.01
-    initial_kind: str = "random_low_mode"
-    seed: int = 0
-    init_k_max: float = 4.0
-    amplitude: float = 1.0
-    c_cfl: float = 1.0
-    t_min: float = float("nan")
-    stride: int = 2
     strict: bool = False
     epsilon: float = 0.1
     decay_tol: float = 0.05
@@ -113,9 +104,10 @@ class RunConfig:
     sweep_n: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if math.isnan(self.t_min):
-            object.__setattr__(self, "t_min", self.horizon * math.exp(-6.0))
-        self.simulation()  # range validation happens there
+        try:
+            super().__post_init__()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.inject_corruption not in ("none",) + inequality_lab.CORRUPTION_KINDS:
             raise ConfigError(f"unknown corruption kind {self.inject_corruption!r}")
         if self.threads < 1:
@@ -125,28 +117,6 @@ class RunConfig:
         for a in self.sweep_alpha:
             if not 0.0 < a < 0.125:
                 raise ConfigError(f"sweep alpha {a} outside (0, 1/8)")
-
-    def simulation(self, **overrides) -> SimulationConfig:
-        kwargs = dict(
-            n=self.n,
-            box_length=self.box_length,
-            horizon=self.horizon,
-            alpha=self.alpha,
-            delta=self.delta,
-            initial_kind=self.initial_kind,
-            seed=self.seed,
-            init_k_max=self.init_k_max,
-            amplitude=self.amplitude,
-            c_cfl=self.c_cfl,
-            t_min=self.t_min,
-            stride=self.stride,
-            strict=self.strict,
-        )
-        kwargs.update(overrides)
-        try:
-            return SimulationConfig(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def enabled_checks(self) -> set[str]:
         return {name for key, name in CHECK_KEYS.items() if getattr(self, key)}
@@ -172,57 +142,23 @@ def _format_value(value) -> str:
 def _parse_value(name: str, raw: str, kind, line_no: int):
     raw = raw.strip()
     try:
+        if get_origin(kind) is tuple:  # sweep axes
+            elem = get_args(kind)[0]
+            return tuple(elem(part.strip()) for part in raw.split(",")) if raw else ()
         if kind is bool:
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        if kind in (tuple,):  # sweep axes
-            if not raw:
-                return ()
-            elem = int if name == "sweep_n" else float
-            return tuple(elem(part.strip()) for part in raw.split(","))
+        if kind in (int, float, str):
+            return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"line {line_no}: bad value for {name}: {raw!r}") from exc
     raise ConfigError(f"line {line_no}: unhandled option type for {name}")
 
 
-_FIELD_TYPES = {
-    "n": int,
-    "box_length": float,
-    "horizon": float,
-    "alpha": float,
-    "delta": float,
-    "initial_kind": str,
-    "seed": int,
-    "init_k_max": float,
-    "amplitude": float,
-    "c_cfl": float,
-    "t_min": float,
-    "stride": int,
-    "strict": bool,
-    "epsilon": float,
-    "decay_tol": float,
-    "check_l2": bool,
-    "check_h1": bool,
-    "check_h2": bool,
-    "check_decay": bool,
-    "check_rate": bool,
-    "check_routes": bool,
-    "out_dir": str,
-    "inject_corruption": str,
-    "threads": int,
-    "sweep_alpha": tuple,
-    "sweep_delta": tuple,
-    "sweep_n": tuple,
-}
+_FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -239,12 +175,7 @@ def parse_config(text: str) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {line_no}: unknown option {key!r}")
         values[key] = _parse_value(key, raw_value, _FIELD_TYPES[key], line_no)
-    try:
-        return RunConfig(**values)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**values)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -304,7 +235,7 @@ def cmd_run(config: RunConfig, out_dir: str | None = None) -> int:
     target = Path(out_dir if out_dir is not None else config.out_dir)
     started = time.perf_counter()
     try:
-        ledger = ns_dynamics.run(config.simulation())
+        ledger = ns_dynamics.run(config)
     except NumericalBlowupError as exc:
         print(f"[torusns] numerical abort: {exc}", file=sys.stderr)
         return 3
@@ -335,6 +266,9 @@ def cmd_verify(ledger_path: str, config: RunConfig) -> int:
     except OSError as exc:
         print(f"[torusns] cannot read ledger: {exc}", file=sys.stderr)
         return 4
+    except LedgerError as exc:
+        print(f"[torusns] invalid ledger: {exc}", file=sys.stderr)
+        return 1
     reports = verify_all(
         ledger,
         alpha=config.alpha,

@@ -7,7 +7,6 @@ from torusns.inequality_lab import (
     CSV_COLUMNS,
     EnergyLedger,
     LedgerError,
-    LedgerRow,
     corrupt_ledger,
     d_dtau,
     route_audit_report,
@@ -21,23 +20,19 @@ from torusns.inequality_lab import (
 )
 
 
-def make_rows(tau, **columns):
-    """Synthetic ledger rows; unspecified columns are zero."""
-    n = len(tau)
-    data = {name: np.zeros(n) for name in CSV_COLUMNS}
-    data["tau"] = np.asarray(tau, dtype=float)
-    data["t"] = 1.0 - np.exp(-data["tau"])
+def make_table(tau, **columns):
+    """Synthetic ledger table; unspecified columns are zero."""
+    table = np.zeros((len(tau), len(CSV_COLUMNS)))
+    table[:, CSV_COLUMNS.index("tau")] = tau
+    table[:, CSV_COLUMNS.index("t")] = 1.0 - np.exp(-np.asarray(tau, dtype=float))
     for name, values in columns.items():
-        data[name] = np.asarray(values, dtype=float)
-    return [
-        LedgerRow(**{name: float(data[name][i]) for name in CSV_COLUMNS})
-        for i in range(n)
-    ]
+        table[:, CSV_COLUMNS.index(name)] = values
+    return table
 
 
 def zero_ledger(n_rows=40, alpha=0.0625):
     tau = np.linspace(0.0, 6.0, n_rows)
-    return EnergyLedger(rows=make_rows(tau), meta={"alpha": alpha})
+    return EnergyLedger(make_table(tau), meta={"alpha": alpha})
 
 
 class TestDifferencing:
@@ -95,37 +90,34 @@ class TestLedgerStorage:
 
     def test_subsample_keeps_endpoints(self, small_ledger):
         sub = small_ledger.subsample(7)
-        assert sub.rows[0].t == small_ledger.rows[0].t
-        assert sub.rows[-1].t == small_ledger.rows[-1].t
+        assert sub.column("t")[0] == small_ledger.column("t")[0]
+        assert sub.column("t")[-1] == small_ledger.column("t")[-1]
         assert len(sub) < len(small_ledger)
 
     def test_validate_rejects_nonmonotone_tau(self):
-        ledger = zero_ledger()
-        rows = list(ledger.rows)
-        rows[5], rows[6] = rows[6], rows[5]
+        table = zero_ledger().table.copy()
+        table[[5, 6]] = table[[6, 5]]
         with pytest.raises(LedgerError):
-            EnergyLedger(rows=rows).validate()
+            EnergyLedger(table)
 
     def test_validate_rejects_nan(self):
         tau = np.linspace(0.0, 1.0, 10)
         w = np.zeros(10)
         w[3] = np.nan
         with pytest.raises(LedgerError):
-            EnergyLedger(rows=make_rows(tau, w_l2sq=w)).validate()
+            EnergyLedger(make_table(tau, w_l2sq=w))
 
     def test_validate_rejects_route_divergence(self):
         tau = np.linspace(0.0, 1.0, 10)
         gap = np.zeros(10)
         gap[-1] = 1e-8
         with pytest.raises(LedgerError):
-            EnergyLedger(rows=make_rows(tau, route_gap=gap)).validate()
+            EnergyLedger(make_table(tau, route_gap=gap))
 
     def test_validate_rejects_split_excess(self):
         tau = np.linspace(0.0, 1.0, 10)
         with pytest.raises(LedgerError):
-            EnergyLedger(
-                rows=make_rows(tau, E_low=np.full(10, 2.0), w_l2sq=np.ones(10))
-            ).validate()
+            EnergyLedger(make_table(tau, E_low=np.full(10, 2.0), w_l2sq=np.ones(10)))
 
 
 class TestL2Verifier:
@@ -161,7 +153,7 @@ class TestH1Verifier:
 
     def test_missing_rows_error(self):
         tau = np.array([0.0, 0.5])
-        ledger = EnergyLedger(rows=make_rows(tau))
+        ledger = EnergyLedger(make_table(tau))
         with pytest.raises(ValueError):
             verify_h1_inequality(ledger)
 
@@ -185,8 +177,8 @@ class TestH2Verifier:
         s = 1.0 - t
         h2 = s**1.5 * np.exp(-2.0 * t)
         lap = np.zeros_like(tau)
-        rows = make_rows(tau, w_h2sq=h2, lap_coupling=lap, u_h2sq=np.exp(-2.0 * t))
-        ledger = EnergyLedger(rows=rows)
+        table = make_table(tau, w_h2sq=h2, lap_coupling=lap, u_h2sq=np.exp(-2.0 * t))
+        ledger = EnergyLedger(table)
         report = verify_h2_inequality(ledger)
         start = np.searchsorted(tau, tau[0] + 1.0)
         tail = tau >= tau[start] + 1.0
@@ -208,7 +200,7 @@ class TestDecompositionVerifier:
         tau = np.linspace(0.0, 6.0, 300)
         e = 1e-4 * np.exp(-alpha * tau)
         fast = 1e-4 * np.exp(-2.0 * tau)  # high part collapses quickly
-        rows = make_rows(
+        table = make_table(
             tau,
             E_low=e - 0.5 * fast,
             E_high=0.5 * fast,
@@ -216,7 +208,7 @@ class TestDecompositionVerifier:
             low_sup=np.sqrt(fast),
             w_l2sq=np.full_like(tau, 1.0),
         )
-        report = verify_decomposition_decay(EnergyLedger(rows=rows), alpha=alpha)
+        report = verify_decomposition_decay(EnergyLedger(table), alpha=alpha)
         assert report.details["envelope_excess"] <= 0.0
         assert report.status in ("holds", "holds_with_certificate")
 
@@ -253,10 +245,10 @@ class TestRateMonitor:
     def test_mid_run_crossing(self):
         tau = np.linspace(0.0, 6.0, 50)
         q = np.where(tau < 2.0, 1.0, 0.01)
-        rows = make_rows(tau, w_sup=q)
-        report = verify_blowup_rate(EnergyLedger(rows=rows), epsilon=0.1)
+        ledger = EnergyLedger(make_table(tau, w_sup=q))
+        report = verify_blowup_rate(ledger, epsilon=0.1)
         assert report.status == "holds"
-        crossing_t = rows[np.argmax(tau >= 2.0) - 1].t
+        crossing_t = ledger.column("t")[np.argmax(tau >= 2.0) - 1]
         assert report.details["t0"] == pytest.approx(crossing_t)
 
 
@@ -279,6 +271,16 @@ class TestCorruptions:
             bad = corrupt_ledger(small_ledger, kind)
             assert bad.meta["corruption"] == kind
             assert len(bad) == len(small_ledger)
+
+    def test_input_left_unchanged(self, small_ledger):
+        before = small_ledger.to_csv_text()
+        for kind in ("energy_bump", "trilinear_flip", "subrate_energy"):
+            corrupt_ledger(small_ledger, kind)
+            assert small_ledger.to_csv_text() == before
+
+    def test_table_is_read_only(self, small_ledger):
+        with pytest.raises(ValueError):
+            small_ledger.column("tau")[0] = -1.0
 
 
 class TestVerifyAll:

@@ -1,12 +1,13 @@
 """Tests for configuration parsing, the CLI commands, and exit codes."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import torusns as tn
-from torusns.inequality_lab import EnergyLedger
+from torusns.inequality_lab import CSV_COLUMNS, EnergyLedger
 from torusns.runner_cli import (
     ConfigError,
     RunConfig,
@@ -60,6 +61,41 @@ class TestConfigParsing:
 
     def test_roundtrip_through_text(self):
         config = parse_config("alpha = 0.09375\nsweep_delta = 0.005, 0.01\nstrict = true\n")
+        assert parse_config(config.as_text()) == config
+
+    def test_every_field_roundtrips(self):
+        config = RunConfig(
+            n=16,
+            box_length=3.0,
+            horizon=2.0,
+            alpha=0.03125,
+            delta=0.02,
+            initial_kind="taylor_green",
+            seed=7,
+            init_k_max=2.0,
+            amplitude=0.5,
+            c_cfl=0.5,
+            t_min=0.01,
+            stride=3,
+            strict=True,
+            epsilon=0.2,
+            decay_tol=0.1,
+            check_l2=False,
+            check_h1=False,
+            check_h2=False,
+            check_decay=False,
+            check_rate=False,
+            check_routes=False,
+            out_dir="elsewhere",
+            inject_corruption="trilinear_flip",
+            threads=2,
+            sweep_alpha=(0.03125, 0.09375),
+            sweep_delta=(0.005, 0.02),
+            sweep_n=(16, 24),
+        )
+        defaults = RunConfig()
+        for f in fields(RunConfig):
+            assert getattr(config, f.name) != getattr(defaults, f.name), f.name
         assert parse_config(config.as_text()) == config
 
     def test_sweep_axis_parsing(self):
@@ -146,6 +182,27 @@ class TestVerifyCommand:
         config = parse_config(FAST_RUN)
         assert cmd_verify(str(tmp_path / "nope.csv"), config) == 4
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("a,b,c\n1,2,3\n", "unexpected ledger header"),
+            (
+                "\n".join(
+                    [",".join(CSV_COLUMNS)]
+                    + [",".join(["0", tau] + ["0"] * 16 + ["1e-08"]) for tau in "012"]
+                ),
+                "route disagreement",
+            ),
+        ],
+        ids=["header", "route_gap"],
+    )
+    def test_invalid_ledger_exit_one(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text(text + "\n")
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "[torusns] invalid ledger: " in err and reason in err
+
 
 class TestSweepCommand:
     def test_empty_axes_rejected(self):
@@ -181,6 +238,10 @@ class TestMainEntry:
              "--out", str(tmp_path / "s"), "run"]
         )
         assert code == 0
+
+    def test_bad_stride_exit_one(self, tmp_path, capsys):
+        assert main(["--stride", "0", "--out", str(tmp_path), "run"]) == 1
+        assert "[torusns] config error: output stride must be >= 1" in capsys.readouterr().err
 
     def test_bad_config_exit_one(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"
