@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .spectral_core import SPECTRAL, RepresentationError, VectorField, spectral_derivative
+from .spectral_core import SPECTRAL, VectorField, spectral_derivative
 
 _FD_STEP = 1e-5  # central-difference step for profile derivatives, error O(h^2)
 
@@ -170,8 +170,7 @@ def evaluate_on_grid(mult: RadialMultiplier, grid) -> np.ndarray:
 
 def apply(mult: RadialMultiplier, field: VectorField) -> VectorField:
     """Multiply the coefficients by profile(|k|)."""
-    if field.representation != SPECTRAL:
-        raise RepresentationError("multipliers act on spectral fields")
+    field.require(SPECTRAL)
     weights = evaluate_on_grid(mult, field.grid)
     return VectorField(field.grid, field.data * weights, SPECTRAL)
 

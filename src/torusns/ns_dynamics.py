@@ -54,7 +54,6 @@ class SimulationConfig:
     initial_kind: str = "random_low_mode"
     seed: int = 0
     init_k_max: float = 4.0
-    amplitude: float = 1.0
     c_cfl: float = 1.0
     t_min: float = float("nan")  # filled with horizon * e^-6 when unset
     stride: int = 2
@@ -98,18 +97,19 @@ def make_initial_data(config: SimulationConfig, grid: SpectralGrid | None = None
     requested L2 norm `config.delta`.
 
     `taylor_green` is the classical single-mode vortex; `random_low_mode`
-    seeds every mode with |k| <= init_k_max with Gaussian coefficients and
-    projects out the gradient part.
+    seeds every mode with |k| <= init_k_max with standard Gaussian
+    coefficients and projects out the gradient part.  Either shape is built
+    at unit scale and then rescaled to `delta`, so `delta` alone sets the size
+    of the data.
     """
     grid = grid or make_grid(config.n, config.box_length)
     if config.initial_kind == "taylor_green":
         x1, x2, x3 = grid.coordinates()
         q = 2.0 * math.pi / grid.box_length
-        a = config.amplitude
         data = np.stack(
             [
-                a * np.sin(q * x1) * np.cos(q * x2) * np.cos(q * x3),
-                -a * np.cos(q * x1) * np.sin(q * x2) * np.cos(q * x3),
+                np.sin(q * x1) * np.cos(q * x2) * np.cos(q * x3),
+                -np.cos(q * x1) * np.sin(q * x2) * np.cos(q * x3),
                 np.zeros((grid.n, grid.n, grid.n)),
             ]
         )
@@ -117,9 +117,7 @@ def make_initial_data(config: SimulationConfig, grid: SpectralGrid | None = None
     else:
         rng = np.random.default_rng(config.seed)
         shape = (3, grid.n, grid.n, grid.n)
-        raw = config.amplitude * (
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        )
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         mask = (grid.k_mag <= config.init_k_max) & (grid.k_mag > 0.0)
         raw *= mask
         # enforce coef(-k) = conj(coef(k)) so the field is real
@@ -170,7 +168,7 @@ def nonlinear_rhs(u_hat: VectorField) -> VectorField:
     projection removes gradients, as it removes the pressure gradient.  The
     output is mean-free, divergence-free and exactly Hermitian.
     """
-    u_hat = spectral_core.ensure_spectral(u_hat)
+    u_hat.require(SPECTRAL)
     grid = u_hat.grid
     out, _ = _rhs_half(u_hat.data[..., : grid.half_modes], grid)
     return VectorField(grid, spectral_core.full_spectrum(out, grid.n), SPECTRAL)

@@ -6,7 +6,8 @@ JSON with an integer ``schema`` field.  Exit codes are a stable contract:
 
     0  every enabled check holds (with or without certificate)
     1  configuration or usage error, or an invalid ledger given to verify
-    2  some check was violated or inconclusive
+    2  some check was violated or inconclusive, or a run produced a ledger
+       that fails its invariants (such as a route gap above 1e-10)
     3  the integrator aborted on non-finite values
     4  output files could not be written
 """
@@ -19,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -55,7 +56,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ReportBundle:
-    """Everything one run publishes: metadata, verdicts, certificates."""
+    """Everything one run publishes: metadata, verdicts, certificates.
+
+    `report.json` is `dataclasses.asdict` of the bundle, so the fields here
+    and in InequalityReport and CertificateConstant are its schema.
+    """
 
     config_text: str
     config_hash: str
@@ -69,17 +74,6 @@ class ReportBundle:
         ids = [r.inequality_id for r in self.reports]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate inequality report in bundle")
-
-    def as_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "config_text": self.config_text,
-            "config_hash": self.config_hash,
-            "versions": self.versions,
-            "wall_time_s": self.wall_time_s,
-            "reports": [r.as_dict() for r in self.reports],
-            "certificates": [c.as_dict() for c in self.certificates],
-        }
 
 
 @dataclass(frozen=True)
@@ -226,7 +220,18 @@ def _write_outputs(out_dir: Path, ledger: EnergyLedger, bundle: ReportBundle) ->
     out_dir.mkdir(parents=True, exist_ok=True)
     ledger.write_csv(out_dir / "ledger.csv")
     (out_dir / "report.json").write_text(
-        json.dumps(bundle.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(asdict(bundle), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+def _verify(ledger: EnergyLedger, config: RunConfig) -> list:
+    """The enabled checks of `config` over `ledger`, in `verify_all` order."""
+    return verify_all(
+        ledger,
+        alpha=config.alpha,
+        epsilon=config.epsilon,
+        decay_tol=config.decay_tol,
+        enabled=config.enabled_checks(),
     )
 
 
@@ -239,15 +244,12 @@ def cmd_run(config: RunConfig, out_dir: str | None = None) -> int:
     except NumericalBlowupError as exc:
         print(f"[torusns] numerical abort: {exc}", file=sys.stderr)
         return 3
+    except LedgerError as exc:
+        print(f"[torusns] invalid ledger: {exc}", file=sys.stderr)
+        return 2
     if config.inject_corruption != "none":
         ledger = inequality_lab.corrupt_ledger(ledger, config.inject_corruption)
-    reports = verify_all(
-        ledger,
-        alpha=config.alpha,
-        epsilon=config.epsilon,
-        decay_tol=config.decay_tol,
-        enabled=config.enabled_checks(),
-    )
+    reports = _verify(ledger, config)
     bundle = _bundle(config, reports, time.perf_counter() - started)
     try:
         _write_outputs(target, ledger, bundle)
@@ -269,13 +271,7 @@ def cmd_verify(ledger_path: str, config: RunConfig) -> int:
     except LedgerError as exc:
         print(f"[torusns] invalid ledger: {exc}", file=sys.stderr)
         return 1
-    reports = verify_all(
-        ledger,
-        alpha=config.alpha,
-        epsilon=config.epsilon,
-        decay_tol=config.decay_tol,
-        enabled=config.enabled_checks(),
-    )
+    reports = _verify(ledger, config)
     for line in _report_lines(reports):
         print(line)
     return _exit_from_reports(reports)

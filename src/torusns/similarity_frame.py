@@ -179,8 +179,7 @@ def build_w_field(u_hat: VectorField, clock: SimilarityClock) -> VectorField:
     The collocation lattice of w is the u-lattice relabelled: box side
     L/sqrt(s), values sqrt(s) * u, identical integer modes.
     """
-    if u_hat.representation != SPECTRAL:
-        raise spectral_core.RepresentationError("build_w_field expects spectral input")
+    u_hat.require(SPECTRAL)
     s = clock.remaining
     root = math.sqrt(s)
     w_grid = make_grid(u_hat.grid.n, u_hat.grid.box_length / root)

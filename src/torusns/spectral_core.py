@@ -16,6 +16,11 @@ which makes the Parseval identity read
 and derivatives act as fhat(k) -> (i k_j) fhat(k).  Physical-space integrals
 use the trapezoidal (here: exact for band-limited fields) quadrature weight
 (L/n)^3.
+
+Every function of a VectorField takes it in one representation, spectral
+except for `to_spectral`, and raises RepresentationError on the other.
+Nothing transforms implicitly: a function that needs physical samples says
+so and calls `to_physical` or `half_to_physical` itself.
 """
 
 from __future__ import annotations
@@ -94,7 +99,6 @@ class SpectralGrid:
             & (np.abs(modes[1]) <= cutoff)
             & (np.abs(modes[2]) <= cutoff)
         )
-        object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "k_sq", k_sq)
         object.__setattr__(self, "k_mag", np.sqrt(k_sq))
@@ -156,6 +160,13 @@ class VectorField:
         if self.representation == SPECTRAL and not np.iscomplexobj(self.data):
             raise ValueError("spectral fields must hold complex data")
 
+    def require(self, representation: str) -> None:
+        """Raise RepresentationError unless the field is in `representation`."""
+        if self.representation != representation:
+            raise RepresentationError(
+                f"expected a {representation} field, got a {self.representation} one"
+            )
+
     def copy(self) -> "VectorField":
         return VectorField(self.grid, self.data.copy(), self.representation)
 
@@ -167,16 +178,14 @@ def zero_field(grid: SpectralGrid, representation: str = SPECTRAL) -> VectorFiel
 
 def to_spectral(field: VectorField) -> VectorField:
     """Forward transform of a physical field; fhat(k) = DFT[f]/n^3."""
-    if field.representation != PHYSICAL:
-        raise RepresentationError("to_spectral expects a physical field")
+    field.require(PHYSICAL)
     coef = scipy.fft.fftn(field.data, axes=(1, 2, 3), workers=_fft_workers) / field.grid.num_modes
     return VectorField(field.grid, coef, SPECTRAL)
 
 
 def to_physical(field: VectorField) -> VectorField:
     """Inverse transform; discards the roundoff-level imaginary part."""
-    if field.representation != SPECTRAL:
-        raise RepresentationError("to_physical expects a spectral field")
+    field.require(SPECTRAL)
     vals = scipy.fft.ifftn(field.data, axes=(1, 2, 3), workers=_fft_workers) * field.grid.num_modes
     return VectorField(field.grid, np.ascontiguousarray(vals.real), PHYSICAL)
 
@@ -221,14 +230,6 @@ def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def ensure_spectral(field: VectorField) -> VectorField:
-    return field if field.representation == SPECTRAL else to_spectral(field)
-
-
-def ensure_physical(field: VectorField) -> VectorField:
-    return field if field.representation == PHYSICAL else to_physical(field)
-
-
 def project_coefficients(coef: np.ndarray, kvec: np.ndarray, k_sq: np.ndarray) -> np.ndarray:
     """Array form of the Leray projection: coef - kvec (kvec . coef) / |k|^2.
 
@@ -247,8 +248,7 @@ def leray_project(field: VectorField) -> VectorField:
     The k=0 mode is left unchanged.  The projection removes any gradient
     component, which is how the pressure term is eliminated.
     """
-    if field.representation != SPECTRAL:
-        raise RepresentationError("leray_project expects a spectral field")
+    field.require(SPECTRAL)
     g = field.grid
     return VectorField(g, project_coefficients(field.data, g.wavevectors, g.k_sq), SPECTRAL)
 
@@ -258,8 +258,7 @@ def spectral_derivative(field: VectorField, beta: tuple[int, int, int]) -> Vecto
 
     Orders up to |beta| <= 3 are supported; the harness never needs more.
     """
-    if field.representation != SPECTRAL:
-        raise RepresentationError("spectral_derivative expects a spectral field")
+    field.require(SPECTRAL)
     if len(beta) != 3 or any(b < 0 for b in beta):
         raise ValueError(f"beta must be three nonnegative integers, got {beta}")
     if sum(beta) > 3:
@@ -274,8 +273,7 @@ def spectral_derivative(field: VectorField, beta: tuple[int, int, int]) -> Vecto
 
 def dealias(field: VectorField) -> VectorField:
     """Zero every mode with any axis index |m| > n/3 (two-thirds rule)."""
-    if field.representation != SPECTRAL:
-        raise RepresentationError("dealias expects a spectral field")
+    field.require(SPECTRAL)
     return VectorField(field.grid, field.data * field.grid.dealias_mask, SPECTRAL)
 
 
@@ -299,15 +297,16 @@ class NormSuite:
 
 
 def norms(field: VectorField) -> NormSuite:
-    """Compute the norm suite.
+    """Compute the norm suite of a spectral field.
 
     L2/H1/H2 come from Plancherel sums over the coefficients; the sup and L4
-    norms are evaluated on the collocation grid (no over-sampling).
+    norms are evaluated on the collocation grid (no over-sampling), which
+    costs one `to_physical`.
     """
-    spec = ensure_spectral(field)
-    phys = ensure_physical(field)
+    field.require(SPECTRAL)
+    phys = to_physical(field)
     g = field.grid
-    power = np.sum(np.abs(spec.data) ** 2, axis=0)
+    power = np.sum(np.abs(field.data) ** 2, axis=0)
     l2_sq = g.volume * float(np.sum(power))
     h1_sq = g.volume * float(np.sum(g.k_sq * power))
     h2_sq = g.volume * float(np.sum(g.k_sq**2 * power))
@@ -318,15 +317,17 @@ def norms(field: VectorField) -> NormSuite:
 
 
 def quadrature_l2_sq(field: VectorField) -> float:
-    """L2 norm squared by physical-grid quadrature (independent of Plancherel)."""
-    phys = ensure_physical(field)
+    """L2 norm squared of a spectral field by quadrature of its `to_physical`
+    samples (independent of Plancherel)."""
+    phys = to_physical(field)
     return float(np.sum(phys.data**2) * field.grid.cell_volume)
 
 
 def inner_l2(f: VectorField, g: VectorField) -> float:
     """Discrete L2 inner product <f, g> via the spectral coefficients."""
-    fs, gs = ensure_spectral(f), ensure_spectral(g)
-    return f.grid.volume * float(np.real(np.sum(fs.data * np.conj(gs.data))))
+    f.require(SPECTRAL)
+    g.require(SPECTRAL)
+    return f.grid.volume * float(np.real(np.sum(f.data * np.conj(g.data))))
 
 
 def divergence_ratio(field: VectorField) -> float:
@@ -335,11 +336,11 @@ def divergence_ratio(field: VectorField) -> float:
     Zero for exactly divergence-free fields; ~1 for a pure gradient.  Returns
     0 for the zero field.
     """
-    spec = ensure_spectral(field)
+    field.require(SPECTRAL)
     g = field.grid
-    div = g.k[0] * spec.data[0] + g.k[1] * spec.data[1] + g.k[2] * spec.data[2]
+    div = g.k[0] * field.data[0] + g.k[1] * field.data[1] + g.k[2] * field.data[2]
     num = np.sqrt(np.sum(np.abs(div) ** 2))
-    den = np.sqrt(np.sum(g.k_sq * np.sum(np.abs(spec.data) ** 2, axis=0)))
+    den = np.sqrt(np.sum(g.k_sq * np.sum(np.abs(field.data) ** 2, axis=0)))
     if den == 0.0:
         return 0.0
     return float(num / den)
@@ -347,12 +348,12 @@ def divergence_ratio(field: VectorField) -> float:
 
 def hermitian_defect(field: VectorField) -> float:
     """Relative deviation from coef(-k) = conj(coef(k)) for a real field."""
-    spec = ensure_spectral(field)
-    flipped = spec.data[:, ::-1, ::-1, ::-1]
+    field.require(SPECTRAL)
+    flipped = field.data[:, ::-1, ::-1, ::-1]
     # index -m lives at position n-m; rolling by one aligns 0 with 0.
     flipped = np.roll(flipped, 1, axis=(1, 2, 3))
-    defect = np.max(np.abs(spec.data - np.conj(flipped)))
-    scale = np.max(np.abs(spec.data))
+    defect = np.max(np.abs(field.data - np.conj(flipped)))
+    scale = np.max(np.abs(field.data))
     if scale == 0.0:
         return 0.0
     return float(defect / scale)
@@ -409,24 +410,23 @@ def nonlinear_integrals(
 
 def half_terms(field: VectorField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Half spectrum, samples and half-lattice wavevectors of a real spectral field."""
-    if field.representation != SPECTRAL:
-        raise RepresentationError("half_terms expects a spectral field")
+    field.require(SPECTRAL)
     g = field.grid
     coef = field.data[..., : g.half_modes]
     return coef, half_to_physical(coef, g.n), g.wavevectors[..., : g.half_modes]
 
 
 def convective_product(field: VectorField) -> VectorField:
-    """Pointwise advection product (u . grad) u of a real field, in physical space."""
-    coef, u, kvec = half_terms(ensure_spectral(field))
+    """Pointwise advection product (u . grad) u of a real spectral field, in physical space."""
+    coef, u, kvec = half_terms(field)
     return VectorField(field.grid, _advect(u, gradient_tensor(coef, kvec, field.grid.n)), PHYSICAL)
 
 
 def trilinear_form(field: VectorField) -> float:
-    """The gradient triple product of a real field; see `nonlinear_integrals`."""
-    return nonlinear_integrals(*half_terms(ensure_spectral(field)), field.grid.volume)[0][0]
+    """The gradient triple product of a real spectral field; see `nonlinear_integrals`."""
+    return nonlinear_integrals(*half_terms(field), field.grid.volume)[0][0]
 
 
 def advective_laplacian_form(field: VectorField) -> float:
-    """The coupling integral int (Lap f) . Lap((f . grad) f) dx of a real field."""
-    return nonlinear_integrals(*half_terms(ensure_spectral(field)), field.grid.volume)[1][0]
+    """The coupling integral int (Lap f) . Lap((f . grad) f) dx of a real spectral field."""
+    return nonlinear_integrals(*half_terms(field), field.grid.volume)[1][0]

@@ -73,7 +73,6 @@ class TestConfigParsing:
             initial_kind="taylor_green",
             seed=7,
             init_k_max=2.0,
-            amplitude=0.5,
             c_cfl=0.5,
             t_min=0.01,
             stride=3,
@@ -147,6 +146,14 @@ class TestRunCommand:
         bundle = json.loads(report_path.read_text())
         assert bundle["schema"] == 1
         assert {r["inequality_id"] for r in bundle["reports"]} >= {"l2_energy"}
+        report_keys = {
+            "inequality_id", "status", "max_residual", "tolerance", "certificate", "tau_range",
+            "details",
+        }
+        assert all(set(r) == report_keys for r in bundle["reports"])
+        assert bundle["certificates"]
+        certificate_keys = {"inequality_id", "value", "n", "delta"}
+        assert all(set(c) == certificate_keys for c in bundle["certificates"])
 
     def test_corruption_fixture_exit_two(self, tmp_path):
         config = parse_config(FAST_RUN + "inject_corruption = energy_bump\n")
@@ -170,6 +177,12 @@ class TestRunCommand:
         monkeypatch.setattr(tn.ns_dynamics, "make_initial_data", bad_initial)
         config = parse_config(FAST_RUN)
         assert cmd_run(config, out_dir=str(tmp_path / "nan")) == 3
+
+    def test_route_disagreement_exit_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(tn.ns_dynamics, "route_gap", lambda a, b: 1e-8)
+        config = parse_config(FAST_RUN)
+        assert cmd_run(config, out_dir=str(tmp_path / "gap")) == 2
+        assert "invalid ledger: route disagreement" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -10,6 +10,8 @@ from torusns.spectral_core import (
     RepresentationError,
     VectorField,
     advective_laplacian_form,
+    convective_product,
+    divergence_ratio,
     hermitian_defect,
     inner_l2,
     quadrature_l2_sq,
@@ -51,7 +53,7 @@ class TestMakeGrid:
 
     def test_mode_lattice_complete(self):
         grid = tn.make_grid(16, TWO_PI)
-        modes = sorted(int(m) for m in grid.modes[2].ravel())
+        modes = sorted(int(m) for m in grid.k[2].ravel())  # k = m on a 2*pi box
         assert modes == list(range(-8, 8))
 
     def test_zero_mode_once(self):
@@ -94,12 +96,34 @@ class TestTransforms:
         quadrature = quadrature_l2_sq(f)
         assert quadrature == pytest.approx(plancherel, rel=1e-12)
 
-    def test_representation_mismatch(self, grid16):
+    def test_representation_mismatch(self, grid16, rng, random_field_factory):
         f = zero_field(grid16, SPECTRAL)
         with pytest.raises(RepresentationError):
             tn.to_spectral(f)
         with pytest.raises(RepresentationError):
             tn.to_physical(tn.to_physical(f))
+        # every function that needs samples transforms explicitly, so none
+        # accepts a physical field in place of a spectral one
+        spec = random_field_factory(grid16, rng)
+        phys = tn.to_physical(spec)
+        takes_spectral = {
+            "norms": tn.norms,
+            "quadrature_l2_sq": quadrature_l2_sq,
+            "inner_l2 (first)": lambda p: inner_l2(p, spec),
+            "inner_l2 (second)": lambda p: inner_l2(spec, p),
+            "divergence_ratio": divergence_ratio,
+            "hermitian_defect": hermitian_defect,
+            "trilinear_form": trilinear_form,
+            "advective_laplacian_form": advective_laplacian_form,
+            "convective_product": convective_product,
+            "nonlinear_rhs": tn.nonlinear_rhs,
+        }
+        for name, call in takes_spectral.items():
+            try:
+                call(phys)
+            except RepresentationError:
+                continue
+            pytest.fail(f"{name} accepted a physical field")
 
 
 class TestHalfSpectrum:
@@ -221,12 +245,12 @@ class TestNorms:
     def test_sine_l2(self, grid16):
         x1, _, _ = grid16.coordinates()
         f = embed_scalar(grid16, np.broadcast_to(np.sin(x1), (16, 16, 16)).copy())
-        assert tn.norms(f).l2_sq == pytest.approx(TWO_PI**3 / 2.0, rel=1e-13)
+        assert tn.norms(tn.to_spectral(f)).l2_sq == pytest.approx(TWO_PI**3 / 2.0, rel=1e-13)
 
     def test_sine_h1(self, grid16):
         x1, _, _ = grid16.coordinates()
         f = embed_scalar(grid16, np.broadcast_to(np.sin(x1), (16, 16, 16)).copy())
-        assert tn.norms(f).h1_sq == pytest.approx(TWO_PI**3 / 2.0, rel=1e-13)
+        assert tn.norms(tn.to_spectral(f)).h1_sq == pytest.approx(TWO_PI**3 / 2.0, rel=1e-13)
 
     def test_lm_dispatch(self, grid16, rng, random_field_factory):
         ns = tn.norms(random_field_factory(grid16, rng))
@@ -285,7 +309,7 @@ class TestNonlinearFunctionals:
                 for l in range(3):
                     expected += np.sum(grads[j, k] * grads[j, l] * grads[l, k])
         expected *= grid16.cell_volume
-        field = VectorField(grid16, u, PHYSICAL)
+        field = tn.to_spectral(VectorField(grid16, u, PHYSICAL))
         value = trilinear_form(field)
         assert abs(expected) > 1e-6  # the triad really interacts
         assert value == pytest.approx(expected, rel=1e-11)
@@ -307,6 +331,6 @@ class TestNonlinearFunctionals:
             for j in range(3):
                 conv[c] += u[j] * grads[j, c]
         expected = np.sum(bilap * conv) * grid16.cell_volume
-        value = advective_laplacian_form(VectorField(grid16, u, PHYSICAL))
+        value = advective_laplacian_form(tn.to_spectral(VectorField(grid16, u, PHYSICAL)))
         assert abs(expected) > 1e-6
         assert value == pytest.approx(expected, rel=1e-11)
