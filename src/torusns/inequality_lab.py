@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from . import gronwall_comparator
 
@@ -218,21 +217,29 @@ def _local_spacing(tau: np.ndarray) -> np.ndarray:
     return h
 
 
+def _window_max(values: np.ndarray, half_width: int = 2) -> np.ndarray:
+    """Max of each entry's window of 2 * half_width + 1 neighbours, with the
+    series extended by its end values (so near the ends the window shrinks)."""
+    padded = np.pad(values, half_width, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half_width + 1)
+    return windows.max(axis=1)
+
+
 def differencing_tolerance(
     tau: np.ndarray, values: np.ndarray, safety: float = 4.0
 ) -> np.ndarray:
     """Rowwise error budget for d_dtau applied to `values`.
 
     The leading truncation error of the centered stencil is h^2 |f'''| / 6;
-    the third derivative is estimated from the series itself (max-filtered
-    over a short window so isolated dips do not understate it) and the
+    the third derivative is estimated from the series itself (the max over a
+    window of five rows, so isolated dips do not understate it) and the
     roundoff/route floor of the differenced data is added.  Endpoint rows get
     four times the budget: the one-sided stencils carry larger constants.
     """
     tau = np.asarray(tau, dtype=float)
     values = np.asarray(values, dtype=float)
     d3 = d_dtau(tau, d_dtau(tau, d_dtau(tau, values)))
-    d3_mag = maximum_filter1d(np.abs(d3), size=5, mode="nearest")
+    d3_mag = _window_max(np.abs(d3))
     h = _local_spacing(tau)
     truncation = safety * h**2 * d3_mag / 6.0
     data_floor = (ROUTE_GAP_LIMIT + 1e3 * np.finfo(float).eps) * np.abs(values)

@@ -22,10 +22,9 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .spectral_core import SPECTRAL, VectorField, spectral_derivative
 
@@ -56,12 +55,19 @@ def _smoothstep(s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialMultiplier:
-    """A radial symbol r >= 0 -> [0, C]; `fn` must accept numpy arrays."""
+    """A radial symbol r >= 0 -> [0, C]; `fn` must accept numpy arrays.
+
+    A profile derived from `phi` carries its formula as `of_phi(r, phi(r))`,
+    and `fn` applies it to its own evaluation of `phi`.
+    """
 
     label: str
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     alpha: float | None = None
     sharpness: float = 1.0
+    of_phi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False
+    )
 
     def __call__(self, r: np.ndarray | float) -> np.ndarray:
         return self.fn(np.asarray(r, dtype=float))
@@ -76,6 +82,18 @@ class RadialMultiplier:
         return (self.sq(r + h) - self.sq(np.maximum(r - h, 0.0))) / (
             (r + h) - np.maximum(r - h, 0.0)
         )
+
+
+def _from_phi(phi: RadialMultiplier, label: str, of_phi, alpha=None) -> RadialMultiplier:
+    """The profile r -> of_phi(r, phi(r))."""
+
+    def fn(r: np.ndarray) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        return of_phi(r, phi(r))
+
+    return RadialMultiplier(
+        label=label, fn=fn, alpha=alpha, sharpness=phi.sharpness, of_phi=of_phi
+    )
 
 
 def build_phi(transition_sharpness: float = 1.0) -> RadialMultiplier:
@@ -107,22 +125,28 @@ def build_chi(phi: RadialMultiplier, alpha: float) -> RadialMultiplier:
     knee = 0.5 + a
     exponent = 0.5 + 2.0 * a
 
-    def fn(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return np.minimum(r, knee) ** exponent * phi(r)
+    def of_phi(r: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return np.minimum(r, knee) ** exponent * p
 
-    return RadialMultiplier(label="chi", fn=fn, alpha=a, sharpness=phi.sharpness)
+    return _from_phi(phi, "chi", of_phi, alpha=a)
 
 
-def _derive(phi: RadialMultiplier, label: str) -> RadialMultiplier:
-    if label == "one_minus_phi":
-        fn = lambda r: 1.0 - phi(r)  # noqa: E731
-    elif label == "sqrt_one_minus_phi_sq":
-        # (1-phi)(1+phi) is better conditioned near phi = 1 than 1 - phi^2.
-        fn = lambda r: np.sqrt(np.clip((1.0 - phi(r)) * (1.0 + phi(r)), 0.0, None))  # noqa: E731
-    else:
-        raise ValueError(label)
-    return RadialMultiplier(label=label, fn=fn, sharpness=phi.sharpness)
+def _one_minus(r: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return 1.0 - p
+
+
+def _sqrt_one_minus_sq(r: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # (1-phi)(1+phi) is better conditioned near phi = 1 than 1 - phi^2.
+    return np.sqrt(np.clip((1.0 - p) * (1.0 + p), 0.0, None))
+
+
+class Profiles(NamedTuple):
+    """The four profiles of a MultiplierSet evaluated at the same radii."""
+
+    phi: np.ndarray
+    chi: np.ndarray
+    one_minus_phi: np.ndarray
+    sqrt_one_minus_phi_sq: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -142,8 +166,22 @@ class MultiplierSet:
             alpha=float(alpha),
             phi=phi,
             chi=build_chi(phi, alpha),
-            one_minus_phi=_derive(phi, "one_minus_phi"),
-            sqrt_one_minus_phi_sq=_derive(phi, "sqrt_one_minus_phi_sq"),
+            one_minus_phi=_from_phi(phi, "one_minus_phi", _one_minus),
+            sqrt_one_minus_phi_sq=_from_phi(phi, "sqrt_one_minus_phi_sq", _sqrt_one_minus_sq),
+        )
+
+    def profiles(self, r: np.ndarray) -> Profiles:
+        """All four profiles at the radii `r`, from one evaluation of `phi`.
+
+        Each value equals the profile's own evaluation at the same radius.
+        """
+        r = np.asarray(r, dtype=float)
+        p = self.phi(r)
+        return Profiles(
+            phi=p,
+            chi=self.chi.of_phi(r, p),
+            one_minus_phi=self.one_minus_phi.of_phi(r, p),
+            sqrt_one_minus_phi_sq=self.sqrt_one_minus_phi_sq.of_phi(r, p),
         )
 
 
@@ -181,8 +219,11 @@ def hausdorff_young_constant(alpha: float, m: float) -> float:
     C = (2 pi)^(3/m') * ( int_{|xi|<=2} |xi|^(-(1/2+2a)*2m'/(2-m')) dxi )^((2-m')/(2m'))
     with the conjugate exponent 1/m + 1/m' = 1; for m = inf take m' = 1.  The
     volume integral reduces to 4 pi * int_0^2 r^(2-p) dr, evaluated here with
-    adaptive quadrature.
+    adaptive quadrature (scipy.integrate, imported on first use so that a run
+    never loads it).
     """
+    from scipy.integrate import quad
+
     a = float(alpha)
     if not 0.0 < a < 0.125:
         raise ValueError(f"alpha must lie in (0, 1/8), got {a}")

@@ -11,9 +11,11 @@ the modes with m3 >= 0 of a real field, and moved with real-to-complex
 transforms.  The advection term is evaluated in rotational form,
 P[u x omega] with omega = curl u: it differs from -P[(u . grad) u] only by
 the gradient grad(|u|^2 / 2), which the projection removes, and costs two
-inverse and one forward real 3-vector transform per RK4 stage.  States and
-`nonlinear_rhs` values cross the public API as full-spectrum fields, rebuilt
-exactly Hermitian by `spectral_core.full_spectrum`.
+inverse and one forward real 3-vector transform per RK4 stage.  The product
+is `spectral_core.rotational_product`, which the ledger's multiplier route
+shares.  States and `nonlinear_rhs` values cross the public API as
+full-spectrum fields, rebuilt exactly Hermitian by
+`spectral_core.full_spectrum`.
 """
 
 from __future__ import annotations
@@ -132,16 +134,6 @@ def make_initial_data(config: SimulationConfig, grid: SpectralGrid | None = None
     return VectorField(grid, coef, SPECTRAL)
 
 
-def _cross(a, b) -> np.ndarray:
-    """Componentwise a x b of two 3-vectors; `a` may be three broadcastable arrays."""
-    first = a[1] * b[2] - a[2] * b[1]
-    out = np.empty((3,) + first.shape, dtype=first.dtype)
-    out[0] = first
-    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
-    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
-    return out
-
-
 def _rhs_half(coef: np.ndarray, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     """The projected, dealiased rotational term P[dealias(F[u x omega])] on
     the half spectrum, together with the physical velocity it sampled.
@@ -149,11 +141,9 @@ def _rhs_half(coef: np.ndarray, grid: SpectralGrid) -> tuple[np.ndarray, np.ndar
     The last-axis Nyquist plane carries k3 = -n/2 from the full-spectrum
     ordering; it is zero in every state and zeroed again by the dealias mask.
     """
-    n, h = grid.n, grid.half_modes
-    ik = [1j * grid.k[0], 1j * grid.k[1], 1j * grid.k[2][..., :h]]
-    u = spectral_core.half_to_physical(coef, n)
-    omega = spectral_core.half_to_physical(_cross(ik, coef), n)
-    lamb = spectral_core.half_to_spectral(_cross(u, omega))
+    h = grid.half_modes
+    u = spectral_core.half_to_physical(coef, grid.n)
+    lamb = spectral_core.rotational_product(u, coef, grid.half_k)
     lamb *= grid.dealias_mask[..., :h]
     out = spectral_core.project_coefficients(lamb, grid.wavevectors[..., :h], grid.k_sq[..., :h])
     out[:, 0, 0, 0] = 0.0

@@ -237,16 +237,22 @@ def _verify(ledger: EnergyLedger, config: RunConfig) -> list:
 
 def cmd_run(config: RunConfig, out_dir: str | None = None) -> int:
     """Integrate, verify, serialize; returns the contract exit code."""
+    return _run_point(config, out_dir)[0]
+
+
+def _run_point(config: RunConfig, out_dir: str | None) -> tuple[int, ReportBundle | None]:
+    """`cmd_run`'s exit code, with the run's report bundle (None if it
+    produced no ledger)."""
     target = Path(out_dir if out_dir is not None else config.out_dir)
     started = time.perf_counter()
     try:
         ledger = ns_dynamics.run(config)
     except NumericalBlowupError as exc:
         print(f"[torusns] numerical abort: {exc}", file=sys.stderr)
-        return 3
+        return 3, None
     except LedgerError as exc:
         print(f"[torusns] invalid ledger: {exc}", file=sys.stderr)
-        return 2
+        return 2, None
     if config.inject_corruption != "none":
         ledger = inequality_lab.corrupt_ledger(ledger, config.inject_corruption)
     reports = _verify(ledger, config)
@@ -255,10 +261,10 @@ def cmd_run(config: RunConfig, out_dir: str | None = None) -> int:
         _write_outputs(target, ledger, bundle)
     except OSError as exc:
         print(f"[torusns] cannot write outputs: {exc}", file=sys.stderr)
-        return 4
+        return 4, bundle
     for line in _report_lines(reports):
         print(line)
-    return _exit_from_reports(reports)
+    return _exit_from_reports(reports), bundle
 
 
 def cmd_verify(ledger_path: str, config: RunConfig) -> int:
@@ -327,15 +333,10 @@ def cmd_sweep(config: RunConfig, out_dir: str | None = None) -> int:
         point = replace(config, alpha=a, delta=d, n=n, sweep_alpha=(), sweep_delta=(), sweep_n=())
         tag = f"alpha{a:g}_delta{d:g}_n{n}"
         print(f"[torusns] sweep point {tag}")
-        code = cmd_run(point, out_dir=str(base / tag))
+        code, bundle = _run_point(point, str(base / tag))
         worst = max(worst, code)
-        report_path = base / tag / "report.json"
-        if report_path.exists():
-            bundle = json.loads(report_path.read_text(encoding="utf-8"))
-            for cert in bundle["certificates"]:
-                cert = dict(cert)
-                cert["alpha"] = a
-                table.append(cert)
+        if bundle is not None:
+            table.extend({**asdict(cert), "alpha": a} for cert in bundle.certificates)
     try:
         base.mkdir(parents=True, exist_ok=True)
         lines = ["inequality_id,alpha,delta,n,value"]

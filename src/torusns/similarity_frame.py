@@ -17,11 +17,18 @@ per row.  Two computation routes are provided and audited against each other:
   u-coefficients in spectral sums, and the signed integrals on the w-field.
 
 Both work on the half spectrum of the real field with real transforms, and
-neither reads an array the other computed.  Both take the signed integrals
-from `spectral_core.nonlinear_integrals`, so on those two columns the gap
-audits only the exponent table; their independent checks are the analytic
-oracles in the spectral-core tests.  The remaining independence is spectral
-sums against physical quadrature.  The routes agree in exact arithmetic; the
+neither reads an array the other computed; each evaluates the radial profiles
+once, on the distinct |k| values of the lattice (`SpectralGrid.half_shells`).
+The signed integrals use different algebra in the two routes: the scaling
+route takes the gradient-tensor quadrature tr(G^T G G) and the convective
+coupling of `spectral_core.nonlinear_integrals`, the multiplier route the
+rotational form -sum |k|^2 Re(conj(w) . F[w x curl w]) (and |k|^4) of
+`spectral_core.rotational_integrals`, which the step's advection term shares.
+So the gap on those columns audits the integration by parts and the
+contraction as well as the exponent table.  Likewise `grad_high_sq` is
+|curl h|^2 by quadrature in the scaling route and sum |k|^2 |h|^2 in the
+multiplier route; the two agree because h is divergence-free, so a divergent
+state shows as a route gap.  The routes agree in exact arithmetic; the
 ledger records their maximum relative gap per time step.
 """
 
@@ -191,10 +198,12 @@ def w_functionals_scaling_route(
 ) -> WFunctionals:
     """w-functionals from u-side integrals and the exponent table.
 
-    The Plancherel norms, the sup norm and the two signed integrals are taken
-    on the u-lattice and multiplied by exact powers of s.  The
-    frequency-split quantities are evaluated on the w-field by physical-space
-    quadrature of its real inverse transforms.
+    The Plancherel norms, the sup norm and the two signed integrals (the
+    gradient-tensor quadrature of `nonlinear_integrals`) are taken on the
+    u-lattice and multiplied by exact powers of s.  The frequency-split
+    quantities are evaluated on the w-field by physical-space quadrature of
+    its real inverse transforms; `grad_high_sq` integrates |curl h|^2, equal
+    to |grad h|^2 for the divergence-free high part h.
     """
     s = clock.remaining
     root = math.sqrt(s)
@@ -208,15 +217,19 @@ def w_functionals_scaling_route(
     l2_u, h1_u, h2_u = (g.volume * half_spectrum_sum(k_sq**p * power) for p in (0, 1, 2))
     sup_u = float(np.sqrt(np.max(np.sum(u**2, axis=0))))
 
-    xi = root * g.k_mag[..., : g.half_modes]
+    shells, index = g.half_shells
+    prof = mults.profiles(root * shells)
     cell_w = (g.box_length / root / g.n) ** 3
     w_coef = root * coef
 
     def physical(weight: np.ndarray) -> np.ndarray:
-        return spectral_core.half_to_physical(w_coef * weight, g.n)
+        return spectral_core.half_to_physical(w_coef * weight[index], g.n)
 
-    low_mag_sq = np.sum(physical(mults.phi(xi)) ** 2, axis=0)
-    grad_high = spectral_core.gradient_tensor(w_coef * mults.one_minus_phi(xi), root * kvec, g.n)
+    low_mag_sq = np.sum(physical(prof.phi) ** 2, axis=0)
+    high = w_coef * prof.one_minus_phi[index]
+    curl_high = spectral_core.half_to_physical(
+        spectral_core.half_curl(high, [root * k for k in g.half_k]), g.n
+    )
 
     return WFunctionals(
         w_l2_sq=scale_factor("l2_sq", s) * l2_u,
@@ -224,11 +237,11 @@ def w_functionals_scaling_route(
         w_h2_sq=scale_factor("h2_sq", s) * h2_u,
         w_sup=scale_factor("sup", s) * sup_u,
         low_l2_sq=float(np.sum(low_mag_sq)) * cell_w,
-        e_low=float(np.sum(physical(mults.chi(xi)) ** 2) * cell_w),
-        e_high=float(np.sum(physical(mults.sqrt_one_minus_phi_sq(xi)) ** 2) * cell_w),
+        e_low=float(np.sum(physical(prof.chi) ** 2) * cell_w),
+        e_high=float(np.sum(physical(prof.sqrt_one_minus_phi_sq) ** 2) * cell_w),
         low_l4=float((np.sum(low_mag_sq**2) * cell_w) ** 0.25),
         low_sup=float(np.sqrt(np.max(low_mag_sq))),
-        grad_high_sq=float(np.sum(grad_high**2) * cell_w),
+        grad_high_sq=float(np.sum(curl_high**2) * cell_w),
         trilinear=scale_factor("trilinear", s) * tri_u,
         lap_coupling=scale_factor("lap_coupling", s) * lap_u,
         trilinear_scale=scale_factor("trilinear", s) * tri_scale_u,
@@ -244,22 +257,24 @@ def w_functionals_multiplier_route(
     Every quadratic functional is a half-spectrum sum with weights evaluated
     at xi = sqrt(s) |k|; sup/L4 quantities reconstruct the filtered field on
     the u-lattice and rescale the samples.  The two signed integrals are
-    taken on the w-field itself, on the box of side L/sqrt(s).
+    taken on the w-field itself, on the box of side L/sqrt(s), in the
+    rotational form of `spectral_core.rotational_integrals`.
     """
     s = clock.remaining
     root = math.sqrt(s)
     g = u_hat.grid
-    coef, u, kvec = spectral_core.half_terms(u_hat)
+    coef, u, _ = spectral_core.half_terms(u_hat)
     power = np.sum(np.abs(coef) ** 2, axis=0)
-    xi = root * g.k_mag[..., : g.half_modes]
+    shells, index = g.half_shells
+    prof = mults.profiles(root * shells)
+    phi_xi = prof.phi[index]
     xi_sq = s * g.k_sq[..., : g.half_modes]
-    phi_xi = mults.phi(xi)
     pref = scale_factor("l2_sq", s) * g.volume
 
     w_sup = root * float(np.sqrt(np.max(np.sum(u**2, axis=0))))
     low_mag_sq = np.sum(spectral_core.half_to_physical(coef * phi_xi, g.n) ** 2, axis=0)
-    (trilinear, tri_scale), (lap_coupling, lap_scale) = spectral_core.nonlinear_integrals(
-        root * coef, root * u, root * kvec, (g.box_length / root) ** 3
+    (trilinear, tri_scale), (lap_coupling, lap_scale) = spectral_core.rotational_integrals(
+        root * coef, root * u, [root * k for k in g.half_k], (g.box_length / root) ** 3
     )
 
     return WFunctionals(
@@ -268,11 +283,11 @@ def w_functionals_multiplier_route(
         w_h2_sq=pref * half_spectrum_sum(xi_sq**2 * power),
         w_sup=w_sup,
         low_l2_sq=pref * half_spectrum_sum(phi_xi**2 * power),
-        e_low=pref * half_spectrum_sum(mults.chi.sq(xi) * power),
-        e_high=pref * half_spectrum_sum(mults.sqrt_one_minus_phi_sq.sq(xi) * power),
+        e_low=pref * half_spectrum_sum((prof.chi**2)[index] * power),
+        e_high=pref * half_spectrum_sum((prof.sqrt_one_minus_phi_sq**2)[index] * power),
         low_l4=scale_factor("l4", s) * float((np.sum(low_mag_sq**2) * g.cell_volume) ** 0.25),
         low_sup=root * float(np.sqrt(np.max(low_mag_sq))),
-        grad_high_sq=pref * half_spectrum_sum(xi_sq * (1.0 - phi_xi) ** 2 * power),
+        grad_high_sq=pref * half_spectrum_sum(xi_sq * (prof.one_minus_phi**2)[index] * power),
         trilinear=trilinear,
         lap_coupling=lap_coupling,
         trilinear_scale=tri_scale,

@@ -122,6 +122,22 @@ class SpectralGrid:
         return np.stack(np.broadcast_arrays(*self.k))
 
     @property
+    def half_k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three wavevector components as broadcastable axes of the half lattice."""
+        return self.k[0], self.k[1], self.k[2][..., : self.half_modes]
+
+    @cached_property
+    def half_shells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct values of |k| on the half lattice, and the index of each
+        lattice point's value: `shells[index]` equals the half-lattice |k|.
+
+        A radial profile evaluated on `shells` and gathered through `index`
+        matches its evaluation on the lattice value for value.
+        """
+        shells, index = np.unique(self.k_mag[..., : self.half_modes], return_inverse=True)
+        return shells, index.reshape(self.n, self.n, self.half_modes)
+
+    @property
     def max_wavenumber(self) -> float:
         """Largest wavenumber magnitude on the lattice, sqrt(3)*pi*n/L."""
         return float(np.sqrt(3.0) * np.pi * self.n / self.box_length)
@@ -368,6 +384,32 @@ def gradient_tensor(coef: np.ndarray, kvec: np.ndarray, n: int) -> np.ndarray:
     return half_to_physical(1j * kvec[:, None] * coef, n)
 
 
+def _cross(a, b) -> np.ndarray:
+    """Componentwise a x b of two 3-vectors; `a` may be three broadcastable arrays."""
+    first = a[1] * b[2] - a[2] * b[1]
+    out = np.empty((3,) + first.shape, dtype=first.dtype)
+    out[0] = first
+    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
+    return out
+
+
+def half_curl(coef: np.ndarray, k) -> np.ndarray:
+    """Half spectrum i k x coef of curl f; `k` holds the three wavevector
+    components of the half lattice, stacked or as broadcastable axes."""
+    return _cross([1j * k[0], 1j * k[1], 1j * k[2]], coef)
+
+
+def rotational_product(u: np.ndarray, coef: np.ndarray, k) -> np.ndarray:
+    """Half spectrum of u x omega, omega = curl u, for the real field with
+    samples `u` and half spectrum `coef` on wavevectors `k` (as in `half_curl`).
+
+    Not dealiased: one inverse and one forward real 3-vector transform.
+    """
+    omega = half_to_physical(half_curl(coef, k), u.shape[-1])
+    return half_to_spectral(_cross(u, omega))
+
+
 def _advect(u: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """(u . grad) u from the samples of u and of its gradient tensor."""
     return u[0] * grads[0] + u[1] * grads[1] + u[2] * grads[2]
@@ -406,6 +448,36 @@ def nonlinear_integrals(
     lap_f = volume * half_spectrum_sum(w4 * np.sum(np.abs(coef) ** 2, axis=0))
     lap_c = volume * half_spectrum_sum(w4 * np.sum(np.abs(conv_hat) ** 2, axis=0))
     return (triple, float(np.sum(mag_cubed)) * cell), (coupling, float(np.sqrt(lap_f * lap_c)))
+
+
+def rotational_integrals(
+    coef: np.ndarray, u: np.ndarray, k, volume: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The two integrals of `nonlinear_integrals`, in rotational form.
+
+    For a divergence-free f, integration by parts turns the triple product
+    into -int ((f . grad) f) . Lap f dx, and (f . grad) f = grad(|f|^2 / 2)
+    - f x curl f, whose gradient part pairs to zero with any divergence-free
+    field.  With lam = F[f x curl f] (`rotational_product`) both integrals
+    are Plancherel sums:
+
+        triple = -V sum |k|^2 Re(conj(coef) . lam),
+        coupling = -V sum |k|^4 Re(conj(coef) . lam),
+
+    each bounded by Cauchy-Schwarz.  Arguments as in `nonlinear_integrals`,
+    except that `k` may be three broadcastable axes.  Returns
+    ((triple, majorant), (coupling, majorant)).
+    """
+    lam = rotational_product(u, coef, k)
+    k_sq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    pair = np.sum(np.real(np.conj(coef) * lam), axis=0)
+    lam_power = np.sum(np.abs(lam) ** 2, axis=0)
+    lap_f = volume * half_spectrum_sum(k_sq**2 * np.sum(np.abs(coef) ** 2, axis=0))
+    triple = -volume * half_spectrum_sum(k_sq * pair)
+    coupling = -volume * half_spectrum_sum(k_sq**2 * pair)
+    tri_scale = float(np.sqrt(lap_f * volume * half_spectrum_sum(lam_power)))
+    lap_scale = float(np.sqrt(lap_f * volume * half_spectrum_sum(k_sq**2 * lam_power)))
+    return (triple, tri_scale), (coupling, lap_scale)
 
 
 def half_terms(field: VectorField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

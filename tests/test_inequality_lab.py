@@ -5,6 +5,7 @@ import pytest
 
 from torusns.inequality_lab import (
     CSV_COLUMNS,
+    _window_max,
     EnergyLedger,
     LedgerError,
     corrupt_ledger,
@@ -61,6 +62,14 @@ class TestDifferencing:
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             d_dtau(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 7, 289])
+    def test_window_max_is_clamped_max_of_five(self, length):
+        # the budget's third-derivative estimate: each row takes the max over
+        # rows i-2..i+2, clamped to the series
+        values = np.abs(np.random.default_rng(length).standard_normal(length))
+        direct = [max(values[max(i - 2, 0) : min(i + 3, length)]) for i in range(length)]
+        assert np.array_equal(_window_max(values), np.array(direct))
 
 
 class TestLedgerStorage:

@@ -112,6 +112,21 @@ class TestOperatorIdentities:
         assert a is b  # cache hit
         assert np.array_equal(a, mults.chi(grid16.k_mag))
 
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("s", [1.0, 0.25, 0.01])
+    def test_profiles_on_shells_match_lattice(self, n, s):
+        # one phi evaluation on the distinct |k| values, gathered, gives every
+        # profile's own evaluation on the half lattice value for value
+        grid = tn.make_grid(n)
+        mults = MultiplierSet.build(1.0 / 16.0)
+        root = math.sqrt(s)
+        shells, index = grid.half_shells
+        assert shells.size < index.size
+        on_shells = mults.profiles(root * shells)
+        xi = root * grid.k_mag[..., : grid.half_modes]
+        for name in ("phi", "chi", "one_minus_phi", "sqrt_one_minus_phi_sq"):
+            assert np.array_equal(getattr(on_shells, name)[index], getattr(mults, name)(xi)), name
+
     def test_profile_cache_flat_in_row_count(self):
         # ledger rows evaluate the rescaled profiles on the u-lattice and
         # leave the cache alone, however many rows a run logs

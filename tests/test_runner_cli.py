@@ -1,7 +1,10 @@
 """Tests for configuration parsing, the CLI commands, and exit codes."""
 
 import json
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +231,37 @@ class TestSweepCommand:
         assert (tmp_path / "certificates.csv").exists()
         subdirs = [p.name for p in tmp_path.iterdir() if p.is_dir()]
         assert len(subdirs) == 2
+
+
+    def test_failed_points_report_no_stale_certificates(self, tmp_path, monkeypatch):
+        # a second sweep into the same directory whose points all abort must
+        # not list the certificates the first sweep left on disk
+        from torusns.spectral_core import SPECTRAL, VectorField
+
+        config = parse_config(FAST_RUN + "sweep_delta = 0.01\n")
+        table = tmp_path / "certificates.csv"
+        assert cmd_sweep(config, out_dir=str(tmp_path)) == 0
+        assert len(table.read_text().splitlines()) > 1
+
+        def nan_initial(config, grid=None):
+            g = tn.make_grid(config.n, config.box_length)
+            return VectorField(g, np.full((3,) + (config.n,) * 3, np.nan, dtype=complex), SPECTRAL)
+
+        monkeypatch.setattr(tn.ns_dynamics, "make_initial_data", nan_initial)
+        assert cmd_sweep(config, out_dir=str(tmp_path)) == 3
+        assert table.read_text().splitlines() == ["inequality_id,alpha,delta,n,value"]
+
+
+def test_import_leaves_unused_scipy_modules_unloaded():
+    src = Path(tn.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import torusns; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.ndimage'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestMainEntry:

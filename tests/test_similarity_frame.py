@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torusns as tn
-from torusns import ns_dynamics, spectral_core
+from torusns import multiplier_bank, ns_dynamics, spectral_core
 from torusns.multiplier_bank import MultiplierSet, apply
 from torusns.similarity_frame import (
     SCALING_EXPONENTS,
@@ -259,6 +259,58 @@ class TestTwoRoutes:
         monkeypatch.setattr(SpectralGrid, "__post_init__", counted_grid)
         ns_dynamics._ledger_row(state, config, MultiplierSet.build(config.alpha))
         assert counts == {"norms": 1, "complex_transforms": 0, "grids": 0}
+
+    @staticmethod
+    def _solver_state(n=16):
+        config = tn.SimulationConfig(n=n, delta=0.01, horizon=0.03)
+        state = ns_dynamics.TrajectoryState(tn.make_initial_data(config), 0.0, 0, 0.0)
+        return ns_dynamics.step(state, ns_dynamics.cfl_dt(state)), config
+
+    def test_audit_sees_a_wrong_contraction(self, monkeypatch):
+        # the routes take the triple product with different algebra, so a
+        # scaling route contracting tr(G G G) instead of tr(G^T G G) shows
+        # as a route gap
+        state, config = self._solver_state()
+        clock = SimilarityClock(horizon=config.horizon, t=state.t)
+        mults = MultiplierSet.build(config.alpha)
+        routes = (w_functionals_scaling_route, w_functionals_multiplier_route)
+        assert route_gap(*(route(state.u_hat, clock, mults) for route in routes)) <= 1e-12
+        original = spectral_core.nonlinear_integrals
+
+        def wrong_contraction(coef, u, kvec, volume):
+            (_, tri_scale), coupling = original(coef, u, kvec, volume)
+            grads = spectral_core.gradient_tensor(coef, kvec, u.shape[-1])
+            triple = float(np.einsum("jkxyz,klxyz,ljxyz->", grads, grads, grads))
+            return (triple * volume / u.shape[-1] ** 3, tri_scale), coupling
+
+        monkeypatch.setattr(spectral_core, "nonlinear_integrals", wrong_contraction)
+        assert route_gap(*(route(state.u_hat, clock, mults) for route in routes)) > 1e-6
+
+    def test_one_profile_evaluation_and_one_rotational_kernel(self, monkeypatch):
+        # each route evaluates phi once, on the |k| shells; the multiplier
+        # route and the step share spectral_core.rotational_product
+        state, config = self._solver_state()
+        clock = SimilarityClock(horizon=config.horizon, t=state.t)
+        mults = MultiplierSet.build(config.alpha)
+        calls = {"phi": 0, "rotational": 0}
+        smoothstep, rotational = multiplier_bank._smoothstep, spectral_core.rotational_product
+
+        def counted_smoothstep(x):
+            calls["phi"] += 1
+            return smoothstep(x)
+
+        def counted_rotational(*args):
+            calls["rotational"] += 1
+            return rotational(*args)
+
+        monkeypatch.setattr(multiplier_bank, "_smoothstep", counted_smoothstep)
+        monkeypatch.setattr(spectral_core, "rotational_product", counted_rotational)
+        w_functionals_scaling_route(state.u_hat, clock, mults)
+        assert calls == {"phi": 1, "rotational": 0}
+        w_functionals_multiplier_route(state.u_hat, clock, mults)
+        assert calls == {"phi": 2, "rotational": 1}
+        tn.nonlinear_rhs(state.u_hat)
+        assert calls == {"phi": 2, "rotational": 2}
 
     def test_split_identity(self, grid16, rng, random_field_factory):
         u = random_field_factory(grid16, rng, divergence_free=True)

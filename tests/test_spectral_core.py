@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import torusns as tn
+from torusns import spectral_core
 from torusns.spectral_core import (
     PHYSICAL,
     SPECTRAL,
@@ -334,3 +335,18 @@ class TestNonlinearFunctionals:
         value = advective_laplacian_form(tn.to_spectral(VectorField(grid16, u, PHYSICAL)))
         assert abs(expected) > 1e-6
         assert value == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_rotational_integrals_match_gradient_quadrature(self, n, rng, random_field_factory):
+        # divergence-free fields on the ball |m| <= n/3, where the collocation
+        # quadrature of a triple product is exact (n = 24 is a multiple of 3)
+        grid = tn.make_grid(n)
+        for _ in range(2):
+            field = random_field_factory(grid, rng, divergence_free=True)
+            terms = spectral_core.half_terms(field)
+            gradient = spectral_core.nonlinear_integrals(*terms, grid.volume)
+            coef, u, _ = terms
+            rotational = spectral_core.rotational_integrals(coef, u, grid.half_k, grid.volume)
+            for (a, scale_a), (b, scale_b) in zip(gradient, rotational):
+                assert abs(a) > 1e-6 * scale_a  # not a roundoff-level cancellation
+                assert abs(a - b) <= 1e-12 * max(scale_a, scale_b)
