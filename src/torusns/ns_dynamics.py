@@ -6,13 +6,18 @@ dealiased, projected advection term is advanced with classical RK4.  The mean
 mode is pinned to zero and the field stays real, divergence-free, and
 band-limited for the whole run.
 
-Inside a step the velocity is held as its half spectrum (3, n, n, n//2 + 1),
-the modes with m3 >= 0 of a real field, and moved with real-to-complex
-transforms.  The advection term is evaluated in rotational form,
-P[u x omega] with omega = curl u: it differs from -P[(u . grad) u] only by
-the gradient grad(|u|^2 / 2), which the projection removes, and costs two
-inverse and one forward real 3-vector transform per RK4 stage.  The product
-is `spectral_core.rotational_product`, which the ledger's multiplier route
+Inside a step the velocity is held on the dealias band (3, K, K, c + 1) of
+`spectral_core`: the modes |m_j| <= c, 3c < n, with m3 >= 0, which are the
+only ones a state carries.  `step`, `nonlinear_rhs` and `cfl_dt` gather the
+band once, through `_gather_band`, which rejects a field with a coefficient
+outside it.  The advection term is evaluated in rotational form, P[u x omega] with
+omega = curl u: it differs from -P[(u . grad) u] only by the gradient
+grad(|u|^2 / 2), which the projection removes.  Each RK4 stage costs two
+inverse and one forward pruned real 3-vector transform, and the forward
+transform of the band is already dealiased.  The first stage reuses the
+state's samples (`TrajectoryState.samples`), which `cfl_dt` also reads, so a
+step of `run` takes 8 inverse and 4 forward band transforms.  The product is
+`spectral_core.rotational_product`, which the ledger's multiplier route
 shares.  States and `nonlinear_rhs` values cross the public API as
 full-spectrum fields, rebuilt exactly Hermitian by
 `spectral_core.full_spectrum`.
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,18 +86,73 @@ class SimulationConfig:
         if self.stride < 1:
             raise ValueError("output stride must be >= 1")
         mode_cap = self.init_k_max * self.box_length / (2.0 * math.pi)
-        if mode_cap > self.n / 3.0:
+        if 3.0 * mode_cap >= self.n:
             raise ValueError(
                 "initial modes would not survive dealiasing; lower init_k_max or raise n"
             )
 
 
+_OUTSIDE_BAND_ROUNDOFF = 1e-12
+
+
+def _gather_band(u_hat: VectorField) -> np.ndarray:
+    """The coefficients of `u_hat` on the dealias band, in the band layout.
+
+    Raises ValueError if a coefficient outside the band is nonzero: the step
+    would otherwise advect it with aliased content.  Roundoff below 1e-12 of
+    the largest band coefficient, such as `to_spectral` leaves on the samples
+    of a band-limited field, is dropped.
+    """
+    u_hat.require(SPECTRAL)
+    grid = u_hat.grid
+    n, c = grid.n, spectral_core.band_cutoff(grid.n)
+    coef = u_hat.data[grid.band.positions]
+    data = u_hat.data
+    for outside in (data[:, c + 1 : n - c], data[:, :, c + 1 : n - c], data[..., c + 1 : n - c]):
+        if outside.any():
+            largest = float(np.max(np.abs(outside)))
+            if not largest <= _OUTSIDE_BAND_ROUNDOFF * float(np.max(np.abs(coef))):
+                raise ValueError(
+                    f"a coefficient of size {largest:.3g} lies outside the dealias band "
+                    f"|m| <= {c} of n={n}"
+                )
+    return coef
+
+
+def _band_field(coef: np.ndarray, grid: SpectralGrid) -> VectorField:
+    """The exactly Hermitian full-spectrum field with band coefficients `coef`."""
+    half = np.zeros((3, grid.n, grid.n, grid.half_modes), dtype=np.complex128)
+    half[grid.band.positions] = coef
+    return VectorField(grid, spectral_core.full_spectrum(half, grid.n), SPECTRAL)
+
+
 @dataclass
 class TrajectoryState:
+    """A velocity on the clock.  The state is not modified once built:
+    `band`, `samples` and `advective_limit` are computed from `u_hat` on
+    first use and kept."""
+
     u_hat: VectorField
     t: float
     step_index: int
     last_dt: float
+
+    @cached_property
+    def band(self) -> np.ndarray:
+        """The velocity on the dealias band (`_gather_band`)."""
+        return _gather_band(self.u_hat)
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """The physical velocity: the state's one inverse band transform,
+        which gives `advective_limit` and the first RK4 stage of `step`."""
+        return spectral_core.band_to_physical(self.band, self.u_hat.grid.n)
+
+    @cached_property
+    def advective_limit(self) -> float:
+        """dx / max|u|, read by `cfl_dt` and checked by `step`."""
+        vmax = float(np.sqrt(np.max(np.sum(self.samples**2, axis=0))))
+        return self.u_hat.grid.dx / vmax if vmax > 0.0 else math.inf
 
 
 def make_initial_data(config: SimulationConfig, grid: SpectralGrid | None = None) -> VectorField:
@@ -134,20 +195,14 @@ def make_initial_data(config: SimulationConfig, grid: SpectralGrid | None = None
     return VectorField(grid, coef, SPECTRAL)
 
 
-def _rhs_half(coef: np.ndarray, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+def _rhs_band(coef: np.ndarray, u: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """The projected, dealiased rotational term P[dealias(F[u x omega])] on
-    the half spectrum, together with the physical velocity it sampled.
-
-    The last-axis Nyquist plane carries k3 = -n/2 from the full-spectrum
-    ordering; it is zero in every state and zeroed again by the dealias mask.
-    """
-    h = grid.half_modes
-    u = spectral_core.half_to_physical(coef, grid.n)
-    lamb = spectral_core.rotational_product(u, coef, grid.half_k)
-    lamb *= grid.dealias_mask[..., :h]
-    out = spectral_core.project_coefficients(lamb, grid.wavevectors[..., :h], grid.k_sq[..., :h])
+    the dealias band, for band coefficients `coef` with samples `u`."""
+    band = grid.band
+    lamb = spectral_core.rotational_product(u, coef, band.k)
+    out = spectral_core.project_coefficients(lamb, band.wavevectors, band.k_sq)
     out[:, 0, 0, 0] = 0.0
-    return out, u
+    return out
 
 
 def nonlinear_rhs(u_hat: VectorField) -> VectorField:
@@ -156,17 +211,13 @@ def nonlinear_rhs(u_hat: VectorField) -> VectorField:
 
     The two agree because (u . grad) u = grad(|u|^2 / 2) - u x omega and the
     projection removes gradients, as it removes the pressure gradient.  The
-    output is mean-free, divergence-free and exactly Hermitian.
+    output is mean-free, divergence-free and exactly Hermitian.  Raises
+    ValueError for a field with a coefficient outside the dealias band.
     """
-    u_hat.require(SPECTRAL)
+    coef = _gather_band(u_hat)
     grid = u_hat.grid
-    out, _ = _rhs_half(u_hat.data[..., : grid.half_modes], grid)
-    return VectorField(grid, spectral_core.full_spectrum(out, grid.n), SPECTRAL)
-
-
-def _advective_limit(u_phys: np.ndarray, grid: SpectralGrid) -> float:
-    vmax = float(np.sqrt(np.max(np.sum(u_phys**2, axis=0))))
-    return grid.dx / vmax if vmax > 0.0 else math.inf
+    out = _rhs_band(coef, spectral_core.band_to_physical(coef, grid.n), grid)
+    return _band_field(out, grid)
 
 
 def cfl_dt(state: TrajectoryState, c_cfl: float = 1.0) -> float:
@@ -174,12 +225,11 @@ def cfl_dt(state: TrajectoryState, c_cfl: float = 1.0) -> float:
 
     The viscous bound is informational (the integrating factor is exact) but
     it is what limits dt for small data; the advective bound takes over for
-    energetic fields.  max|u| costs one inverse real transform.
+    energetic fields.  max|u| reads the state's samples, which the first
+    stage of `step` reuses.
     """
-    grid = state.u_hat.grid
-    u_phys = spectral_core.half_to_physical(state.u_hat.data[..., : grid.half_modes], grid.n)
-    viscous = 1.0 / grid.max_wavenumber**2
-    return c_cfl * min(_advective_limit(u_phys, grid), viscous)
+    viscous = 1.0 / state.u_hat.grid.max_wavenumber**2
+    return c_cfl * min(state.advective_limit, viscous)
 
 
 def step(state: TrajectoryState, dt: float) -> TrajectoryState:
@@ -187,33 +237,32 @@ def step(state: TrajectoryState, dt: float) -> TrajectoryState:
 
     With the advection term zeroed this reduces to the heat kernel
     exp(-|k|^2 dt) exactly; with it, the scheme is classical fourth order.
-    The stages run on the half spectrum (two inverse and one forward real
-    transform each); the advective bound reuses the first stage's physical
-    velocity.  The returned state is full-spectrum and exactly Hermitian.
+    The stages run on the dealias band; the first reuses the state's samples,
+    which also give the advective bound.  Raises ValueError for a state with
+    a coefficient outside the band.  The returned state is full-spectrum and
+    exactly Hermitian.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.u_hat.grid
-    h = grid.half_modes
-    u0 = state.u_hat.data[..., :h]
-    rhs_a, u_phys = _rhs_half(u0, grid)
+    u0 = state.band
     # Only advection limits stability: the viscous part is integrated exactly.
-    limit = _advective_limit(u_phys, grid)
+    limit = state.advective_limit
     if dt > limit * (1.0 + 1e-9):
         raise ValueError(f"dt={dt} exceeds the advective stability bound {limit}")
-    e_half = np.exp(-grid.k_sq[..., :h] * (0.5 * dt))
+    e_half = np.exp(-grid.band.k_sq * (0.5 * dt))
     e_full = e_half * e_half
 
     def rhs(coef: np.ndarray) -> np.ndarray:
-        return _rhs_half(coef, grid)[0]
+        return _rhs_band(coef, spectral_core.band_to_physical(coef, grid.n), grid)
 
-    ka = dt * rhs_a
+    ka = dt * _rhs_band(u0, state.samples, grid)
     kb = dt * rhs(e_half * (u0 + 0.5 * ka))
     kc = dt * rhs(e_half * u0 + 0.5 * kb)
     kd = dt * rhs(e_full * u0 + e_half * kc)
     u1 = e_full * u0 + (e_full * ka + 2.0 * e_half * (kb + kc) + kd) / 6.0
     return TrajectoryState(
-        u_hat=VectorField(grid, spectral_core.full_spectrum(u1, grid.n), SPECTRAL),
+        u_hat=_band_field(u1, grid),
         t=state.t + dt,
         step_index=state.step_index + 1,
         last_dt=dt,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import torusns as tn
+from torusns import spectral_core
 from torusns.inequality_lab import CSV_COLUMNS, EnergyLedger
 from torusns.multiplier_bank import MultiplierSet
 from torusns.ns_dynamics import NumericalBlowupError, TrajectoryState, _ledger_row
@@ -29,6 +30,33 @@ def single_mode_state(grid, k_index=(1, 0, 0), amplitude=1.0):
     data[:, i, j, l] = 0.5 * amplitude * v
     data[:, -i, -j, -l] = 0.5 * amplitude * v
     return TrajectoryState(VectorField(grid, data, SPECTRAL), 0.0, 0, 0.0)
+
+
+def half_spectrum_step(state, dt):
+    """Reference RK4 step with every stage on the half spectrum
+    (3, n, n, n//2 + 1), dealiased by masking; returns the new coefficients."""
+    grid = state.u_hat.grid
+    h = grid.half_modes
+
+    def rhs(coef):
+        u = spectral_core.half_to_physical(coef, grid.n)
+        lamb = spectral_core.rotational_product(u, coef, grid.half_k)
+        lamb *= grid.dealias_mask[..., :h]
+        out = spectral_core.project_coefficients(
+            lamb, grid.wavevectors[..., :h], grid.k_sq[..., :h]
+        )
+        out[:, 0, 0, 0] = 0.0
+        return out
+
+    u0 = state.u_hat.data[..., :h]
+    e_half = np.exp(-grid.k_sq[..., :h] * (0.5 * dt))
+    e_full = e_half * e_half
+    ka = dt * rhs(u0)
+    kb = dt * rhs(e_half * (u0 + 0.5 * ka))
+    kc = dt * rhs(e_half * u0 + 0.5 * kb)
+    kd = dt * rhs(e_full * u0 + e_half * kc)
+    u1 = e_full * u0 + (e_full * ka + 2.0 * e_half * (kb + kc) + kd) / 6.0
+    return spectral_core.full_spectrum(u1, grid.n)
 
 
 class TestInitialData:
@@ -70,6 +98,12 @@ class TestInitialData:
     def test_band_must_survive_dealiasing(self):
         with pytest.raises(ValueError):
             tn.SimulationConfig(n=16, init_k_max=6.0)
+
+    def test_band_must_survive_dealiasing_when_3_divides_n(self):
+        # the two-thirds rule keeps |m| <= 7 at n = 24, not 8
+        tn.SimulationConfig(n=24, init_k_max=7.0)
+        with pytest.raises(ValueError):
+            tn.SimulationConfig(n=24, init_k_max=8.0)
 
 
 class TestNonlinearTerm:
@@ -201,6 +235,51 @@ class TestStep:
             assert change_rate + dissipation == pytest.approx(
                 0.0, abs=50.0 * dt**2 * before.h2_sq
             )
+
+
+class TestDealiasBandStages:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_step_matches_half_spectrum_reference_bitwise(self, n):
+        config = tn.SimulationConfig(n=n, delta=2.0, seed=11)
+        state = TrajectoryState(tn.make_initial_data(config), 0.0, 0, 0.0)
+        for _ in range(3):
+            dt = tn.cfl_dt(state)
+            expected = half_spectrum_step(state, dt)
+            state = tn.step(state, dt)
+            assert np.array_equal(state.u_hat.data, expected)
+
+    @pytest.mark.parametrize("index", [(6, 0, 0), (1, 10, 0), (0, 0, 8), (2, 3, 10)])
+    def test_coefficient_outside_band_rejected(self, grid16, index):
+        # the band of n = 16 keeps |m| <= 5 on every axis
+        for amplitude in (1.0, 0.0):
+            state = single_mode_state(grid16, amplitude=amplitude)
+            state.u_hat.data[(0,) + index] = 1e-3
+            with pytest.raises(ValueError, match="outside the dealias band"):
+                tn.nonlinear_rhs(state.u_hat)
+            with pytest.raises(ValueError, match="outside the dealias band"):
+                tn.cfl_dt(state)
+            with pytest.raises(ValueError, match="outside the dealias band"):
+                tn.step(state, 1e-3)
+
+    def test_eight_inverse_transforms_per_step(self, monkeypatch):
+        # cfl_dt and the first stage share the state's samples
+        counts = {"inverse": 0, "forward": 0}
+        inverse, forward = spectral_core.band_to_physical, spectral_core.band_to_spectral
+
+        def counted_inverse(*args):
+            counts["inverse"] += 1
+            return inverse(*args)
+
+        def counted_forward(*args):
+            counts["forward"] += 1
+            return forward(*args)
+
+        monkeypatch.setattr(spectral_core, "band_to_physical", counted_inverse)
+        monkeypatch.setattr(spectral_core, "band_to_spectral", counted_forward)
+        ledger = tn.run(tn.SimulationConfig(n=16, delta=0.01, horizon=0.05, stride=4))
+        steps = ledger.meta["steps"]
+        assert steps > 1
+        assert counts == {"inverse": 8 * steps, "forward": 4 * steps}
 
 
 class TestCflBound:

@@ -150,6 +150,54 @@ class TestHalfSpectrum:
         assert hermitian_defect(VectorField(grid16, full, SPECTRAL)) == 0.0
 
 
+class TestDealiasBand:
+    @pytest.mark.parametrize("n", [16, 24, 32, 48, 64])
+    def test_pruned_pair_matches_half_spectrum_pair(self, n, rng):
+        grid = tn.make_grid(n)
+        band = grid.band
+        shape = (3,) + band.k_sq.shape
+        coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        half = np.zeros((3, n, n, grid.half_modes), dtype=complex)
+        half[band.positions] = coef
+        samples = spectral_core.half_to_physical(half, n)
+        assert np.array_equal(spectral_core.band_to_physical(coef, n), samples)
+        for values in (samples, rng.standard_normal((3, n, n, n))):
+            expected = spectral_core.half_to_spectral(values)[band.positions]
+            assert np.array_equal(spectral_core.band_to_spectral(values), expected)
+
+    @pytest.mark.parametrize("n", [16, 24, 32, 48])
+    def test_band_is_the_dealias_mask(self, n):
+        grid = tn.make_grid(n)
+        c = spectral_core.band_cutoff(n)
+        assert 3 * c < n <= 3 * (c + 1)
+        kept = np.zeros((n, n, grid.half_modes), dtype=bool)
+        kept[grid.band.positions] = True
+        assert np.array_equal(kept, grid.dealias_mask[..., : grid.half_modes])
+        assert np.array_equal(grid.band.k_sq, grid.k_sq[grid.band.positions])
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_mask_unchanged_where_3_does_not_divide_n(self, n):
+        m = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+        kept = m <= n / 3.0
+        expected = kept[:, None, None] & kept[None, :, None] & kept[None, None, :]
+        assert np.array_equal(tn.make_grid(n).dealias_mask, expected)
+
+    def test_dealiased_triple_products_are_exact_at_n24(self, rng, random_field_factory):
+        # 3 divides 24: keeping m = 8 would alias 8 + 8 = 16 onto -8, and the
+        # triple-product quadrature would reach mode 24 = 0
+        grid = tn.make_grid(24)
+        for _ in range(3):
+            field = tn.dealias(
+                random_field_factory(grid, rng, k_max=np.inf, divergence_free=True)
+            )
+            terms = spectral_core.half_terms(field)
+            gradient = spectral_core.nonlinear_integrals(*terms, grid.volume)
+            coef, u, _ = terms
+            rotational = spectral_core.rotational_integrals(coef, u, grid.half_k, grid.volume)
+            for (a, scale_a), (b, scale_b) in zip(gradient, rotational):
+                assert abs(a - b) <= 1e-15 * max(scale_a, scale_b)
+
+
 class TestLerayProjection:
     def test_matches_componentwise_reference(self, grid16, rng, random_field_factory):
         f = random_field_factory(grid16, rng)
