@@ -9,17 +9,18 @@ band-limited for the whole run.
 Inside a step the velocity is held on the dealias band (3, K, K, c + 1) of
 `spectral_core`: the modes |m_j| <= c, 3c < n, with m3 >= 0, which are the
 only ones a state carries.  `step`, `nonlinear_rhs` and `cfl_dt` gather the
-band once, through `_gather_band`, which rejects a field with a coefficient
-outside it.  The advection term is evaluated in rotational form, P[u x omega] with
-omega = curl u: it differs from -P[(u . grad) u] only by the gradient
-grad(|u|^2 / 2), which the projection removes.  Each RK4 stage costs two
-inverse and one forward pruned real 3-vector transform, and the forward
-transform of the band is already dealiased.  The first stage reuses the
-state's samples (`TrajectoryState.samples`), which `cfl_dt` also reads, so a
-step of `run` takes 8 inverse and 4 forward band transforms.  The product is
-`spectral_core.rotational_product`, which the ledger's multiplier route
-shares.  States and `nonlinear_rhs` values cross the public API as
-full-spectrum fields, rebuilt exactly Hermitian by
+band once, through `spectral_core.gather_band`, which rejects a field with a
+coefficient outside it.  The advection term is evaluated in rotational form,
+P[u x omega] with omega = curl u: it differs from -P[(u . grad) u] only by
+the gradient grad(|u|^2 / 2), which the projection removes.  Each RK4 stage
+costs two inverse and one forward pruned real 3-vector transform, and the
+forward transform of the band is already dealiased.  The first stage reuses
+the state's samples (`TrajectoryState.samples`), which `cfl_dt` also reads,
+so a step of `run` takes 8 inverse and 4 forward band transforms.  A ledger
+row reads the same samples, so it costs the state no transform of its own.
+The product is `spectral_core.rotational_product`, which the ledger's
+multiplier route shares.  States and `nonlinear_rhs` values cross the public
+API as full-spectrum fields, rebuilt exactly Hermitian by
 `spectral_core.full_spectrum`.
 """
 
@@ -92,33 +93,6 @@ class SimulationConfig:
             )
 
 
-_OUTSIDE_BAND_ROUNDOFF = 1e-12
-
-
-def _gather_band(u_hat: VectorField) -> np.ndarray:
-    """The coefficients of `u_hat` on the dealias band, in the band layout.
-
-    Raises ValueError if a coefficient outside the band is nonzero: the step
-    would otherwise advect it with aliased content.  Roundoff below 1e-12 of
-    the largest band coefficient, such as `to_spectral` leaves on the samples
-    of a band-limited field, is dropped.
-    """
-    u_hat.require(SPECTRAL)
-    grid = u_hat.grid
-    n, c = grid.n, spectral_core.band_cutoff(grid.n)
-    coef = u_hat.data[grid.band.positions]
-    data = u_hat.data
-    for outside in (data[:, c + 1 : n - c], data[:, :, c + 1 : n - c], data[..., c + 1 : n - c]):
-        if outside.any():
-            largest = float(np.max(np.abs(outside)))
-            if not largest <= _OUTSIDE_BAND_ROUNDOFF * float(np.max(np.abs(coef))):
-                raise ValueError(
-                    f"a coefficient of size {largest:.3g} lies outside the dealias band "
-                    f"|m| <= {c} of n={n}"
-                )
-    return coef
-
-
 def _band_field(coef: np.ndarray, grid: SpectralGrid) -> VectorField:
     """The exactly Hermitian full-spectrum field with band coefficients `coef`."""
     half = np.zeros((3, grid.n, grid.n, grid.half_modes), dtype=np.complex128)
@@ -139,13 +113,14 @@ class TrajectoryState:
 
     @cached_property
     def band(self) -> np.ndarray:
-        """The velocity on the dealias band (`_gather_band`)."""
-        return _gather_band(self.u_hat)
+        """The velocity on the dealias band (`spectral_core.gather_band`)."""
+        return spectral_core.gather_band(self.u_hat)
 
     @cached_property
     def samples(self) -> np.ndarray:
         """The physical velocity: the state's one inverse band transform,
-        which gives `advective_limit` and the first RK4 stage of `step`."""
+        which gives `advective_limit`, the first RK4 stage of `step` and the
+        u samples of both routes of the state's ledger row."""
         return spectral_core.band_to_physical(self.band, self.u_hat.grid.n)
 
     @cached_property
@@ -214,7 +189,7 @@ def nonlinear_rhs(u_hat: VectorField) -> VectorField:
     output is mean-free, divergence-free and exactly Hermitian.  Raises
     ValueError for a field with a coefficient outside the dealias band.
     """
-    coef = _gather_band(u_hat)
+    coef = spectral_core.gather_band(u_hat)
     grid = u_hat.grid
     out = _rhs_band(coef, spectral_core.band_to_physical(coef, grid.n), grid)
     return _band_field(out, grid)
@@ -280,11 +255,15 @@ def _abort_if_not_finite(state: TrajectoryState) -> None:
 def _ledger_row(
     state: TrajectoryState, config: SimulationConfig, mults: MultiplierSet
 ) -> tuple[float, ...]:
-    """One ledger row, its values in `inequality_lab.CSV_COLUMNS` order."""
+    """One ledger row, its values in `inequality_lab.CSV_COLUMNS` order.
+
+    Both routes read the state's samples, which `cfl_dt` and the first stage
+    of the next step read as well.
+    """
     clock = SimilarityClock(horizon=config.horizon, t=state.t)
     u_norms = spectral_core.norms(state.u_hat)
-    wa = w_functionals_scaling_route(state.u_hat, clock, mults)
-    wb = w_functionals_multiplier_route(state.u_hat, clock, mults)
+    wa = w_functionals_scaling_route(state.u_hat, clock, mults, samples=state.samples)
+    wb = w_functionals_multiplier_route(state.u_hat, clock, mults, samples=state.samples)
     wa.validate()
     wb.validate()
     return (
@@ -314,8 +293,10 @@ def run(config: SimulationConfig) -> EnergyLedger:
     """Integrate from t = 0 to horizon - t_min, recording ledger rows.
 
     Rows are emitted at step 0, every `stride` steps, and at the final step.
-    A non-finite field aborts with NumericalBlowupError; a ledger that fails
-    its invariants raises LedgerError.  The metadata is every field of
+    A state's step size is taken before its row, so the state's samples are
+    transformed inside `cfl_dt`, except for the final state, whose row takes
+    them.  A non-finite field aborts with NumericalBlowupError; a ledger that
+    fails its invariants raises LedgerError.  The metadata is every field of
     `config` plus the number of steps taken.
     """
     grid = make_grid(config.n, config.box_length)
@@ -325,12 +306,14 @@ def run(config: SimulationConfig) -> EnergyLedger:
     )
     _abort_if_not_finite(state)
     t_end = config.horizon - config.t_min
-    rows = [_ledger_row(state, config, mults)]
-    while state.t < t_end * (1.0 - 1e-12):
-        dt = min(cfl_dt(state, config.c_cfl), t_end - state.t)
-        state = step(state, dt)
-        _abort_if_not_finite(state)
+    rows = []
+    while True:
         done = state.t >= t_end * (1.0 - 1e-12)
+        if not done:
+            dt = min(cfl_dt(state, config.c_cfl), t_end - state.t)
         if done or state.step_index % config.stride == 0:
             rows.append(_ledger_row(state, config, mults))
-    return EnergyLedger(rows, meta={**asdict(config), "steps": state.step_index})
+        if done:
+            return EnergyLedger(rows, meta={**asdict(config), "steps": state.step_index})
+        state = step(state, dt)
+        _abort_if_not_finite(state)

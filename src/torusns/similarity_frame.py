@@ -16,9 +16,16 @@ per row.  Two computation routes are provided and audited against each other:
 * the *multiplier route* evaluates the rescaled symbols against the
   u-coefficients in spectral sums, and the signed integrals on the w-field.
 
-Both work on the half spectrum of the real field with real transforms, and
-neither reads an array the other computed; each evaluates the radial profiles
-once, on the distinct |k| values of the lattice (`SpectralGrid.half_shells`).
+Both run on the dealias band of the real field (`spectral_core`), gathered
+once per route by `spectral_core.gather_band`, which rejects a field with a
+coefficient outside the band.  Every inverse transform is `band_to_physical`
+and both products, F[(u . grad) u] and F[w x curl w], go through
+`band_to_spectral`, so their sums pair them with band modes only.  The one
+array the routes share is the state's samples, `TrajectoryState.samples`,
+which neither route computes: a ledger row passes them to both, and a caller
+that omits them has each route transform the band itself.  Each route
+evaluates the radial profiles once, on the distinct |k| values of the band
+(`DealiasBand.shells`).
 The signed integrals use different algebra in the two routes: the scaling
 route takes the gradient-tensor quadrature tr(G^T G G) and the convective
 coupling of `spectral_core.nonlinear_integrals`, the multiplier route the
@@ -193,8 +200,21 @@ def build_w_field(u_hat: VectorField, clock: SimilarityClock) -> VectorField:
     return VectorField(w_grid, u_hat.data * root, SPECTRAL)
 
 
+def _band_terms(u_hat: VectorField, samples: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The band coefficients of `u_hat` and its samples: `samples` when given,
+    otherwise the band's own inverse transform."""
+    coef = spectral_core.gather_band(u_hat)
+    if samples is None:
+        samples = spectral_core.band_to_physical(coef, u_hat.grid.n)
+    return coef, samples
+
+
 def w_functionals_scaling_route(
-    u_hat: VectorField, clock: SimilarityClock, mults: MultiplierSet
+    u_hat: VectorField,
+    clock: SimilarityClock,
+    mults: MultiplierSet,
+    *,
+    samples: np.ndarray | None = None,
 ) -> WFunctionals:
     """w-functionals from u-side integrals and the exponent table.
 
@@ -203,32 +223,34 @@ def w_functionals_scaling_route(
     u-lattice and multiplied by exact powers of s.  The frequency-split
     quantities are evaluated on the w-field by physical-space quadrature of
     its real inverse transforms; `grad_high_sq` integrates |curl h|^2, equal
-    to |grad h|^2 for the divergence-free high part h.
+    to |grad h|^2 for the divergence-free high part h.  `samples` are the
+    physical values of `u_hat` if the caller has them.  Raises ValueError for
+    a field with a coefficient outside the dealias band.
     """
     s = clock.remaining
     root = math.sqrt(s)
     g = u_hat.grid
-    coef, u, kvec = spectral_core.half_terms(u_hat)
+    band = g.band
+    coef, u = _band_terms(u_hat, samples)
     (tri_u, tri_scale_u), (lap_u, lap_scale_u) = spectral_core.nonlinear_integrals(
-        coef, u, kvec, g.volume
+        coef, u, band.wavevectors, g.volume
     )
-    k_sq = g.k_sq[..., : g.half_modes]
     power = np.sum(np.abs(coef) ** 2, axis=0)
-    l2_u, h1_u, h2_u = (g.volume * half_spectrum_sum(k_sq**p * power) for p in (0, 1, 2))
+    l2_u, h1_u, h2_u = (g.volume * half_spectrum_sum(band.k_sq**p * power) for p in (0, 1, 2))
     sup_u = float(np.sqrt(np.max(np.sum(u**2, axis=0))))
 
-    shells, index = g.half_shells
-    prof = mults.profiles(root * shells)
+    prof = mults.profiles(root * band.shells)
+    index = band.shell_index
     cell_w = (g.box_length / root / g.n) ** 3
     w_coef = root * coef
 
     def physical(weight: np.ndarray) -> np.ndarray:
-        return spectral_core.half_to_physical(w_coef * weight[index], g.n)
+        return spectral_core.band_to_physical(w_coef * weight[index], g.n)
 
     low_mag_sq = np.sum(physical(prof.phi) ** 2, axis=0)
     high = w_coef * prof.one_minus_phi[index]
-    curl_high = spectral_core.half_to_physical(
-        spectral_core.half_curl(high, [root * k for k in g.half_k]), g.n
+    curl_high = spectral_core.band_to_physical(
+        spectral_core.half_curl(high, [root * k for k in band.k]), g.n
     )
 
     return WFunctionals(
@@ -250,31 +272,37 @@ def w_functionals_scaling_route(
 
 
 def w_functionals_multiplier_route(
-    u_hat: VectorField, clock: SimilarityClock, mults: MultiplierSet
+    u_hat: VectorField,
+    clock: SimilarityClock,
+    mults: MultiplierSet,
+    *,
+    samples: np.ndarray | None = None,
 ) -> WFunctionals:
     """w-functionals via rescaled radial symbols applied to the u-coefficients.
 
-    Every quadratic functional is a half-spectrum sum with weights evaluated
+    Every quadratic functional is a sum over the band with weights evaluated
     at xi = sqrt(s) |k|; sup/L4 quantities reconstruct the filtered field on
     the u-lattice and rescale the samples.  The two signed integrals are
     taken on the w-field itself, on the box of side L/sqrt(s), in the
-    rotational form of `spectral_core.rotational_integrals`.
+    rotational form of `spectral_core.rotational_integrals`.  `samples` and
+    the ValueError are as in `w_functionals_scaling_route`.
     """
     s = clock.remaining
     root = math.sqrt(s)
     g = u_hat.grid
-    coef, u, _ = spectral_core.half_terms(u_hat)
+    band = g.band
+    coef, u = _band_terms(u_hat, samples)
     power = np.sum(np.abs(coef) ** 2, axis=0)
-    shells, index = g.half_shells
-    prof = mults.profiles(root * shells)
+    prof = mults.profiles(root * band.shells)
+    index = band.shell_index
     phi_xi = prof.phi[index]
-    xi_sq = s * g.k_sq[..., : g.half_modes]
+    xi_sq = s * band.k_sq
     pref = scale_factor("l2_sq", s) * g.volume
 
     w_sup = root * float(np.sqrt(np.max(np.sum(u**2, axis=0))))
-    low_mag_sq = np.sum(spectral_core.half_to_physical(coef * phi_xi, g.n) ** 2, axis=0)
+    low_mag_sq = np.sum(spectral_core.band_to_physical(coef * phi_xi, g.n) ** 2, axis=0)
     (trilinear, tri_scale), (lap_coupling, lap_scale) = spectral_core.rotational_integrals(
-        root * coef, root * u, [root * k for k in g.half_k], (g.box_length / root) ** 3
+        root * coef, root * u, [root * k for k in band.k], (g.box_length / root) ** 3
     )
 
     return WFunctionals(

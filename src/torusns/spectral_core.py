@@ -33,8 +33,20 @@ coefficients of a real field, both holding the modes with m3 >= 0:
   0..c, -c..-1.  `band_to_physical` and `band_to_spectral` move it with the
   one-dimensional transforms of the half-spectrum pair, skipping the columns
   that are zero outside the band, and agree with that pair bit for bit.
-  The RK4 step of `ns_dynamics` runs on this layout: 8 inverse and 4
-  forward band transforms per step.
+  `gather_band` takes it from a full-spectrum field and rejects a field
+  with a coefficient outside it.
+
+The RK4 step of `ns_dynamics` runs on the band: 8 inverse and 4 forward band
+transforms per step.  So do both routes of a `similarity_frame` ledger row:
+9 inverse transforms (the gradient tensor as three 3-vector batches, the
+phi, chi and sqrt(1 - phi^2) filtered fields, the curl of the high part, the
+low part and omega) and 2 forward ones (F[(u . grad) u] and F[w x curl w])
+per row, besides the state's samples, which the row reads and does not
+compute.  `gradient_tensor`, `rotational_product`, `nonlinear_integrals`,
+`rotational_integrals` and `half_spectrum_sum` read the layout of their
+coefficients from the last axis.  The half spectrum stays for
+`convective_product`, `trilinear_form` and `advective_laplacian_form`, which
+take arbitrary fields and serve as the analytic oracles.
 """
 
 from __future__ import annotations
@@ -90,13 +102,19 @@ class DealiasBand:
     `coef[positions]` gathers the band from a full or half-spectrum array,
     and `half[positions] = band` scatters it back.  `k` holds the three
     wavevector components as broadcastable axes of the band, `wavevectors`
-    stacks them to (3, K, K, c + 1), and `k_sq` is |k|^2 there.
+    stacks them to (3, K, K, c + 1), and `k_sq` is |k|^2 there.  `shells`
+    holds the distinct values of |k| on the band and `shell_index` the
+    position of each band mode's value in it, so a radial profile evaluated
+    on `shells` and gathered through `shell_index` matches its evaluation on
+    the band |k| value for value.
     """
 
     positions: tuple
     k: tuple[np.ndarray, np.ndarray, np.ndarray]
     wavevectors: np.ndarray
     k_sq: np.ndarray
+    shells: np.ndarray
+    shell_index: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -136,11 +154,15 @@ class SpectralGrid:
         kept = np.concatenate((np.arange(c + 1), np.arange(n - c, n)))
         positions = (Ellipsis, kept[:, None], kept, slice(0, c + 1))
         band_k = (k[0][kept], k[1][:, kept], k[2][..., : c + 1])
+        band_k_sq = k_sq[positions]
+        shells, shell_index = np.unique(np.sqrt(band_k_sq), return_inverse=True)
         band = DealiasBand(
             positions=positions,
             k=band_k,
             wavevectors=np.stack(np.broadcast_arrays(*band_k)),
-            k_sq=k_sq[positions],
+            k_sq=band_k_sq,
+            shells=shells,
+            shell_index=shell_index.reshape(band_k_sq.shape),
         )
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "k_sq", k_sq)
@@ -169,17 +191,6 @@ class SpectralGrid:
     def half_k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The three wavevector components as broadcastable axes of the half lattice."""
         return self.k[0], self.k[1], self.k[2][..., : self.half_modes]
-
-    @cached_property
-    def half_shells(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct values of |k| on the half lattice, and the index of each
-        lattice point's value: `shells[index]` equals the half-lattice |k|.
-
-        A radial profile evaluated on `shells` and gathered through `index`
-        matches its evaluation on the lattice value for value.
-        """
-        shells, index = np.unique(self.k_mag[..., : self.half_modes], return_inverse=True)
-        return shells, index.reshape(self.n, self.n, self.half_modes)
 
     @property
     def max_wavenumber(self) -> float:
@@ -279,14 +290,17 @@ def band_to_physical(coef: np.ndarray, n: int) -> np.ndarray:
     c = band_cutoff(n)
     lead = coef.shape[:-3]
     workers = get_fft_workers()
-    cols = np.zeros(lead + (n, 2 * c + 1, c + 1), dtype=np.complex128)
+    cols = np.empty(lead + (n, 2 * c + 1, c + 1), dtype=np.complex128)
     cols[..., : c + 1, :, :] = coef[..., : c + 1, :, :]
+    cols[..., c + 1 : n - c, :, :] = 0.0
     cols[..., n - c :, :, :] = coef[..., c + 1 :, :, :]
     cols = scipy.fft.ifft(cols, axis=-3, norm="forward", overwrite_x=True, workers=workers)
-    rows = np.zeros(lead + (n, n, c + 1), dtype=np.complex128)
+    rows = np.empty(lead + (n, n, c + 1), dtype=np.complex128)
     rows[..., : c + 1, :] = cols[..., : c + 1, :]
+    rows[..., c + 1 : n - c, :] = 0.0
     rows[..., n - c :, :] = cols[..., c + 1 :, :]
-    half = np.zeros(lead + (n, n, n // 2 + 1), dtype=np.complex128)
+    half = np.empty(lead + (n, n, n // 2 + 1), dtype=np.complex128)
+    half[..., c + 1 :] = 0.0
     half[..., : c + 1] = scipy.fft.ifft(
         rows, axis=-2, norm="forward", overwrite_x=True, workers=workers
     )
@@ -310,6 +324,34 @@ def band_to_spectral(values: np.ndarray) -> np.ndarray:
     rows = np.concatenate((cols[..., : c + 1, :, :], cols[..., n - c :, :, :]), axis=-3)
     rows = scipy.fft.fft(rows, axis=-2, overwrite_x=True, workers=workers)
     return np.concatenate((rows[..., : c + 1, :], rows[..., n - c :, :]), axis=-2)
+
+
+_OUTSIDE_BAND_ROUNDOFF = 1e-12
+
+
+def gather_band(field: VectorField) -> np.ndarray:
+    """The coefficients of a spectral field on the dealias band, in the band layout.
+
+    Raises ValueError if a coefficient outside the band is nonzero: a
+    computation on the band would otherwise drop it, or advect it with
+    aliased content.  Roundoff below 1e-12 of the largest band coefficient,
+    such as `to_spectral` leaves on the samples of a band-limited field, is
+    dropped.
+    """
+    field.require(SPECTRAL)
+    grid = field.grid
+    n, c = grid.n, band_cutoff(grid.n)
+    coef = field.data[grid.band.positions]
+    data = field.data
+    for outside in (data[:, c + 1 : n - c], data[:, :, c + 1 : n - c], data[..., c + 1 : n - c]):
+        if outside.any():
+            largest = float(np.max(np.abs(outside)))
+            if not largest <= _OUTSIDE_BAND_ROUNDOFF * float(np.max(np.abs(coef))):
+                raise ValueError(
+                    f"a coefficient of size {largest:.3g} lies outside the dealias band "
+                    f"|m| <= {c} of n={n}"
+                )
+    return coef
 
 
 def _reflect_modes(planes: np.ndarray) -> np.ndarray:
@@ -464,13 +506,28 @@ def hermitian_defect(field: VectorField) -> float:
     return float(defect / scale)
 
 
-def gradient_tensor(coef: np.ndarray, kvec: np.ndarray, n: int) -> np.ndarray:
-    """Samples grads[j, c] = d_j f_c of the real field with half spectrum `coef`.
+def _transforms(coef: np.ndarray, n: int):
+    """The inverse and forward real transforms of `coef`'s layout, read from
+    its last axis: n//2 + 1 entries for the half spectrum, c + 1 for the band."""
+    if coef.shape[-1] == n // 2 + 1:
+        return half_to_physical, half_to_spectral
+    return band_to_physical, band_to_spectral
 
-    `kvec` stacks the three wavevector components on the half lattice of the
-    field's box; the nine components take one batched inverse real transform.
+
+def gradient_tensor(coef: np.ndarray, kvec: np.ndarray, n: int) -> np.ndarray:
+    """Samples grads[j, c] = d_j f_c of the real field with coefficients `coef`
+    on the half spectrum or the band (see `_transforms`).
+
+    `kvec` stacks the three wavevector components on the same layout of the
+    field's box.  Each row j takes one inverse real 3-vector transform into
+    one preallocated array: a single 9-component batch would hold three times
+    the transforms' staging buffers at once.
     """
-    return half_to_physical(1j * kvec[:, None] * coef, n)
+    inverse, _ = _transforms(coef, n)
+    grads = np.empty((3, 3, n, n, n))
+    for j in range(3):
+        grads[j] = inverse(1j * kvec[j] * coef, n)
+    return grads
 
 
 def _cross(a, b) -> np.ndarray:
@@ -499,12 +556,8 @@ def rotational_product(u: np.ndarray, coef: np.ndarray, k) -> np.ndarray:
     pruned band pair, and the result is the band of the product, which is
     also its dealiased transform.
     """
-    n = u.shape[-1]
-    if coef.shape[-1] == n // 2 + 1:
-        omega = half_to_physical(half_curl(coef, k), n)
-        return half_to_spectral(_cross(u, omega))
-    omega = band_to_physical(half_curl(coef, k), n)
-    return band_to_spectral(_cross(u, omega))
+    inverse, forward = _transforms(coef, u.shape[-1])
+    return forward(_cross(u, inverse(half_curl(coef, k), u.shape[-1])))
 
 
 def _advect(u: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -513,11 +566,16 @@ def _advect(u: np.ndarray, grads: np.ndarray) -> np.ndarray:
 
 
 def half_spectrum_sum(values: np.ndarray) -> float:
-    """The full-spectrum sum of a real, even function of k given on the half lattice.
+    """The full-spectrum sum of a real, even function of k given on the modes
+    m3 >= 0, in the half-spectrum or the band layout.
 
     Every mode with 0 < m3 < n/2 stands for itself and its mirror -k; the
     planes m3 = 0 and m3 = n/2 are their own mirror images and count once.
+    The band has no m3 = n/2 plane; its layout shows in the last axis, whose
+    c + 1 entries make the K = 2c + 1 rows of the axis before it.
     """
+    if values.shape[-2] == 2 * values.shape[-1] - 1:
+        return float(np.sum(values[..., 0]) + 2.0 * np.sum(values[..., 1:]))
     return float(np.sum(values[..., 0]) + np.sum(values[..., -1]) + 2.0 * np.sum(values[..., 1:-1]))
 
 
@@ -526,20 +584,23 @@ def nonlinear_integrals(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """The gradient triple product and the Laplacian coupling, each with its majorant.
 
-    `coef` is the half spectrum of a real field f, `u` its samples and `kvec`
-    the wavevectors on the half lattice of a box of volume `volume`.  With
+    `coef` holds the coefficients of a real field f on the half spectrum or
+    the band (see `_transforms`), `u` its samples and `kvec` the wavevectors
+    on the same layout of a box of volume `volume`.  With
     G[j, c] = d_j f_c, the triple product sum_{j,k,l} int d_j f_k d_j f_l d_l f_k dx
     is the contraction int tr(G^T G G) dx, bounded by int |G|^3 dx; collocation
     quadrature is exact for it while 3 * max_mode < n.  The coupling
     int (Lap f) . Lap((f . grad) f) dx pairs |k|^4 under Plancherel and is
-    bounded by Cauchy-Schwarz.  Returns ((triple, majorant), (coupling, majorant)).
+    bounded by Cauchy-Schwarz over the modes of `coef`'s layout.  Returns
+    ((triple, majorant), (coupling, majorant)).
     """
     n = u.shape[-1]
     cell = volume / n**3
+    _, forward = _transforms(coef, n)
     grads = gradient_tensor(coef, kvec, n)
     triple = float(np.einsum("jkxyz,jlxyz,lkxyz->", grads, grads, grads)) * cell
     mag_cubed = np.einsum("jkxyz,jkxyz->xyz", grads, grads) ** 1.5
-    conv_hat = half_to_spectral(_advect(u, grads))
+    conv_hat = forward(_advect(u, grads))
     w4 = np.sum(kvec**2, axis=0) ** 2
     coupling = volume * half_spectrum_sum(w4 * np.sum(np.real(coef * np.conj(conv_hat)), axis=0))
     lap_f = volume * half_spectrum_sum(w4 * np.sum(np.abs(coef) ** 2, axis=0))
@@ -561,8 +622,9 @@ def rotational_integrals(
         triple = -V sum |k|^2 Re(conj(coef) . lam),
         coupling = -V sum |k|^4 Re(conj(coef) . lam),
 
-    each bounded by Cauchy-Schwarz.  Arguments as in `nonlinear_integrals`,
-    except that `k` may be three broadcastable axes.  Returns
+    each bounded by Cauchy-Schwarz over the modes of `coef`'s layout.
+    Arguments as in `nonlinear_integrals`, except that `k` may be three
+    broadcastable axes.  Returns
     ((triple, majorant), (coupling, majorant)).
     """
     lam = rotational_product(u, coef, k)

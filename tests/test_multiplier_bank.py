@@ -115,15 +115,16 @@ class TestOperatorIdentities:
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("s", [1.0, 0.25, 0.01])
     def test_profiles_on_shells_match_lattice(self, n, s):
-        # one phi evaluation on the distinct |k| values, gathered, gives every
-        # profile's own evaluation on the half lattice value for value
+        # one phi evaluation on the distinct |k| values of the dealias band,
+        # gathered, gives every profile's own evaluation on the band value
+        # for value
         grid = tn.make_grid(n)
         mults = MultiplierSet.build(1.0 / 16.0)
         root = math.sqrt(s)
-        shells, index = grid.half_shells
+        shells, index = grid.band.shells, grid.band.shell_index
         assert shells.size < index.size
         on_shells = mults.profiles(root * shells)
-        xi = root * grid.k_mag[..., : grid.half_modes]
+        xi = root * np.sqrt(grid.band.k_sq)
         for name in ("phi", "chi", "one_minus_phi", "sqrt_one_minus_phi_sq"):
             assert np.array_equal(getattr(on_shells, name)[index], getattr(mults, name)(xi)), name
 

@@ -260,26 +260,39 @@ class TestDealiasBandStages:
                 tn.cfl_dt(state)
             with pytest.raises(ValueError, match="outside the dealias band"):
                 tn.step(state, 1e-3)
+            clock = tn.SimilarityClock(horizon=1.0, t=0.5)
+            mults = MultiplierSet.build(1.0 / 16.0)
+            for route in (tn.w_functionals_scaling_route, tn.w_functionals_multiplier_route):
+                with pytest.raises(ValueError, match="outside the dealias band"):
+                    route(state.u_hat, clock, mults)
 
     def test_eight_inverse_transforms_per_step(self, monkeypatch):
-        # cfl_dt and the first stage share the state's samples
-        counts = {"inverse": 0, "forward": 0}
-        inverse, forward = spectral_core.band_to_physical, spectral_core.band_to_spectral
+        # cfl_dt, the first stage and both routes of a row share the state's
+        # samples; a row adds 9 inverse and 2 forward band transforms, and
+        # only the last state's samples are taken for its row alone
+        counts = {"inverse": 0, "forward": 0, "half": 0}
 
-        def counted_inverse(*args):
-            counts["inverse"] += 1
-            return inverse(*args)
+        def counted(name, key):
+            transform = getattr(spectral_core, name)
 
-        def counted_forward(*args):
-            counts["forward"] += 1
-            return forward(*args)
+            def wrapper(*args):
+                counts[key] += 1
+                return transform(*args)
 
-        monkeypatch.setattr(spectral_core, "band_to_physical", counted_inverse)
-        monkeypatch.setattr(spectral_core, "band_to_spectral", counted_forward)
+            monkeypatch.setattr(spectral_core, name, wrapper)
+
+        counted("band_to_physical", "inverse")
+        counted("band_to_spectral", "forward")
+        counted("half_to_physical", "half")
+        counted("half_to_spectral", "half")
         ledger = tn.run(tn.SimulationConfig(n=16, delta=0.01, horizon=0.05, stride=4))
-        steps = ledger.meta["steps"]
-        assert steps > 1
-        assert counts == {"inverse": 8 * steps, "forward": 4 * steps}
+        steps, rows = ledger.meta["steps"], len(ledger)
+        assert steps > 1 and rows > 2
+        assert counts == {
+            "inverse": 8 * steps + 9 * rows + 1,
+            "forward": 4 * steps + 2 * rows,
+            "half": 0,
+        }
 
 
 class TestCflBound:
