@@ -20,8 +20,8 @@ so a step of `run` takes 8 inverse and 4 forward band transforms.  A ledger
 row reads the same samples, so it costs the state no transform of its own.
 The product is `spectral_core.rotational_product`, which the ledger's
 multiplier route shares.  States and `nonlinear_rhs` values cross the public
-API as full-spectrum fields, rebuilt exactly Hermitian by
-`spectral_core.full_spectrum`.
+API as full-spectrum fields, written straight from the band, exactly
+Hermitian, by `spectral_core.full_spectrum`.
 """
 
 from __future__ import annotations
@@ -95,9 +95,7 @@ class SimulationConfig:
 
 def _band_field(coef: np.ndarray, grid: SpectralGrid) -> VectorField:
     """The exactly Hermitian full-spectrum field with band coefficients `coef`."""
-    half = np.zeros((3, grid.n, grid.n, grid.half_modes), dtype=np.complex128)
-    half[grid.band.positions] = coef
-    return VectorField(grid, spectral_core.full_spectrum(half, grid.n), SPECTRAL)
+    return VectorField(grid, spectral_core.full_spectrum(coef, grid.n), SPECTRAL)
 
 
 @dataclass
@@ -245,8 +243,14 @@ def step(state: TrajectoryState, dt: float) -> TrajectoryState:
 
 
 def _abort_if_not_finite(state: TrajectoryState) -> None:
-    peak = float(np.max(np.abs(state.u_hat.data)))
-    if not math.isfinite(peak):
+    """Raise NumericalBlowupError if the state holds a non-finite coefficient.
+
+    A stepped state is written from its band, so the band is checked; the
+    initial data may hold any mode, and a non-finite one outside the band
+    must abort the run rather than fail `gather_band`.
+    """
+    coef = state.band if state.step_index else state.u_hat.data
+    if not np.isfinite(coef).all():
         raise NumericalBlowupError(
             f"non-finite coefficients at t={state.t} (step {state.step_index})"
         )

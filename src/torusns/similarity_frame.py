@@ -20,12 +20,12 @@ Both run on the dealias band of the real field (`spectral_core`), gathered
 once per route by `spectral_core.gather_band`, which rejects a field with a
 coefficient outside the band.  Every inverse transform is `band_to_physical`
 and both products, F[(u . grad) u] and F[w x curl w], go through
-`band_to_spectral`, so their sums pair them with band modes only.  The one
-array the routes share is the state's samples, `TrajectoryState.samples`,
-which neither route computes: a ledger row passes them to both, and a caller
-that omits them has each route transform the band itself.  Each route
-evaluates the radial profiles once, on the distinct |k| values of the band
-(`DealiasBand.shells`).
+`band_to_spectral`; every spectral sum is a `spectral_core.band_sum` over
+the band's modes.  The one array the routes share is the state's samples,
+`TrajectoryState.samples`, which neither route computes: a ledger row passes
+them to both, and a caller that omits them has each route transform the band
+itself.  Each route evaluates the radial profiles once, on the distinct |k|
+values of the band (`DealiasBand.shells`).
 The signed integrals use different algebra in the two routes: the scaling
 route takes the gradient-tensor quadrature tr(G^T G G) and the convective
 coupling of `spectral_core.nonlinear_integrals`, the multiplier route the
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import spectral_core
 from .multiplier_bank import MultiplierSet
-from .spectral_core import SPECTRAL, VectorField, half_spectrum_sum, make_grid
+from .spectral_core import SPECTRAL, VectorField, band_sum, make_grid
 
 #: Normative scaling exponents: functional(w) = s**power * functional(u).
 #: Squared integral quantities unless noted; `sup` and `l4` are plain norms.
@@ -236,7 +236,7 @@ def w_functionals_scaling_route(
         coef, u, band.wavevectors, g.volume
     )
     power = np.sum(np.abs(coef) ** 2, axis=0)
-    l2_u, h1_u, h2_u = (g.volume * half_spectrum_sum(band.k_sq**p * power) for p in (0, 1, 2))
+    l2_u, h1_u, h2_u = (g.volume * band_sum(band.k_sq**p * power) for p in (0, 1, 2))
     sup_u = float(np.sqrt(np.max(np.sum(u**2, axis=0))))
 
     prof = mults.profiles(root * band.shells)
@@ -306,16 +306,16 @@ def w_functionals_multiplier_route(
     )
 
     return WFunctionals(
-        w_l2_sq=pref * half_spectrum_sum(power),
-        w_h1_sq=pref * half_spectrum_sum(xi_sq * power),
-        w_h2_sq=pref * half_spectrum_sum(xi_sq**2 * power),
+        w_l2_sq=pref * band_sum(power),
+        w_h1_sq=pref * band_sum(xi_sq * power),
+        w_h2_sq=pref * band_sum(xi_sq**2 * power),
         w_sup=w_sup,
-        low_l2_sq=pref * half_spectrum_sum(phi_xi**2 * power),
-        e_low=pref * half_spectrum_sum((prof.chi**2)[index] * power),
-        e_high=pref * half_spectrum_sum((prof.sqrt_one_minus_phi_sq**2)[index] * power),
+        low_l2_sq=pref * band_sum(phi_xi**2 * power),
+        e_low=pref * band_sum((prof.chi**2)[index] * power),
+        e_high=pref * band_sum((prof.sqrt_one_minus_phi_sq**2)[index] * power),
         low_l4=scale_factor("l4", s) * float((np.sum(low_mag_sq**2) * g.cell_volume) ** 0.25),
         low_sup=root * float(np.sqrt(np.max(low_mag_sq))),
-        grad_high_sq=pref * half_spectrum_sum(xi_sq * (prof.one_minus_phi**2)[index] * power),
+        grad_high_sq=pref * band_sum(xi_sq * (prof.one_minus_phi**2)[index] * power),
         trilinear=trilinear,
         lap_coupling=lap_coupling,
         trilinear_scale=tri_scale,

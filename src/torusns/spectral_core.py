@@ -20,21 +20,20 @@ use the trapezoidal (here: exact for band-limited fields) quadrature weight
 Every function of a VectorField takes it in one representation, spectral
 except for `to_spectral`, and raises RepresentationError on the other.
 Nothing transforms implicitly: a function that needs physical samples says
-so and calls `to_physical` or `half_to_physical` itself.
+so and calls `to_physical` or `band_to_physical` itself.
 
-Besides the full lattice (3, n, n, n) there are two layouts of the
-coefficients of a real field, both holding the modes with m3 >= 0:
-
-- the half spectrum (..., n, n, n//2 + 1), moved by `half_to_physical` and
-  `half_to_spectral`;
-- the dealias band (..., K, K, c + 1), the modes the two-thirds rule keeps:
-  |m_j| <= c on every axis, with c the largest integer such that 3c < n and
-  K = 2c + 1.  Along the first two axes the kept modes sit in FFT order
-  0..c, -c..-1.  `band_to_physical` and `band_to_spectral` move it with the
-  one-dimensional transforms of the half-spectrum pair, skipping the columns
-  that are zero outside the band, and agree with that pair bit for bit.
-  `gather_band` takes it from a full-spectrum field and rejects a field
-  with a coefficient outside it.
+Besides the full lattice (3, n, n, n) of a VectorField, the coefficients of
+a real field have one layout, the dealias band (..., K, K, c + 1): the modes
+with m3 >= 0 that the two-thirds rule keeps, |m_j| <= c on every axis, with
+c the largest integer such that 3c < n and K = 2c + 1.  Along the first two
+axes the kept modes sit in FFT order 0..c, -c..-1.  `gather_band` takes the
+band from a full-spectrum field and rejects a field with a coefficient
+outside it; `full_spectrum` rebuilds the exactly Hermitian full lattice.
+`band_to_physical` and `band_to_spectral` move the band with the
+one-dimensional transforms of the half-spectrum pair `half_to_physical` and
+`half_to_spectral`, skipping the columns that are zero outside the band, and
+agree with that pair bit for bit; the half-spectrum pair is kept only as
+that reference.
 
 The RK4 step of `ns_dynamics` runs on the band: 8 inverse and 4 forward band
 transforms per step.  So do both routes of a `similarity_frame` ledger row:
@@ -42,11 +41,9 @@ transforms per step.  So do both routes of a `similarity_frame` ledger row:
 phi, chi and sqrt(1 - phi^2) filtered fields, the curl of the high part, the
 low part and omega) and 2 forward ones (F[(u . grad) u] and F[w x curl w])
 per row, besides the state's samples, which the row reads and does not
-compute.  `gradient_tensor`, `rotational_product`, `nonlinear_integrals`,
-`rotational_integrals` and `half_spectrum_sum` read the layout of their
-coefficients from the last axis.  The half spectrum stays for
-`convective_product`, `trilinear_form` and `advective_laplacian_form`, which
-take arbitrary fields and serve as the analytic oracles.
+compute.  The analytic oracles `convective_product`, `trilinear_form` and
+`advective_laplacian_form` gather the band of their field and run the same
+kernels, so they check what a run computes.
 """
 
 from __future__ import annotations
@@ -95,12 +92,19 @@ def band_cutoff(n: int) -> int:
     return (n - 1) // 3
 
 
+def _band_positions(n: int) -> tuple:
+    """Index of the band in the modes m3 >= 0 of a full-spectrum array."""
+    c = band_cutoff(n)
+    kept = np.concatenate((np.arange(c + 1), np.arange(n - c, n)))
+    return (Ellipsis, kept[:, None], kept, slice(0, c + 1))
+
+
 @dataclass(frozen=True, eq=False)
 class DealiasBand:
     """The lattice geometry of the dealias band layout (see the module docstring).
 
-    `coef[positions]` gathers the band from a full or half-spectrum array,
-    and `half[positions] = band` scatters it back.  `k` holds the three
+    `coef[positions]` gathers the band from a full-spectrum array, and
+    `full[positions] = band` scatters it back.  `k` holds the three
     wavevector components as broadcastable axes of the band, `wavevectors`
     stacks them to (3, K, K, c + 1), and `k_sq` is |k|^2 there.  `shells`
     holds the distinct values of |k| on the band and `shell_index` the
@@ -150,10 +154,9 @@ class SpectralGrid:
         # Built here rather than on first use: arrays that live as long as
         # the grid, allocated before the first field, stay out of the way of
         # the step's temporaries in the heap (peak RSS).
-        c = band_cutoff(n)
-        kept = np.concatenate((np.arange(c + 1), np.arange(n - c, n)))
-        positions = (Ellipsis, kept[:, None], kept, slice(0, c + 1))
-        band_k = (k[0][kept], k[1][:, kept], k[2][..., : c + 1])
+        positions = _band_positions(n)
+        _, _, kept, planes = positions
+        band_k = (k[0][kept], k[1][:, kept], k[2][..., planes])
         band_k_sq = k_sq[positions]
         shells, shell_index = np.unique(np.sqrt(band_k_sq), return_inverse=True)
         band = DealiasBand(
@@ -177,20 +180,10 @@ class SpectralGrid:
     def num_modes(self) -> int:
         return self.n**3
 
-    @property
-    def half_modes(self) -> int:
-        """Length n//2 + 1 of the last axis in the half-spectrum layout."""
-        return self.n // 2 + 1
-
     @cached_property
     def wavevectors(self) -> np.ndarray:
         """The three wavevector components stacked into one (3, n, n, n) array."""
         return np.stack(np.broadcast_arrays(*self.k))
-
-    @property
-    def half_k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The three wavevector components as broadcastable axes of the half lattice."""
-        return self.k[0], self.k[1], self.k[2][..., : self.half_modes]
 
     @property
     def max_wavenumber(self) -> float:
@@ -267,12 +260,18 @@ def half_to_spectral(values: np.ndarray) -> np.ndarray:
     The result has shape (..., n, n, n//2 + 1): the modes with m3 >= 0 of the
     module normalization; the others follow from coef(-k) = conj(coef(k)).
     Leading axes (vector and tensor components) are transformed as a batch.
+    No computation uses it: it is the unpruned reference that
+    `band_to_spectral` is tested against bit for bit.
     """
     return scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward", workers=get_fft_workers())
 
 
 def half_to_physical(coef: np.ndarray, n: int) -> np.ndarray:
-    """Inverse real transform of half-spectrum coefficients to (..., n, n, n) samples."""
+    """Inverse real transform of half-spectrum coefficients to (..., n, n, n) samples.
+
+    No computation uses it: it is the unpruned reference that
+    `band_to_physical` is tested against bit for bit.
+    """
     return scipy.fft.irfftn(
         coef, s=(n, n, n), axes=(-3, -2, -1), norm="forward", workers=get_fft_workers()
     )
@@ -284,8 +283,9 @@ def band_to_physical(coef: np.ndarray, n: int) -> np.ndarray:
 
     The one-dimensional transforms of `half_to_physical` in its order: along
     axis -3 on the band's (m2, m3) columns only, along -2 on its m3 columns
-    only, then the real transform along -1.  The result equals
-    `half_to_physical` of the same modes bit for bit.
+    only, then the real transform along -1, which pads the c + 1 columns to
+    n//2 + 1 itself.  The result equals `half_to_physical` of the same modes
+    bit for bit.
     """
     c = band_cutoff(n)
     lead = coef.shape[:-3]
@@ -299,12 +299,8 @@ def band_to_physical(coef: np.ndarray, n: int) -> np.ndarray:
     rows[..., : c + 1, :] = cols[..., : c + 1, :]
     rows[..., c + 1 : n - c, :] = 0.0
     rows[..., n - c :, :] = cols[..., c + 1 :, :]
-    half = np.empty(lead + (n, n, n // 2 + 1), dtype=np.complex128)
-    half[..., c + 1 :] = 0.0
-    half[..., : c + 1] = scipy.fft.ifft(
-        rows, axis=-2, norm="forward", overwrite_x=True, workers=workers
-    )
-    return scipy.fft.irfft(half, n=n, axis=-1, norm="forward", overwrite_x=True, workers=workers)
+    rows = scipy.fft.ifft(rows, axis=-2, norm="forward", overwrite_x=True, workers=workers)
+    return scipy.fft.irfft(rows, n=n, axis=-1, norm="forward", overwrite_x=True, workers=workers)
 
 
 def band_to_spectral(values: np.ndarray) -> np.ndarray:
@@ -359,21 +355,22 @@ def _reflect_modes(planes: np.ndarray) -> np.ndarray:
     return np.roll(planes[:, ::-1, ::-1], 1, axis=(1, 2))
 
 
-def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
-    """The (3, n, n, n) coefficients of the real field with half spectrum `half`.
+def full_spectrum(band: np.ndarray, n: int) -> np.ndarray:
+    """The (3, n, n, n) coefficients of the real field with dealias-band
+    coefficients `band`; every mode outside the band and its mirror is zero.
 
-    The planes m3 = 0 and m3 = n/2 are their own mirror images and are first
-    made exactly Hermitian, 0.5 * (P + conj(P[-m1, -m2])); the modes m3 < 0
-    are then copied as conj(coef(-k)).  The result satisfies
-    coef(-k) = conj(coef(k)) bitwise, so `hermitian_defect` reads 0.0.
+    The plane m3 = 0 is its own mirror image and is first made exactly
+    Hermitian, 0.5 * (P + conj(P[-m1, -m2])); the modes m3 < 0 are then
+    written as conj(coef(-k)).  The result satisfies coef(-k) = conj(coef(k))
+    bitwise, so `hermitian_defect` reads 0.0.
     """
-    h = n // 2 + 1
-    out = np.empty(half.shape[:3] + (n,), dtype=np.complex128)
-    out[..., :h] = half
-    for m3 in (0, n // 2):
-        plane = out[..., m3]
-        out[..., m3] = 0.5 * (plane + np.conj(_reflect_modes(plane)))
-    out[..., h:] = np.conj(_reflect_modes(out[..., h - 2 : 0 : -1]))
+    positions = _band_positions(n)
+    c = band_cutoff(n)
+    herm = band.copy()
+    herm[..., 0] = 0.5 * (band[..., 0] + np.conj(_reflect_modes(band[..., 0])))
+    out = np.zeros(band.shape[:1] + (n, n, n), dtype=np.complex128)
+    out[positions] = herm
+    out[positions[:3] + (slice(n - c, n),)] = np.conj(_reflect_modes(herm[..., c:0:-1]))
     return out
 
 
@@ -381,7 +378,7 @@ def project_coefficients(coef: np.ndarray, kvec: np.ndarray, k_sq: np.ndarray) -
     """Array form of the Leray projection: coef - kvec (kvec . coef) / |k|^2.
 
     `coef` is (3, ...) and `kvec` stacks the three wavevector components on
-    the same lattice, full spectrum or half spectrum alike.  The k=0 mode is
+    the same lattice, full spectrum or band alike.  The k=0 mode is
     left unchanged.
     """
     k_dot = kvec[0] * coef[0] + kvec[1] * coef[1] + kvec[2] * coef[2]
@@ -506,27 +503,17 @@ def hermitian_defect(field: VectorField) -> float:
     return float(defect / scale)
 
 
-def _transforms(coef: np.ndarray, n: int):
-    """The inverse and forward real transforms of `coef`'s layout, read from
-    its last axis: n//2 + 1 entries for the half spectrum, c + 1 for the band."""
-    if coef.shape[-1] == n // 2 + 1:
-        return half_to_physical, half_to_spectral
-    return band_to_physical, band_to_spectral
-
-
 def gradient_tensor(coef: np.ndarray, kvec: np.ndarray, n: int) -> np.ndarray:
-    """Samples grads[j, c] = d_j f_c of the real field with coefficients `coef`
-    on the half spectrum or the band (see `_transforms`).
+    """Samples grads[j, c] = d_j f_c of the real field with band coefficients `coef`.
 
-    `kvec` stacks the three wavevector components on the same layout of the
-    field's box.  Each row j takes one inverse real 3-vector transform into
-    one preallocated array: a single 9-component batch would hold three times
+    `kvec` stacks the three wavevector components on the band of the field's
+    box.  Each row j takes one inverse band 3-vector transform into one
+    preallocated array: a single 9-component batch would hold three times
     the transforms' staging buffers at once.
     """
-    inverse, _ = _transforms(coef, n)
     grads = np.empty((3, 3, n, n, n))
     for j in range(3):
-        grads[j] = inverse(1j * kvec[j] * coef, n)
+        grads[j] = band_to_physical(1j * kvec[j] * coef, n)
     return grads
 
 
@@ -541,23 +528,21 @@ def _cross(a, b) -> np.ndarray:
 
 
 def half_curl(coef: np.ndarray, k) -> np.ndarray:
-    """Half spectrum (or band) i k x coef of curl f; `k` holds the three
-    wavevector components of the same lattice, stacked or as broadcastable axes."""
+    """The coefficients i k x coef of curl f, on the layout of `coef`; `k` holds
+    the three wavevector components there, stacked or as broadcastable axes."""
     return _cross([1j * k[0], 1j * k[1], 1j * k[2]], coef)
 
 
 def rotational_product(u: np.ndarray, coef: np.ndarray, k) -> np.ndarray:
-    """Half spectrum of u x omega, omega = curl u, for the real field with
-    samples `u` and half spectrum `coef` on wavevectors `k` (as in `half_curl`).
+    """Band coefficients of u x omega, omega = curl u, for the real field with
+    samples `u` and band coefficients `coef` on the band wavevectors `k` (as
+    in `half_curl`).
 
-    Not dealiased: one inverse and one forward real 3-vector transform.  A
-    `coef` whose last axis has c + 1 entries rather than n//2 + 1 is in the
-    dealias band layout, with `k` on the band: the transforms are then the
-    pruned band pair, and the result is the band of the product, which is
-    also its dealiased transform.
+    One inverse and one forward band 3-vector transform.  The result is the
+    band of the product, which is also its dealiased transform.
     """
-    inverse, forward = _transforms(coef, u.shape[-1])
-    return forward(_cross(u, inverse(half_curl(coef, k), u.shape[-1])))
+    n = u.shape[-1]
+    return band_to_spectral(_cross(u, band_to_physical(half_curl(coef, k), n)))
 
 
 def _advect(u: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -565,18 +550,13 @@ def _advect(u: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return u[0] * grads[0] + u[1] * grads[1] + u[2] * grads[2]
 
 
-def half_spectrum_sum(values: np.ndarray) -> float:
-    """The full-spectrum sum of a real, even function of k given on the modes
-    m3 >= 0, in the half-spectrum or the band layout.
+def band_sum(values: np.ndarray) -> float:
+    """The full-spectrum sum of a real, even function of k given on the band.
 
-    Every mode with 0 < m3 < n/2 stands for itself and its mirror -k; the
-    planes m3 = 0 and m3 = n/2 are their own mirror images and count once.
-    The band has no m3 = n/2 plane; its layout shows in the last axis, whose
-    c + 1 entries make the K = 2c + 1 rows of the axis before it.
+    Every mode with m3 > 0 stands for itself and its mirror -k; the plane
+    m3 = 0 is its own mirror image and counts once.
     """
-    if values.shape[-2] == 2 * values.shape[-1] - 1:
-        return float(np.sum(values[..., 0]) + 2.0 * np.sum(values[..., 1:]))
-    return float(np.sum(values[..., 0]) + np.sum(values[..., -1]) + 2.0 * np.sum(values[..., 1:-1]))
+    return float(np.sum(values[..., 0]) + 2.0 * np.sum(values[..., 1:]))
 
 
 def nonlinear_integrals(
@@ -584,27 +564,25 @@ def nonlinear_integrals(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """The gradient triple product and the Laplacian coupling, each with its majorant.
 
-    `coef` holds the coefficients of a real field f on the half spectrum or
-    the band (see `_transforms`), `u` its samples and `kvec` the wavevectors
-    on the same layout of a box of volume `volume`.  With
+    `coef` holds the band coefficients of a real field f, `u` its samples and
+    `kvec` the band wavevectors of a box of volume `volume`.  With
     G[j, c] = d_j f_c, the triple product sum_{j,k,l} int d_j f_k d_j f_l d_l f_k dx
     is the contraction int tr(G^T G G) dx, bounded by int |G|^3 dx; collocation
     quadrature is exact for it while 3 * max_mode < n.  The coupling
     int (Lap f) . Lap((f . grad) f) dx pairs |k|^4 under Plancherel and is
-    bounded by Cauchy-Schwarz over the modes of `coef`'s layout.  Returns
+    bounded by Cauchy-Schwarz over the band.  Returns
     ((triple, majorant), (coupling, majorant)).
     """
     n = u.shape[-1]
     cell = volume / n**3
-    _, forward = _transforms(coef, n)
     grads = gradient_tensor(coef, kvec, n)
     triple = float(np.einsum("jkxyz,jlxyz,lkxyz->", grads, grads, grads)) * cell
     mag_cubed = np.einsum("jkxyz,jkxyz->xyz", grads, grads) ** 1.5
-    conv_hat = forward(_advect(u, grads))
+    conv_hat = band_to_spectral(_advect(u, grads))
     w4 = np.sum(kvec**2, axis=0) ** 2
-    coupling = volume * half_spectrum_sum(w4 * np.sum(np.real(coef * np.conj(conv_hat)), axis=0))
-    lap_f = volume * half_spectrum_sum(w4 * np.sum(np.abs(coef) ** 2, axis=0))
-    lap_c = volume * half_spectrum_sum(w4 * np.sum(np.abs(conv_hat) ** 2, axis=0))
+    coupling = volume * band_sum(w4 * np.sum(np.real(coef * np.conj(conv_hat)), axis=0))
+    lap_f = volume * band_sum(w4 * np.sum(np.abs(coef) ** 2, axis=0))
+    lap_c = volume * band_sum(w4 * np.sum(np.abs(conv_hat) ** 2, axis=0))
     return (triple, float(np.sum(mag_cubed)) * cell), (coupling, float(np.sqrt(lap_f * lap_c)))
 
 
@@ -622,7 +600,7 @@ def rotational_integrals(
         triple = -V sum |k|^2 Re(conj(coef) . lam),
         coupling = -V sum |k|^4 Re(conj(coef) . lam),
 
-    each bounded by Cauchy-Schwarz over the modes of `coef`'s layout.
+    each bounded by Cauchy-Schwarz over the band.
     Arguments as in `nonlinear_integrals`, except that `k` may be three
     broadcastable axes.  Returns
     ((triple, majorant), (coupling, majorant)).
@@ -631,33 +609,33 @@ def rotational_integrals(
     k_sq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
     pair = np.sum(np.real(np.conj(coef) * lam), axis=0)
     lam_power = np.sum(np.abs(lam) ** 2, axis=0)
-    lap_f = volume * half_spectrum_sum(k_sq**2 * np.sum(np.abs(coef) ** 2, axis=0))
-    triple = -volume * half_spectrum_sum(k_sq * pair)
-    coupling = -volume * half_spectrum_sum(k_sq**2 * pair)
-    tri_scale = float(np.sqrt(lap_f * volume * half_spectrum_sum(lam_power)))
-    lap_scale = float(np.sqrt(lap_f * volume * half_spectrum_sum(k_sq**2 * lam_power)))
+    lap_f = volume * band_sum(k_sq**2 * np.sum(np.abs(coef) ** 2, axis=0))
+    triple = -volume * band_sum(k_sq * pair)
+    coupling = -volume * band_sum(k_sq**2 * pair)
+    tri_scale = float(np.sqrt(lap_f * volume * band_sum(lam_power)))
+    lap_scale = float(np.sqrt(lap_f * volume * band_sum(k_sq**2 * lam_power)))
     return (triple, tri_scale), (coupling, lap_scale)
 
 
-def half_terms(field: VectorField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Half spectrum, samples and half-lattice wavevectors of a real spectral field."""
-    field.require(SPECTRAL)
+def band_terms(field: VectorField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Band coefficients (`gather_band`), samples and band wavevectors of a
+    real spectral field.  Raises ValueError for a coefficient outside the band."""
+    coef = gather_band(field)
     g = field.grid
-    coef = field.data[..., : g.half_modes]
-    return coef, half_to_physical(coef, g.n), g.wavevectors[..., : g.half_modes]
+    return coef, band_to_physical(coef, g.n), g.band.wavevectors
 
 
 def convective_product(field: VectorField) -> VectorField:
     """Pointwise advection product (u . grad) u of a real spectral field, in physical space."""
-    coef, u, kvec = half_terms(field)
+    coef, u, kvec = band_terms(field)
     return VectorField(field.grid, _advect(u, gradient_tensor(coef, kvec, field.grid.n)), PHYSICAL)
 
 
 def trilinear_form(field: VectorField) -> float:
     """The gradient triple product of a real spectral field; see `nonlinear_integrals`."""
-    return nonlinear_integrals(*half_terms(field), field.grid.volume)[0][0]
+    return nonlinear_integrals(*band_terms(field), field.grid.volume)[0][0]
 
 
 def advective_laplacian_form(field: VectorField) -> float:
     """The coupling integral int (Lap f) . Lap((f . grad) f) dx of a real spectral field."""
-    return nonlinear_integrals(*half_terms(field), field.grid.volume)[1][0]
+    return nonlinear_integrals(*band_terms(field), field.grid.volume)[1][0]

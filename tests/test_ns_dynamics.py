@@ -13,11 +13,13 @@ from torusns.ns_dynamics import NumericalBlowupError, TrajectoryState, _ledger_r
 from torusns.spectral_core import (
     SPECTRAL,
     VectorField,
+    advective_laplacian_form,
     convective_product,
     dealias,
     divergence_ratio,
     hermitian_defect,
     inner_l2,
+    trilinear_form,
     zero_field,
 )
 
@@ -34,13 +36,16 @@ def single_mode_state(grid, k_index=(1, 0, 0), amplitude=1.0):
 
 def half_spectrum_step(state, dt):
     """Reference RK4 step with every stage on the half spectrum
-    (3, n, n, n//2 + 1), dealiased by masking; returns the new coefficients."""
+    (3, n, n, n//2 + 1), through the unpruned real transforms, dealiased by
+    masking; returns the new coefficients."""
     grid = state.u_hat.grid
-    h = grid.half_modes
+    h = grid.n // 2 + 1
+    ik = [1j * grid.k[0], 1j * grid.k[1], 1j * grid.k[2][..., :h]]
 
     def rhs(coef):
         u = spectral_core.half_to_physical(coef, grid.n)
-        lamb = spectral_core.rotational_product(u, coef, grid.half_k)
+        omega = spectral_core.half_to_physical(spectral_core._cross(ik, coef), grid.n)
+        lamb = spectral_core.half_to_spectral(spectral_core._cross(u, omega))
         lamb *= grid.dealias_mask[..., :h]
         out = spectral_core.project_coefficients(
             lamb, grid.wavevectors[..., :h], grid.k_sq[..., :h]
@@ -56,7 +61,7 @@ def half_spectrum_step(state, dt):
     kc = dt * rhs(e_half * u0 + 0.5 * kb)
     kd = dt * rhs(e_full * u0 + e_half * kc)
     u1 = e_full * u0 + (e_full * ka + 2.0 * e_half * (kb + kc) + kd) / 6.0
-    return spectral_core.full_spectrum(u1, grid.n)
+    return spectral_core.full_spectrum(u1[grid.band.positions], grid.n)
 
 
 class TestInitialData:
@@ -265,6 +270,9 @@ class TestDealiasBandStages:
             for route in (tn.w_functionals_scaling_route, tn.w_functionals_multiplier_route):
                 with pytest.raises(ValueError, match="outside the dealias band"):
                     route(state.u_hat, clock, mults)
+            for oracle in (trilinear_form, advective_laplacian_form, convective_product):
+                with pytest.raises(ValueError, match="outside the dealias band"):
+                    oracle(state.u_hat)
 
     def test_eight_inverse_transforms_per_step(self, monkeypatch):
         # cfl_dt, the first stage and both routes of a row share the state's

@@ -222,7 +222,7 @@ class TestTwoRoutes:
 
     def test_ledger_row_transforms(self, monkeypatch):
         # a row of an exactly Hermitian state runs on real transforms of the
-        # half spectrum: the one complex transform is the one inside norms,
+        # dealias band: the one complex transform is the one inside norms,
         # which runs once, and no w-grid is built
         config = tn.SimulationConfig(n=16, delta=0.01, horizon=0.03)
         state = ns_dynamics.TrajectoryState(tn.make_initial_data(config), 0.0, 0, 0.0)

@@ -132,22 +132,23 @@ class TestHalfSpectrum:
         f = random_field_factory(grid16, rng)
         phys = tn.to_physical(f).data
         half = tn.spectral_core.half_to_spectral(phys)
-        assert half.shape == (3, 16, 16, grid16.half_modes)
+        assert half.shape == (3, 16, 16, 9)
         assert np.max(np.abs(half - f.data[..., :9])) <= 1e-14 * np.max(np.abs(f.data))
         back = tn.spectral_core.half_to_physical(half, 16)
         assert np.max(np.abs(back - phys)) <= 1e-13 * np.max(np.abs(phys))
 
-    def test_full_spectrum_is_exactly_hermitian(self, grid16, rng):
-        values = rng.standard_normal((3, 16, 16, 16))
-        half = tn.spectral_core.half_to_spectral(values)
-        full = tn.spectral_core.full_spectrum(half, 16)
-        assert hermitian_defect(VectorField(grid16, full, SPECTRAL)) == 0.0
-        expected = tn.to_spectral(VectorField(grid16, values, PHYSICAL)).data
-        assert np.max(np.abs(full - expected)) <= 1e-14 * np.max(np.abs(expected))
-        # even a half spectrum whose self-mirrored planes are not Hermitian
-        noisy = half + 1e-3 * (rng.standard_normal(half.shape) + 1j)
-        full = tn.spectral_core.full_spectrum(noisy, 16)
-        assert hermitian_defect(VectorField(grid16, full, SPECTRAL)) == 0.0
+    def test_full_spectrum_is_exactly_hermitian(self, rng):
+        for n in (16, 24, 32):
+            grid = tn.make_grid(n)
+            band = spectral_core.band_to_spectral(rng.standard_normal((3, n, n, n)))
+            # and a band whose m3 = 0 plane is not Hermitian
+            noisy = band + 1e-3 * (rng.standard_normal(band.shape) + 1j)
+            for coef in (band, noisy):
+                full = spectral_core.full_spectrum(coef, n)
+                assert hermitian_defect(VectorField(grid, full, SPECTRAL)) == 0.0
+                samples = VectorField(grid, spectral_core.band_to_physical(coef, n), PHYSICAL)
+                expected = tn.to_spectral(samples).data
+                assert np.max(np.abs(full - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestDealiasBand:
@@ -157,7 +158,7 @@ class TestDealiasBand:
         band = grid.band
         shape = (3,) + band.k_sq.shape
         coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        half = np.zeros((3, n, n, grid.half_modes), dtype=complex)
+        half = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
         half[band.positions] = coef
         samples = spectral_core.half_to_physical(half, n)
         assert np.array_equal(spectral_core.band_to_physical(coef, n), samples)
@@ -170,9 +171,9 @@ class TestDealiasBand:
         grid = tn.make_grid(n)
         c = spectral_core.band_cutoff(n)
         assert 3 * c < n <= 3 * (c + 1)
-        kept = np.zeros((n, n, grid.half_modes), dtype=bool)
+        kept = np.zeros((n, n, n // 2 + 1), dtype=bool)
         kept[grid.band.positions] = True
-        assert np.array_equal(kept, grid.dealias_mask[..., : grid.half_modes])
+        assert np.array_equal(kept, grid.dealias_mask[..., : n // 2 + 1])
         assert np.array_equal(grid.band.k_sq, grid.k_sq[grid.band.positions])
 
     @pytest.mark.parametrize("n", [16, 32, 64])
@@ -190,10 +191,10 @@ class TestDealiasBand:
             field = tn.dealias(
                 random_field_factory(grid, rng, k_max=np.inf, divergence_free=True)
             )
-            terms = spectral_core.half_terms(field)
+            terms = spectral_core.band_terms(field)
             gradient = spectral_core.nonlinear_integrals(*terms, grid.volume)
             coef, u, _ = terms
-            rotational = spectral_core.rotational_integrals(coef, u, grid.half_k, grid.volume)
+            rotational = spectral_core.rotational_integrals(coef, u, grid.band.k, grid.volume)
             for (a, scale_a), (b, scale_b) in zip(gradient, rotational):
                 assert abs(a - b) <= 1e-15 * max(scale_a, scale_b)
 
@@ -387,14 +388,15 @@ class TestNonlinearFunctionals:
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_rotational_integrals_match_gradient_quadrature(self, n, rng, random_field_factory):
         # divergence-free fields on the ball |m| <= n/3, where the collocation
-        # quadrature of a triple product is exact (n = 24 is a multiple of 3)
+        # quadrature of a triple product is exact; at n = 24 the ball holds
+        # m = 8, which lies outside the band (c = 7), so the field is dealiased
         grid = tn.make_grid(n)
         for _ in range(2):
-            field = random_field_factory(grid, rng, divergence_free=True)
-            terms = spectral_core.half_terms(field)
+            field = tn.dealias(random_field_factory(grid, rng, divergence_free=True))
+            terms = spectral_core.band_terms(field)
             gradient = spectral_core.nonlinear_integrals(*terms, grid.volume)
             coef, u, _ = terms
-            rotational = spectral_core.rotational_integrals(coef, u, grid.half_k, grid.volume)
+            rotational = spectral_core.rotational_integrals(coef, u, grid.band.k, grid.volume)
             for (a, scale_a), (b, scale_b) in zip(gradient, rotational):
                 assert abs(a) > 1e-6 * scale_a  # not a roundoff-level cancellation
                 assert abs(a - b) <= 1e-12 * max(scale_a, scale_b)
