@@ -217,31 +217,30 @@ def _local_spacing(tau: np.ndarray) -> np.ndarray:
     return h
 
 
-def _window_max(values: np.ndarray, half_width: int = 2) -> np.ndarray:
-    """Max of each entry's window of 2 * half_width + 1 neighbours, with the
-    series extended by its end values (so near the ends the window shrinks)."""
-    padded = np.pad(values, half_width, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half_width + 1)
+def _window_max(values: np.ndarray) -> np.ndarray:
+    """Max of each entry's window of five neighbours, with the series
+    extended by its end values (so near the ends the window shrinks)."""
+    padded = np.pad(values, 2, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 5)
     return windows.max(axis=1)
 
 
-def differencing_tolerance(
-    tau: np.ndarray, values: np.ndarray, safety: float = 4.0
-) -> np.ndarray:
+def differencing_tolerance(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Rowwise error budget for d_dtau applied to `values`.
 
-    The leading truncation error of the centered stencil is h^2 |f'''| / 6;
-    the third derivative is estimated from the series itself (the max over a
-    window of five rows, so isolated dips do not understate it) and the
-    roundoff/route floor of the differenced data is added.  Endpoint rows get
-    four times the budget: the one-sided stencils carry larger constants.
+    The leading truncation error of the centered stencil is h^2 |f'''| / 6,
+    budgeted four times over; the third derivative is estimated from the
+    series itself (the max over a window of five rows, so isolated dips do not
+    understate it) and the roundoff/route floor of the differenced data is
+    added.  Endpoint rows get four times the budget: the one-sided stencils
+    carry larger constants.
     """
     tau = np.asarray(tau, dtype=float)
     values = np.asarray(values, dtype=float)
     d3 = d_dtau(tau, d_dtau(tau, d_dtau(tau, values)))
     d3_mag = _window_max(np.abs(d3))
     h = _local_spacing(tau)
-    truncation = safety * h**2 * d3_mag / 6.0
+    truncation = 4.0 * h**2 * d3_mag / 6.0
     data_floor = (ROUTE_GAP_LIMIT + 1e3 * np.finfo(float).eps) * np.abs(values)
     noise = 2.0 * data_floor / h
     tol = truncation + noise
@@ -264,13 +263,13 @@ def _tau_range(ledger: EnergyLedger) -> tuple[float, float]:
     return (float(tau[0]), float(tau[-1]))
 
 
-def _burn_in_index(tau: np.ndarray, burn_in: float) -> int:
-    """First row at or past tau[0] + burn_in (clamped to leave a tail)."""
-    idx = int(np.searchsorted(tau, tau[0] + burn_in))
+def _burn_in_index(tau: np.ndarray) -> int:
+    """First row at or past tau[0] + 1 (clamped to leave a tail)."""
+    idx = int(np.searchsorted(tau, tau[0] + 1.0))
     return min(idx, len(tau) - 2)
 
 
-def verify_l2_inequality(ledger: EnergyLedger, tol: float | None = None) -> InequalityReport:
+def verify_l2_inequality(ledger: EnergyLedger) -> InequalityReport:
     """Energy inequality: (1/2) d/dtau ||w||^2 <= -(||grad w||^2 - ||w||^2/4).
 
     Two residual streams are checked: the differenced rescaled energy against
@@ -285,11 +284,8 @@ def verify_l2_inequality(ledger: EnergyLedger, tol: float | None = None) -> Ineq
     lhs = 0.5 * d_dtau(tau, w2)
     rhs = -(h1 - 0.25 * w2)
     residual = lhs - rhs
-    if tol is None:
-        tol_rows = 0.5 * differencing_tolerance(tau, w2)
-        tol_rows += ROUTE_GAP_LIMIT * (h1 + 0.25 * w2)
-    else:
-        tol_rows = np.full_like(residual, float(tol))
+    tol_rows = 0.5 * differencing_tolerance(tau, w2)
+    tol_rows += ROUTE_GAP_LIMIT * (h1 + 0.25 * w2)
     res_a, tol_a, fired_a = _headline(residual, tol_rows)
 
     increments = np.diff(u2)
@@ -315,7 +311,7 @@ def verify_l2_inequality(ledger: EnergyLedger, tol: float | None = None) -> Ineq
     )
 
 
-def verify_h1_inequality(ledger: EnergyLedger, tol: float | None = None) -> InequalityReport:
+def verify_h1_inequality(ledger: EnergyLedger) -> InequalityReport:
     """Gradient-energy ladder: the raw dissipation inequality, a fitted
     offset certificate, and the exponential envelope that offset implies.
 
@@ -332,11 +328,8 @@ def verify_h1_inequality(ledger: EnergyLedger, tol: float | None = None) -> Ineq
 
     d1 = d_dtau(tau, f)
     raw_residual = d1 - (-2.0 * h2 - 0.5 * f - 2.0 * tri)
-    if tol is None:
-        tol_rows = differencing_tolerance(tau, f)
-        tol_rows += ROUTE_GAP_LIMIT * (2.0 * h2 + 0.5 * f + 2.0 * np.abs(tri))
-    else:
-        tol_rows = np.full_like(raw_residual, float(tol))
+    tol_rows = differencing_tolerance(tau, f)
+    tol_rows += ROUTE_GAP_LIMIT * (2.0 * h2 + 0.5 * f + 2.0 * np.abs(tri))
     res_a, tol_a, fired_a = _headline(raw_residual, tol_rows)
 
     offset_needed = d1 + h2 + 0.5 * f - tol_rows  # dead band absorbs stencil error
@@ -348,7 +341,7 @@ def verify_h1_inequality(ledger: EnergyLedger, tol: float | None = None) -> Ineq
     envelope_tol = 1e-8 * max(float(np.max(f)), 1e-300)
     fired_env = envelope_violation > envelope_tol
 
-    burn = _burn_in_index(tau, 1.0)
+    burn = _burn_in_index(tau)
     delta1 = float(np.sqrt(np.max(grad_high[burn:])))
 
     if fired_a or fired_env:
@@ -373,11 +366,7 @@ def verify_h1_inequality(ledger: EnergyLedger, tol: float | None = None) -> Ineq
     )
 
 
-def verify_h2_inequality(
-    ledger: EnergyLedger,
-    tol: float | None = None,
-    burn_in: float = 1.0,
-) -> InequalityReport:
+def verify_h2_inequality(ledger: EnergyLedger) -> InequalityReport:
     """Curvature-energy decay: rowwise inequality plus a tail decay-rate fit.
 
     The rowwise check uses d/dtau ||Lap w||^2 <= -(3/2)||Lap w||^2 - 2 K(w),
@@ -393,18 +382,15 @@ def verify_h2_inequality(
 
     d1 = d_dtau(tau, f)
     residual = d1 + 1.5 * f + 2.0 * lap
-    if tol is None:
-        tol_rows = differencing_tolerance(tau, f)
-        tol_rows += ROUTE_GAP_LIMIT * (1.5 * f + 2.0 * np.abs(lap))
-    else:
-        tol_rows = np.full_like(residual, float(tol))
+    tol_rows = differencing_tolerance(tau, f)
+    tol_rows += ROUTE_GAP_LIMIT * (1.5 * f + 2.0 * np.abs(lap))
     res_a, tol_a, fired_a = _headline(residual, tol_rows)
 
     h1_report = verify_h1_inequality(ledger)
     delta1 = h1_report.details["delta1"]
     rate_target = 1.5 - h1_report.certificate * delta1
 
-    start = _burn_in_index(tau, burn_in)
+    start = _burn_in_index(tau)
     tail = tau >= tau[start] + 1.0
     floor = 1e-30 * max(float(np.max(f)), 1e-300)
     rho = 0.0
@@ -443,7 +429,6 @@ def verify_decomposition_decay(
     ledger: EnergyLedger,
     alpha: float,
     tol: float = 0.05,
-    burn_in: float = 1.0,
 ) -> InequalityReport:
     """Split-energy decay: certificate fit, exponential envelope, and the
     vanishing of the low-norm and high-energy columns.
@@ -475,7 +460,7 @@ def verify_decomposition_decay(
     excess = energy - envelope
     res_env, tol_env, fired_env = _headline(excess, np.zeros_like(excess))
 
-    start = _burn_in_index(tau, burn_in)
+    start = _burn_in_index(tau)
     tail_ok = True
     tail_ratios = {}
     for name in ("low_l4", "low_sup", "E_high"):

@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -25,9 +26,9 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
-import scipy
+import scipy.fft
 
-from . import __version__, inequality_lab, multiplier_bank, ns_dynamics, spectral_core
+from . import __version__, inequality_lab, multiplier_bank, ns_dynamics
 from .inequality_lab import (
     HOLDS,
     HOLDS_WITH_CERTIFICATE,
@@ -383,13 +384,14 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {}
         if args.strict:
             overrides["strict"] = True
-            overrides["threads"] = 1
         if args.stride is not None:
             overrides["stride"] = args.stride
         if args.out is not None:
             overrides["out_dir"] = args.out
         if overrides:
             config = replace(config, **overrides)
+        # report.json records the worker count that runs
+        config = replace(config, threads=1 if config.strict else max(config.threads, _env_threads()))
     except ConfigError as exc:
         print(f"[torusns] config error: {exc}", file=sys.stderr)
         return 1
@@ -397,23 +399,28 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[torusns] cannot read config: {exc}", file=sys.stderr)
         return 1
 
-    spectral_core.set_fft_workers(
-        1 if config.strict else max(config.threads, spectral_core.fft_workers_from_env())
-    )
-
-    if args.command == "run":
-        return cmd_run(config, out_dir=args.out)
-    if args.command == "sweep":
-        return cmd_sweep(config, out_dir=args.out)
-    if args.command == "signcheck":
-        alphas = args.alphas or list(DEFAULT_ALPHAS)
-        return cmd_signcheck(alphas)
-    if args.command == "constants":
-        alphas = args.alphas or list(DEFAULT_ALPHAS)
-        return cmd_constants(alphas)
-    if args.command == "verify":
-        return cmd_verify(args.ledger, config)
+    with scipy.fft.set_workers(config.threads):
+        if args.command == "run":
+            return cmd_run(config, out_dir=args.out)
+        if args.command == "sweep":
+            return cmd_sweep(config, out_dir=args.out)
+        if args.command == "signcheck":
+            alphas = args.alphas or list(DEFAULT_ALPHAS)
+            return cmd_signcheck(alphas)
+        if args.command == "constants":
+            alphas = args.alphas or list(DEFAULT_ALPHAS)
+            return cmd_constants(alphas)
+        if args.command == "verify":
+            return cmd_verify(args.ledger, config)
     return 1
+
+
+def _env_threads() -> int:
+    """The worker count in TORUSNS_THREADS; 1 if it is unset or not an integer."""
+    try:
+        return max(1, int(os.environ.get("TORUSNS_THREADS", "")))
+    except ValueError:
+        return 1
 
 
 if __name__ == "__main__":

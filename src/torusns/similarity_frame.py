@@ -151,14 +151,14 @@ class WFunctionals:
     def energy(self) -> float:
         return self.e_low + self.e_high
 
-    def validate(self, rel_tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"non-finite functional {f.name}")
         split = self.low_l2_sq + self.e_high
         gap = abs(split - self.w_l2_sq)
-        if gap > rel_tol * max(self.w_l2_sq, split, 1e-300):
+        if gap > 1e-12 * max(self.w_l2_sq, split, 1e-300):
             raise ValueError(
                 f"energy split violated: low+high={split!r} vs total={self.w_l2_sq!r}"
             )
@@ -250,7 +250,7 @@ def w_functionals_scaling_route(
     low_mag_sq = np.sum(physical(prof.phi) ** 2, axis=0)
     high = w_coef * prof.one_minus_phi[index]
     curl_high = spectral_core.band_to_physical(
-        spectral_core.half_curl(high, [root * k for k in band.k]), g.n
+        spectral_core.curl_coefficients(high, [root * k for k in band.k]), g.n
     )
 
     return WFunctionals(

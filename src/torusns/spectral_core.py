@@ -48,8 +48,6 @@ kernels, so they check what a run computes.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,32 +57,9 @@ import scipy.fft
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
-_fft_lock = threading.Lock()
-_fft_workers = 1
-
 
 class RepresentationError(ValueError):
     """A field was passed in the wrong representation (physical vs spectral)."""
-
-
-def set_fft_workers(workers: int) -> None:
-    """Set the worker count used by the pocketfft backend (1 = serial)."""
-    global _fft_workers
-    with _fft_lock:
-        _fft_workers = max(1, int(workers))
-
-
-def get_fft_workers() -> int:
-    return _fft_workers
-
-
-def fft_workers_from_env(default: int = 1) -> int:
-    """Read the thread-count override from the TORUSNS_THREADS variable."""
-    raw = os.environ.get("TORUSNS_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
 
 
 def band_cutoff(n: int) -> int:
@@ -243,14 +218,14 @@ def zero_field(grid: SpectralGrid, representation: str = SPECTRAL) -> VectorFiel
 def to_spectral(field: VectorField) -> VectorField:
     """Forward transform of a physical field; fhat(k) = DFT[f]/n^3."""
     field.require(PHYSICAL)
-    coef = scipy.fft.fftn(field.data, axes=(1, 2, 3), workers=_fft_workers) / field.grid.num_modes
+    coef = scipy.fft.fftn(field.data, axes=(1, 2, 3)) / field.grid.num_modes
     return VectorField(field.grid, coef, SPECTRAL)
 
 
 def to_physical(field: VectorField) -> VectorField:
     """Inverse transform; discards the roundoff-level imaginary part."""
     field.require(SPECTRAL)
-    vals = scipy.fft.ifftn(field.data, axes=(1, 2, 3), workers=_fft_workers) * field.grid.num_modes
+    vals = scipy.fft.ifftn(field.data, axes=(1, 2, 3)) * field.grid.num_modes
     return VectorField(field.grid, np.ascontiguousarray(vals.real), PHYSICAL)
 
 
@@ -263,7 +238,7 @@ def half_to_spectral(values: np.ndarray) -> np.ndarray:
     No computation uses it: it is the unpruned reference that
     `band_to_spectral` is tested against bit for bit.
     """
-    return scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward", workers=get_fft_workers())
+    return scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
 
 
 def half_to_physical(coef: np.ndarray, n: int) -> np.ndarray:
@@ -272,9 +247,7 @@ def half_to_physical(coef: np.ndarray, n: int) -> np.ndarray:
     No computation uses it: it is the unpruned reference that
     `band_to_physical` is tested against bit for bit.
     """
-    return scipy.fft.irfftn(
-        coef, s=(n, n, n), axes=(-3, -2, -1), norm="forward", workers=get_fft_workers()
-    )
+    return scipy.fft.irfftn(coef, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
 
 
 def band_to_physical(coef: np.ndarray, n: int) -> np.ndarray:
@@ -289,18 +262,17 @@ def band_to_physical(coef: np.ndarray, n: int) -> np.ndarray:
     """
     c = band_cutoff(n)
     lead = coef.shape[:-3]
-    workers = get_fft_workers()
     cols = np.empty(lead + (n, 2 * c + 1, c + 1), dtype=np.complex128)
     cols[..., : c + 1, :, :] = coef[..., : c + 1, :, :]
     cols[..., c + 1 : n - c, :, :] = 0.0
     cols[..., n - c :, :, :] = coef[..., c + 1 :, :, :]
-    cols = scipy.fft.ifft(cols, axis=-3, norm="forward", overwrite_x=True, workers=workers)
+    cols = scipy.fft.ifft(cols, axis=-3, norm="forward", overwrite_x=True)
     rows = np.empty(lead + (n, n, c + 1), dtype=np.complex128)
     rows[..., : c + 1, :] = cols[..., : c + 1, :]
     rows[..., c + 1 : n - c, :] = 0.0
     rows[..., n - c :, :] = cols[..., c + 1 :, :]
-    rows = scipy.fft.ifft(rows, axis=-2, norm="forward", overwrite_x=True, workers=workers)
-    return scipy.fft.irfft(rows, n=n, axis=-1, norm="forward", overwrite_x=True, workers=workers)
+    rows = scipy.fft.ifft(rows, axis=-2, norm="forward", overwrite_x=True)
+    return scipy.fft.irfft(rows, n=n, axis=-1, norm="forward", overwrite_x=True)
 
 
 def band_to_spectral(values: np.ndarray) -> np.ndarray:
@@ -314,11 +286,10 @@ def band_to_spectral(values: np.ndarray) -> np.ndarray:
     """
     n = values.shape[-1]
     c = band_cutoff(n)
-    workers = get_fft_workers()
-    cols = scipy.fft.rfft(values, axis=-1, workers=workers)[..., : c + 1] * (1.0 / n**3)
-    cols = scipy.fft.fft(cols, axis=-3, overwrite_x=True, workers=workers)
+    cols = scipy.fft.rfft(values, axis=-1)[..., : c + 1] * (1.0 / n**3)
+    cols = scipy.fft.fft(cols, axis=-3, overwrite_x=True)
     rows = np.concatenate((cols[..., : c + 1, :, :], cols[..., n - c :, :, :]), axis=-3)
-    rows = scipy.fft.fft(rows, axis=-2, overwrite_x=True, workers=workers)
+    rows = scipy.fft.fft(rows, axis=-2, overwrite_x=True)
     return np.concatenate((rows[..., : c + 1, :], rows[..., n - c :, :]), axis=-2)
 
 
@@ -527,7 +498,7 @@ def _cross(a, b) -> np.ndarray:
     return out
 
 
-def half_curl(coef: np.ndarray, k) -> np.ndarray:
+def curl_coefficients(coef: np.ndarray, k) -> np.ndarray:
     """The coefficients i k x coef of curl f, on the layout of `coef`; `k` holds
     the three wavevector components there, stacked or as broadcastable axes."""
     return _cross([1j * k[0], 1j * k[1], 1j * k[2]], coef)
@@ -536,13 +507,13 @@ def half_curl(coef: np.ndarray, k) -> np.ndarray:
 def rotational_product(u: np.ndarray, coef: np.ndarray, k) -> np.ndarray:
     """Band coefficients of u x omega, omega = curl u, for the real field with
     samples `u` and band coefficients `coef` on the band wavevectors `k` (as
-    in `half_curl`).
+    in `curl_coefficients`).
 
     One inverse and one forward band 3-vector transform.  The result is the
     band of the product, which is also its dealiased transform.
     """
     n = u.shape[-1]
-    return band_to_spectral(_cross(u, band_to_physical(half_curl(coef, k), n)))
+    return band_to_spectral(_cross(u, band_to_physical(curl_coefficients(coef, k), n)))
 
 
 def _advect(u: np.ndarray, grads: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import torusns as tn
 from torusns.inequality_lab import CSV_COLUMNS, EnergyLedger
@@ -29,6 +30,19 @@ n = 16
 delta = 0.01
 stride = 8
 """
+
+
+def _main_run(tmp_path, name, config_text, *flags):
+    """`main` on a config file holding `config_text`; returns the output directory."""
+    cfg_path = tmp_path / f"{name}.cfg"
+    cfg_path.write_text(config_text)
+    out = tmp_path / name
+    assert main(["--config", str(cfg_path), "--out", str(out), *flags, "run"]) == 0
+    return out
+
+
+def _recorded_threads(out) -> int:
+    return parse_config(json.loads((out / "report.json").read_text())["config_text"]).threads
 
 
 class TestConfigParsing:
@@ -294,3 +308,30 @@ class TestMainEntry:
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("alpha = 0.9\n")
         assert main(["--config", str(cfg_path), "run"]) == 1
+
+    def test_env_threads_run_and_are_recorded(self, tmp_path, monkeypatch):
+        seen = []
+        real_run = tn.ns_dynamics.run
+
+        def spy(*args, **kwargs):
+            seen.append(scipy.fft.get_workers())
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(tn.ns_dynamics, "run", spy)
+        monkeypatch.setenv("TORUSNS_THREADS", "2")
+        out = _main_run(tmp_path, "env", FAST_RUN)
+        assert seen == [2]
+        assert scipy.fft.get_workers() == 1
+        assert _recorded_threads(out) == 2
+
+    def test_strict_config_records_one_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TORUSNS_THREADS", "2")
+        out = _main_run(tmp_path, "strict", FAST_RUN + "strict = true\nthreads = 4\n")
+        assert _recorded_threads(out) == 1
+
+    def test_ledger_does_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("TORUSNS_THREADS", raising=False)
+        threaded = _main_run(tmp_path, "threaded", FAST_RUN + "threads = 2\n")
+        strict = _main_run(tmp_path, "strict", FAST_RUN, "--strict")
+        assert _recorded_threads(threaded) == 2 and _recorded_threads(strict) == 1
+        assert (threaded / "ledger.csv").read_bytes() == (strict / "ledger.csv").read_bytes()
