@@ -529,7 +529,7 @@ def verify_blowup_rate(ledger: EnergyLedger, epsilon: float) -> InequalityReport
         t0 = None
     else:
         status = HOLDS
-        residual = float(np.max(q[idx:] - epsilon)) if idx > 0 else float(np.max(q - epsilon))
+        residual = float(np.max(q[idx:] - epsilon))
         t0 = float(t[idx])
     return InequalityReport(
         inequality_id="supnorm_rate_monitor",
@@ -602,19 +602,13 @@ def verify_all(
     alpha: float,
     epsilon: float = 0.1,
     decay_tol: float = 0.05,
-    enabled: set[str] | None = None,
 ) -> list[InequalityReport]:
-    """Run every enabled verifier over the ledger, in a fixed order."""
-    checks = {
-        "l2_energy": lambda: verify_l2_inequality(ledger),
-        "h1_gradient": lambda: verify_h1_inequality(ledger),
-        "h2_laplacian": lambda: verify_h2_inequality(ledger),
-        "split_energy_decay": lambda: verify_decomposition_decay(ledger, alpha, tol=decay_tol),
-        "supnorm_rate_monitor": lambda: verify_blowup_rate(ledger, epsilon),
-        "two_route_audit": lambda: route_audit_report(ledger),
-    }
-    reports = []
-    for name, fn in checks.items():
-        if enabled is None or name in enabled:
-            reports.append(fn())
-    return reports
+    """The six verdicts over the ledger, in a fixed order."""
+    return [
+        verify_l2_inequality(ledger),
+        verify_h1_inequality(ledger),
+        verify_h2_inequality(ledger),
+        verify_decomposition_decay(ledger, alpha, tol=decay_tol),
+        verify_blowup_rate(ledger, epsilon),
+        route_audit_report(ledger),
+    ]

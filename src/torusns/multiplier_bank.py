@@ -113,15 +113,21 @@ def build_phi(transition_sharpness: float = 1.0) -> RadialMultiplier:
     return RadialMultiplier(label="phi", fn=fn, sharpness=w)
 
 
+def check_alpha(alpha: float) -> float:
+    """The weight exponent as a float; ValueError unless 0 < alpha < 1/8."""
+    a = float(alpha)
+    if not 0.0 < a < 0.125:
+        raise ValueError(f"alpha must lie in (0, 1/8), got {a}")
+    return a
+
+
 def build_chi(phi: RadialMultiplier, alpha: float) -> RadialMultiplier:
     """Weighted low-pass profile with knee at r = 1/2 + alpha.
 
     Equals r^(1/2+2a)*phi(r) below the knee and (1/2+a)^(1/2+2a)*phi(r) above
     it; the two branches match continuously at the knee.
     """
-    a = float(alpha)
-    if not 0.0 < a < 0.125:
-        raise ValueError(f"alpha must lie in the open interval (0, 1/8), got {a}")
+    a = check_alpha(alpha)
     knee = 0.5 + a
     exponent = 0.5 + 2.0 * a
 
@@ -224,9 +230,7 @@ def hausdorff_young_constant(alpha: float, m: float) -> float:
     """
     from scipy.integrate import quad
 
-    a = float(alpha)
-    if not 0.0 < a < 0.125:
-        raise ValueError(f"alpha must lie in (0, 1/8), got {a}")
+    a = check_alpha(alpha)
     if m != math.inf and m < 4:
         raise ValueError(f"norm order must satisfy m >= 4, got {m}")
     m_conj = 1.0 if m == math.inf else m / (m - 1.0)

@@ -33,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from . import spectral_core
-from .inequality_lab import EnergyLedger
-from .multiplier_bank import MultiplierSet
+from .inequality_lab import EnergyLedger, LedgerError
+from .multiplier_bank import MultiplierSet, check_alpha
 from .similarity_frame import (
     SimilarityClock,
     route_gap,
@@ -70,12 +70,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if math.isnan(self.t_min):
             object.__setattr__(self, "t_min", self.horizon * math.exp(-6.0))
-        if self.n % 2 != 0 or self.n < 8:
-            raise ValueError(f"n must be even and >= 8, got {self.n}")
+        spectral_core.check_grid_size(self.n)
         if not self.box_length > 0 or not self.horizon > 0:
             raise ValueError("box length and horizon must be positive")
-        if not 0.0 < self.alpha < 0.125:
-            raise ValueError(f"alpha must lie in (0, 1/8), got {self.alpha}")
+        check_alpha(self.alpha)
         if self.delta < 0.0:
             raise ValueError(f"delta target must be nonnegative, got {self.delta}")
         if self.initial_kind not in INITIAL_KINDS:
@@ -268,8 +266,11 @@ def _ledger_row(
     u_norms = spectral_core.norms(state.u_hat)
     wa = w_functionals_scaling_route(state.u_hat, clock, mults, samples=state.samples)
     wb = w_functionals_multiplier_route(state.u_hat, clock, mults, samples=state.samples)
-    wa.validate()
-    wb.validate()
+    try:
+        wa.validate()
+        wb.validate()
+    except ValueError as exc:
+        raise LedgerError(f"row at t={state.t!r}: {exc}") from exc
     return (
         state.t,
         clock.tau,

@@ -4,7 +4,7 @@ Config files are line-oriented ``key = value`` text with ``#`` comments and
 no nesting.  Ledgers go to CSV with a fixed header; verdict bundles go to
 JSON with an integer ``schema`` field.  Exit codes are a stable contract:
 
-    0  every enabled check holds (with or without certificate)
+    0  every check holds (with or without certificate)
     1  configuration or usage error, or an invalid ledger given to verify
     2  some check was violated or inconclusive, or a run produced a ledger
        that fails its invariants (such as a route gap above 1e-10)
@@ -41,16 +41,6 @@ from .ns_dynamics import NumericalBlowupError, SimulationConfig
 
 SCHEMA_VERSION = 1
 
-CHECK_KEYS = {
-    "check_l2": "l2_energy",
-    "check_h1": "h1_gradient",
-    "check_h2": "h2_laplacian",
-    "check_decay": "split_energy_decay",
-    "check_rate": "supnorm_rate_monitor",
-    "check_routes": "two_route_audit",
-}
-
-
 class ConfigError(ValueError):
     """Bad configuration text: unknown key, syntax error, or range violation."""
 
@@ -85,12 +75,6 @@ class RunConfig(SimulationConfig):
     strict: bool = False
     epsilon: float = 0.1
     decay_tol: float = 0.05
-    check_l2: bool = True
-    check_h1: bool = True
-    check_h2: bool = True
-    check_decay: bool = True
-    check_rate: bool = True
-    check_routes: bool = True
     out_dir: str = "out"
     inject_corruption: str = "none"
     threads: int = 1
@@ -101,6 +85,8 @@ class RunConfig(SimulationConfig):
     def __post_init__(self) -> None:
         try:
             super().__post_init__()
+            for a in self.sweep_alpha:
+                multiplier_bank.check_alpha(a)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.inject_corruption not in ("none",) + inequality_lab.CORRUPTION_KINDS:
@@ -109,12 +95,6 @@ class RunConfig(SimulationConfig):
             raise ConfigError("threads must be >= 1")
         if not self.epsilon >= 0:
             raise ConfigError("epsilon must be nonnegative")
-        for a in self.sweep_alpha:
-            if not 0.0 < a < 0.125:
-                raise ConfigError(f"sweep alpha {a} outside (0, 1/8)")
-
-    def enabled_checks(self) -> set[str]:
-        return {name for key, name in CHECK_KEYS.items() if getattr(self, key)}
 
     def as_text(self) -> str:
         lines = []
@@ -226,14 +206,8 @@ def _write_outputs(out_dir: Path, ledger: EnergyLedger, bundle: ReportBundle) ->
 
 
 def _verify(ledger: EnergyLedger, config: RunConfig) -> list:
-    """The enabled checks of `config` over `ledger`, in `verify_all` order."""
-    return verify_all(
-        ledger,
-        alpha=config.alpha,
-        epsilon=config.epsilon,
-        decay_tol=config.decay_tol,
-        enabled=config.enabled_checks(),
-    )
+    """The six checks over `ledger`, in `verify_all` order."""
+    return verify_all(ledger, alpha=config.alpha, epsilon=config.epsilon, decay_tol=config.decay_tol)
 
 
 def cmd_run(config: RunConfig, out_dir: str | None = None) -> int:
@@ -245,9 +219,12 @@ def _run_point(config: RunConfig, out_dir: str | None) -> tuple[int, ReportBundl
     """`cmd_run`'s exit code, with the run's report bundle (None if it
     produced no ledger)."""
     target = Path(out_dir if out_dir is not None else config.out_dir)
+    # the FFT worker count is resolved here, so report.json records what ran
+    config = replace(config, threads=1 if config.strict else max(config.threads, _env_threads()))
     started = time.perf_counter()
     try:
-        ledger = ns_dynamics.run(config)
+        with scipy.fft.set_workers(config.threads):
+            ledger = ns_dynamics.run(config)
     except NumericalBlowupError as exc:
         print(f"[torusns] numerical abort: {exc}", file=sys.stderr)
         return 3, None
@@ -288,8 +265,10 @@ def cmd_signcheck(alphas: list[float]) -> int:
     """Dense-grid maxima of the two sign-certificate brackets; 0 iff all <= 1e-12."""
     worst = -math.inf
     for a in alphas:
-        if not 0.0 < a < 0.125:
-            print(f"[torusns] alpha {a} outside (0, 1/8)", file=sys.stderr)
+        try:
+            multiplier_bank.check_alpha(a)
+        except ValueError as exc:
+            print(f"[torusns] {exc}", file=sys.stderr)
             return 1
         max_a = multiplier_bank.sign_certificate_A(a)
         max_b = multiplier_bank.sign_certificate_B(a)
@@ -302,8 +281,10 @@ def cmd_constants(alphas: list[float]) -> int:
     """Print the quadrature constants C(alpha, m) for m in {4, inf}."""
     print(f"{'alpha':>10} {'C(alpha,4)':>14} {'C(alpha,inf)':>14}")
     for a in alphas:
-        if not 0.0 < a < 0.125:
-            print(f"[torusns] alpha {a} outside (0, 1/8)", file=sys.stderr)
+        try:
+            multiplier_bank.check_alpha(a)
+        except ValueError as exc:
+            print(f"[torusns] {exc}", file=sys.stderr)
             return 1
         c4 = multiplier_bank.hausdorff_young_constant(a, 4)
         ci = multiplier_bank.hausdorff_young_constant(a, math.inf)
@@ -381,17 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        overrides = {}
-        if args.strict:
-            overrides["strict"] = True
-        if args.stride is not None:
-            overrides["stride"] = args.stride
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if overrides:
-            config = replace(config, **overrides)
-        # report.json records the worker count that runs
-        config = replace(config, threads=1 if config.strict else max(config.threads, _env_threads()))
+        overrides = {"strict": args.strict or None, "stride": args.stride, "out_dir": args.out}
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     except ConfigError as exc:
         print(f"[torusns] config error: {exc}", file=sys.stderr)
         return 1
@@ -399,20 +371,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[torusns] cannot read config: {exc}", file=sys.stderr)
         return 1
 
-    with scipy.fft.set_workers(config.threads):
-        if args.command == "run":
-            return cmd_run(config, out_dir=args.out)
-        if args.command == "sweep":
-            return cmd_sweep(config, out_dir=args.out)
-        if args.command == "signcheck":
-            alphas = args.alphas or list(DEFAULT_ALPHAS)
-            return cmd_signcheck(alphas)
-        if args.command == "constants":
-            alphas = args.alphas or list(DEFAULT_ALPHAS)
-            return cmd_constants(alphas)
-        if args.command == "verify":
-            return cmd_verify(args.ledger, config)
-    return 1
+    if args.command == "run":
+        return cmd_run(config)
+    if args.command == "sweep":
+        return cmd_sweep(config)
+    if args.command == "verify":
+        return cmd_verify(args.ledger, config)
+    alphas = args.alphas or list(DEFAULT_ALPHAS)
+    if args.command == "signcheck":
+        return cmd_signcheck(alphas)
+    return cmd_constants(alphas)
 
 
 def _env_threads() -> int:

@@ -96,6 +96,12 @@ class DealiasBand:
     shell_index: np.ndarray
 
 
+def check_grid_size(n: int) -> None:
+    """ValueError unless n, the collocation points per dimension, is even and >= 8."""
+    if n % 2 != 0 or n < 8:
+        raise ValueError(f"grid size must be even and >= 8, got n={n}")
+
+
 @dataclass(frozen=True)
 class SpectralGrid:
     """
@@ -113,8 +119,7 @@ class SpectralGrid:
     box_length: float
 
     def __post_init__(self) -> None:
-        if self.n % 2 != 0 or self.n < 8:
-            raise ValueError(f"grid size must be even and >= 8, got n={self.n}")
+        check_grid_size(self.n)
         if not self.box_length > 0:
             raise ValueError(f"box length must be positive, got {self.box_length}")
 

@@ -299,7 +299,3 @@ class TestVerifyAll:
             "supnorm_rate_monitor",
             "two_route_audit",
         ]
-
-    def test_subset(self, small_ledger):
-        reports = verify_all(small_ledger, alpha=0.0625, enabled={"l2_energy"})
-        assert len(reports) == 1

@@ -3,7 +3,7 @@
 import json
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,12 +96,6 @@ class TestConfigParsing:
             strict=True,
             epsilon=0.2,
             decay_tol=0.1,
-            check_l2=False,
-            check_h1=False,
-            check_h2=False,
-            check_decay=False,
-            check_rate=False,
-            check_routes=False,
             out_dir="elsewhere",
             inject_corruption="trilinear_flip",
             threads=2,
@@ -200,6 +194,34 @@ class TestRunCommand:
         config = parse_config(FAST_RUN)
         assert cmd_run(config, out_dir=str(tmp_path / "gap")) == 2
         assert "invalid ledger: route disagreement" in capsys.readouterr().err
+
+    def test_invalid_row_exit_two(self, tmp_path, monkeypatch, capsys):
+        real_route = tn.ns_dynamics.w_functionals_scaling_route
+
+        def negative_h1(*args, **kwargs):
+            return replace(real_route(*args, **kwargs), w_h1_sq=-1.0)
+
+        monkeypatch.setattr(tn.ns_dynamics, "w_functionals_scaling_route", negative_h1)
+        config = parse_config(FAST_RUN)
+        assert cmd_run(config, out_dir=str(tmp_path / "neg")) == 2
+        err = capsys.readouterr().err
+        assert "[torusns] invalid ledger: " in err and "negative squared norm w_h1_sq" in err
+
+    def test_run_resolves_and_records_worker_count(self, tmp_path, monkeypatch):
+        seen = []
+        real_run = tn.ns_dynamics.run
+
+        def spy(*args, **kwargs):
+            seen.append(scipy.fft.get_workers())
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(tn.ns_dynamics, "run", spy)
+        monkeypatch.delenv("TORUSNS_THREADS", raising=False)
+        out = tmp_path / "threads"
+        assert cmd_run(parse_config(FAST_RUN + "threads = 2\n"), out_dir=str(out)) == 0
+        assert seen == [2]
+        assert _recorded_threads(out) == 2
+        assert scipy.fft.get_workers() == 1
 
 
 class TestVerifyCommand:
@@ -308,6 +330,12 @@ class TestMainEntry:
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("alpha = 0.9\n")
         assert main(["--config", str(cfg_path), "run"]) == 1
+
+    def test_check_switch_is_unknown_option(self, tmp_path, capsys):
+        cfg_path = tmp_path / "switch.cfg"
+        cfg_path.write_text(FAST_RUN + "check_decay = false\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "run"]) == 1
+        assert "unknown option 'check_decay'" in capsys.readouterr().err
 
     def test_env_threads_run_and_are_recorded(self, tmp_path, monkeypatch):
         seen = []
