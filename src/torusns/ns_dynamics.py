@@ -17,7 +17,7 @@ costs two inverse and one forward pruned real 3-vector transform, and the
 forward transform of the band is already dealiased.  The first stage reuses
 the state's samples (`TrajectoryState.samples`), which `cfl_dt` also reads,
 so a step of `run` takes 8 inverse and 4 forward band transforms.  A ledger
-row reads the same samples, so it costs the state no transform of its own.
+row passes both routes the state's band and samples: no gather, no transform.
 The product is `spectral_core.rotational_product`, which the ledger's
 multiplier route shares.  States and `nonlinear_rhs` values cross the public
 API as full-spectrum fields, written straight from the band, exactly
@@ -259,13 +259,13 @@ def _ledger_row(
 ) -> tuple[float, ...]:
     """One ledger row, its values in `inequality_lab.CSV_COLUMNS` order.
 
-    Both routes read the state's samples, which `cfl_dt` and the first stage
-    of the next step read as well.
+    Both routes take the state's band and samples, which `cfl_dt` and the
+    next step read as well.
     """
     clock = SimilarityClock(horizon=config.horizon, t=state.t)
     u_norms = spectral_core.norms(state.u_hat)
-    wa = w_functionals_scaling_route(state.u_hat, clock, mults, samples=state.samples)
-    wb = w_functionals_multiplier_route(state.u_hat, clock, mults, samples=state.samples)
+    wa = w_functionals_scaling_route(state.u_hat.grid, state.band, state.samples, clock, mults)
+    wb = w_functionals_multiplier_route(state.u_hat.grid, state.band, state.samples, clock, mults)
     try:
         wa.validate()
         wb.validate()

@@ -85,8 +85,9 @@ class RunConfig(SimulationConfig):
     def __post_init__(self) -> None:
         try:
             super().__post_init__()
-            for a in self.sweep_alpha:
-                multiplier_bank.check_alpha(a)
+            simulation = {f.name: getattr(self, f.name) for f in fields(SimulationConfig)}
+            for a, d, n in _sweep_points(self):
+                SimulationConfig(**{**simulation, "alpha": a, "delta": d, "n": n})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.inject_corruption not in ("none",) + inequality_lab.CORRUPTION_KINDS:
@@ -210,15 +211,14 @@ def _verify(ledger: EnergyLedger, config: RunConfig) -> list:
     return verify_all(ledger, alpha=config.alpha, epsilon=config.epsilon, decay_tol=config.decay_tol)
 
 
-def cmd_run(config: RunConfig, out_dir: str | None = None) -> int:
-    """Integrate, verify, serialize; returns the contract exit code."""
-    return _run_point(config, out_dir)[0]
+def cmd_run(config: RunConfig) -> int:
+    """Integrate, verify, serialize into `config.out_dir`; returns the contract exit code."""
+    return _run_point(config)[0]
 
 
-def _run_point(config: RunConfig, out_dir: str | None) -> tuple[int, ReportBundle | None]:
+def _run_point(config: RunConfig) -> tuple[int, ReportBundle | None]:
     """`cmd_run`'s exit code, with the run's report bundle (None if it
     produced no ledger)."""
-    target = Path(out_dir if out_dir is not None else config.out_dir)
     # the FFT worker count is resolved here, so report.json records what ran
     config = replace(config, threads=1 if config.strict else max(config.threads, _env_threads()))
     started = time.perf_counter()
@@ -236,7 +236,7 @@ def _run_point(config: RunConfig, out_dir: str | None) -> tuple[int, ReportBundl
     reports = _verify(ledger, config)
     bundle = _bundle(config, reports, time.perf_counter() - started)
     try:
-        _write_outputs(target, ledger, bundle)
+        _write_outputs(Path(config.out_dir), ledger, bundle)
     except OSError as exc:
         print(f"[torusns] cannot write outputs: {exc}", file=sys.stderr)
         return 4, bundle
@@ -302,20 +302,20 @@ def _sweep_points(config: RunConfig):
                 yield a, d, n
 
 
-def cmd_sweep(config: RunConfig, out_dir: str | None = None) -> int:
-    """Cross-product of the sweep axes; one bundle per point plus a combined
-    certificate table.  The exit code is the worst over all points."""
+def cmd_sweep(config: RunConfig) -> int:
+    """Cross-product of the sweep axes; one bundle per point, in its own directory
+    under `config.out_dir`, and a certificate table.  The exit code is the worst."""
     if not (config.sweep_alpha or config.sweep_delta or config.sweep_n):
         print("[torusns] sweep requires at least one nonempty axis", file=sys.stderr)
         return 1
-    base = Path(out_dir if out_dir is not None else config.out_dir)
+    base = Path(config.out_dir)
     worst = 0
     table: list[dict] = []
     for a, d, n in _sweep_points(config):
         point = replace(config, alpha=a, delta=d, n=n, sweep_alpha=(), sweep_delta=(), sweep_n=())
         tag = f"alpha{a:g}_delta{d:g}_n{n}"
         print(f"[torusns] sweep point {tag}")
-        code, bundle = _run_point(point, str(base / tag))
+        code, bundle = _run_point(replace(point, out_dir=str(base / tag)))
         worst = max(worst, code)
         if bundle is not None:
             table.extend({**asdict(cert), "alpha": a} for cert in bundle.certificates)

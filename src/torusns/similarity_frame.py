@@ -16,15 +16,15 @@ per row.  Two computation routes are provided and audited against each other:
 * the *multiplier route* evaluates the rescaled symbols against the
   u-coefficients in spectral sums, and the signed integrals on the w-field.
 
-Both run on the dealias band of the real field (`spectral_core`), gathered
-once per route by `spectral_core.gather_band`, which rejects a field with a
-coefficient outside the band.  Every inverse transform is `band_to_physical`
+Both take the field on the dealias band of `spectral_core`: its band
+coefficients (3, K, K, c + 1) and their physical values, the samples.  A
+ledger row passes the state's `TrajectoryState.band` and `.samples`, so the
+band is gathered and checked once per state (`spectral_core.gather_band`);
+a caller holding a full-spectrum field takes the pair from
+`spectral_core.band_terms`.  Every inverse transform is `band_to_physical`
 and both products, F[(u . grad) u] and F[w x curl w], go through
-`band_to_spectral`; every spectral sum is a `spectral_core.band_sum` over
-the band's modes.  The one array the routes share is the state's samples,
-`TrajectoryState.samples`, which neither route computes: a ledger row passes
-them to both, and a caller that omits them has each route transform the band
-itself.  Each route evaluates the radial profiles once, on the distinct |k|
+`band_to_spectral`; every spectral sum is a `band_sum` over the band's
+modes.  Each route evaluates the radial profiles once, on the distinct |k|
 values of the band (`DealiasBand.shells`).
 The signed integrals use different algebra in the two routes: the scaling
 route takes the gradient-tensor quadrature tr(G^T G G) and the convective
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import spectral_core
 from .multiplier_bank import MultiplierSet
-from .spectral_core import SPECTRAL, VectorField, band_sum, make_grid
+from .spectral_core import SPECTRAL, SpectralGrid, VectorField, band_sum, band_terms, make_grid
 
 #: Normative scaling exponents: functional(w) = s**power * functional(u).
 #: Squared integral quantities unless noted; `sup` and `l4` are plain norms.
@@ -200,21 +200,12 @@ def build_w_field(u_hat: VectorField, clock: SimilarityClock) -> VectorField:
     return VectorField(w_grid, u_hat.data * root, SPECTRAL)
 
 
-def _band_terms(u_hat: VectorField, samples: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The band coefficients of `u_hat` and its samples: `samples` when given,
-    otherwise the band's own inverse transform."""
-    coef = spectral_core.gather_band(u_hat)
-    if samples is None:
-        samples = spectral_core.band_to_physical(coef, u_hat.grid.n)
-    return coef, samples
-
-
 def w_functionals_scaling_route(
-    u_hat: VectorField,
+    grid: SpectralGrid,
+    coef: np.ndarray,
+    samples: np.ndarray,
     clock: SimilarityClock,
     mults: MultiplierSet,
-    *,
-    samples: np.ndarray | None = None,
 ) -> WFunctionals:
     """w-functionals from u-side integrals and the exponent table.
 
@@ -223,34 +214,32 @@ def w_functionals_scaling_route(
     u-lattice and multiplied by exact powers of s.  The frequency-split
     quantities are evaluated on the w-field by physical-space quadrature of
     its real inverse transforms; `grad_high_sq` integrates |curl h|^2, equal
-    to |grad h|^2 for the divergence-free high part h.  `samples` are the
-    physical values of `u_hat` if the caller has them.  Raises ValueError for
-    a field with a coefficient outside the dealias band.
+    to |grad h|^2 for the divergence-free high part h.  `coef` are the u
+    coefficients on the dealias band of `grid` and `samples` their physical
+    values.
     """
     s = clock.remaining
     root = math.sqrt(s)
-    g = u_hat.grid
-    band = g.band
-    coef, u = _band_terms(u_hat, samples)
+    band = grid.band
     (tri_u, tri_scale_u), (lap_u, lap_scale_u) = spectral_core.nonlinear_integrals(
-        coef, u, band.wavevectors, g.volume
+        coef, samples, band.wavevectors, grid.volume
     )
     power = np.sum(np.abs(coef) ** 2, axis=0)
-    l2_u, h1_u, h2_u = (g.volume * band_sum(band.k_sq**p * power) for p in (0, 1, 2))
-    sup_u = float(np.sqrt(np.max(np.sum(u**2, axis=0))))
+    l2_u, h1_u, h2_u = (grid.volume * band_sum(band.k_sq**p * power) for p in (0, 1, 2))
+    sup_u = float(np.sqrt(np.max(np.sum(samples**2, axis=0))))
 
     prof = mults.profiles(root * band.shells)
     index = band.shell_index
-    cell_w = (g.box_length / root / g.n) ** 3
+    cell_w = (grid.box_length / root / grid.n) ** 3
     w_coef = root * coef
 
     def physical(weight: np.ndarray) -> np.ndarray:
-        return spectral_core.band_to_physical(w_coef * weight[index], g.n)
+        return spectral_core.band_to_physical(w_coef * weight[index], grid.n)
 
     low_mag_sq = np.sum(physical(prof.phi) ** 2, axis=0)
     high = w_coef * prof.one_minus_phi[index]
     curl_high = spectral_core.band_to_physical(
-        spectral_core.curl_coefficients(high, [root * k for k in band.k]), g.n
+        spectral_core.curl_coefficients(high, [root * k for k in band.k]), grid.n
     )
 
     return WFunctionals(
@@ -272,11 +261,11 @@ def w_functionals_scaling_route(
 
 
 def w_functionals_multiplier_route(
-    u_hat: VectorField,
+    grid: SpectralGrid,
+    coef: np.ndarray,
+    samples: np.ndarray,
     clock: SimilarityClock,
     mults: MultiplierSet,
-    *,
-    samples: np.ndarray | None = None,
 ) -> WFunctionals:
     """w-functionals via rescaled radial symbols applied to the u-coefficients.
 
@@ -284,25 +273,23 @@ def w_functionals_multiplier_route(
     at xi = sqrt(s) |k|; sup/L4 quantities reconstruct the filtered field on
     the u-lattice and rescale the samples.  The two signed integrals are
     taken on the w-field itself, on the box of side L/sqrt(s), in the
-    rotational form of `spectral_core.rotational_integrals`.  `samples` and
-    the ValueError are as in `w_functionals_scaling_route`.
+    rotational form of `spectral_core.rotational_integrals`.  `coef` and
+    `samples` are as in `w_functionals_scaling_route`.
     """
     s = clock.remaining
     root = math.sqrt(s)
-    g = u_hat.grid
-    band = g.band
-    coef, u = _band_terms(u_hat, samples)
+    band = grid.band
     power = np.sum(np.abs(coef) ** 2, axis=0)
     prof = mults.profiles(root * band.shells)
     index = band.shell_index
     phi_xi = prof.phi[index]
     xi_sq = s * band.k_sq
-    pref = scale_factor("l2_sq", s) * g.volume
+    pref = scale_factor("l2_sq", s) * grid.volume
 
-    w_sup = root * float(np.sqrt(np.max(np.sum(u**2, axis=0))))
-    low_mag_sq = np.sum(spectral_core.band_to_physical(coef * phi_xi, g.n) ** 2, axis=0)
+    w_sup = root * float(np.sqrt(np.max(np.sum(samples**2, axis=0))))
+    low_mag_sq = np.sum(spectral_core.band_to_physical(coef * phi_xi, grid.n) ** 2, axis=0)
     (trilinear, tri_scale), (lap_coupling, lap_scale) = spectral_core.rotational_integrals(
-        root * coef, root * u, [root * k for k in band.k], (g.box_length / root) ** 3
+        root * coef, root * samples, [root * k for k in band.k], (grid.box_length / root) ** 3
     )
 
     return WFunctionals(
@@ -313,7 +300,7 @@ def w_functionals_multiplier_route(
         low_l2_sq=pref * band_sum(phi_xi**2 * power),
         e_low=pref * band_sum((prof.chi**2)[index] * power),
         e_high=pref * band_sum((prof.sqrt_one_minus_phi_sq**2)[index] * power),
-        low_l4=scale_factor("l4", s) * float((np.sum(low_mag_sq**2) * g.cell_volume) ** 0.25),
+        low_l4=scale_factor("l4", s) * float((np.sum(low_mag_sq**2) * grid.cell_volume) ** 0.25),
         low_sup=root * float(np.sqrt(np.max(low_mag_sq))),
         grad_high_sq=pref * band_sum(xi_sq * (prof.one_minus_phi**2)[index] * power),
         trilinear=trilinear,
@@ -339,7 +326,7 @@ def initial_similarity_energy(
         raise AssertionError("split weight exceeds 1; profile construction is broken")
 
     clock = SimilarityClock(horizon=horizon, t=0.0)
-    w = w_functionals_multiplier_route(u0_hat, clock, mults)
+    w = w_functionals_multiplier_route(u0_hat.grid, *band_terms(u0_hat)[:2], clock, mults)
     energy = w.energy
     bound = w.w_l2_sq
     if energy > bound * (1.0 + 1e-12) + 1e-300:

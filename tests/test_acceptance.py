@@ -6,6 +6,7 @@ tests/test_acceptance.py`` to watch the lines appear.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def sweep_result(tmp_path_factory):
     config = parse_config(
         "stride = 4\nsweep_delta = 0.005, 0.01, 0.02\nsweep_n = 16, 32\n"
     )
-    code = cmd_sweep(config, out_dir=str(out))
+    code = cmd_sweep(replace(config, out_dir=str(out)))
     rows = []
     table = (out / "certificates.csv").read_text().splitlines()[1:]
     for line in table:

@@ -265,20 +265,16 @@ class TestDealiasBandStages:
                 tn.cfl_dt(state)
             with pytest.raises(ValueError, match="outside the dealias band"):
                 tn.step(state, 1e-3)
-            clock = tn.SimilarityClock(horizon=1.0, t=0.5)
-            mults = MultiplierSet.build(1.0 / 16.0)
-            for route in (tn.w_functionals_scaling_route, tn.w_functionals_multiplier_route):
-                with pytest.raises(ValueError, match="outside the dealias band"):
-                    route(state.u_hat, clock, mults)
             for oracle in (trilinear_form, advective_laplacian_form, convective_product):
                 with pytest.raises(ValueError, match="outside the dealias band"):
                     oracle(state.u_hat)
 
     def test_eight_inverse_transforms_per_step(self, monkeypatch):
         # cfl_dt, the first stage and both routes of a row share the state's
-        # samples; a row adds 9 inverse and 2 forward band transforms, and
-        # only the last state's samples are taken for its row alone
-        counts = {"inverse": 0, "forward": 0, "half": 0}
+        # band and samples; each state's band is gathered once, a row adds 9
+        # inverse and 2 forward band transforms, and only the last state's
+        # samples are taken for its row alone
+        counts = {"gather": 0, "inverse": 0, "forward": 0, "half": 0}
 
         def counted(name, key):
             transform = getattr(spectral_core, name)
@@ -289,6 +285,7 @@ class TestDealiasBandStages:
 
             monkeypatch.setattr(spectral_core, name, wrapper)
 
+        counted("gather_band", "gather")
         counted("band_to_physical", "inverse")
         counted("band_to_spectral", "forward")
         counted("half_to_physical", "half")
@@ -297,6 +294,7 @@ class TestDealiasBandStages:
         steps, rows = ledger.meta["steps"], len(ledger)
         assert steps > 1 and rows > 2
         assert counts == {
+            "gather": steps + 1,
             "inverse": 8 * steps + 9 * rows + 1,
             "forward": 4 * steps + 2 * rows,
             "half": 0,

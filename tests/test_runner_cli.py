@@ -147,7 +147,7 @@ class TestConstantsCommand:
 class TestRunCommand:
     def test_small_run_exit_zero(self, tmp_path):
         config = parse_config(FAST_RUN)
-        code = cmd_run(config, out_dir=str(tmp_path / "out"))
+        code = cmd_run(replace(config, out_dir=str(tmp_path / "out")))
         assert code == 0
         ledger_path = tmp_path / "out" / "ledger.csv"
         report_path = tmp_path / "out" / "report.json"
@@ -168,13 +168,13 @@ class TestRunCommand:
 
     def test_corruption_fixture_exit_two(self, tmp_path):
         config = parse_config(FAST_RUN + "inject_corruption = energy_bump\n")
-        assert cmd_run(config, out_dir=str(tmp_path / "bad")) == 2
+        assert cmd_run(replace(config, out_dir=str(tmp_path / "bad"))) == 2
 
     def test_unwritable_output_exit_four(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
         config = parse_config(FAST_RUN)
-        assert cmd_run(config, out_dir=str(blocker)) == 4
+        assert cmd_run(replace(config, out_dir=str(blocker))) == 4
 
     def test_numerical_abort_exit_three(self, tmp_path, monkeypatch):
         from torusns.spectral_core import SPECTRAL, VectorField
@@ -187,12 +187,12 @@ class TestRunCommand:
 
         monkeypatch.setattr(tn.ns_dynamics, "make_initial_data", bad_initial)
         config = parse_config(FAST_RUN)
-        assert cmd_run(config, out_dir=str(tmp_path / "nan")) == 3
+        assert cmd_run(replace(config, out_dir=str(tmp_path / "nan"))) == 3
 
     def test_route_disagreement_exit_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(tn.ns_dynamics, "route_gap", lambda a, b: 1e-8)
         config = parse_config(FAST_RUN)
-        assert cmd_run(config, out_dir=str(tmp_path / "gap")) == 2
+        assert cmd_run(replace(config, out_dir=str(tmp_path / "gap"))) == 2
         assert "invalid ledger: route disagreement" in capsys.readouterr().err
 
     def test_invalid_row_exit_two(self, tmp_path, monkeypatch, capsys):
@@ -203,7 +203,7 @@ class TestRunCommand:
 
         monkeypatch.setattr(tn.ns_dynamics, "w_functionals_scaling_route", negative_h1)
         config = parse_config(FAST_RUN)
-        assert cmd_run(config, out_dir=str(tmp_path / "neg")) == 2
+        assert cmd_run(replace(config, out_dir=str(tmp_path / "neg"))) == 2
         err = capsys.readouterr().err
         assert "[torusns] invalid ledger: " in err and "negative squared norm w_h1_sq" in err
 
@@ -218,7 +218,7 @@ class TestRunCommand:
         monkeypatch.setattr(tn.ns_dynamics, "run", spy)
         monkeypatch.delenv("TORUSNS_THREADS", raising=False)
         out = tmp_path / "threads"
-        assert cmd_run(parse_config(FAST_RUN + "threads = 2\n"), out_dir=str(out)) == 0
+        assert cmd_run(replace(parse_config(FAST_RUN + "threads = 2\n"), out_dir=str(out))) == 0
         assert seen == [2]
         assert _recorded_threads(out) == 2
         assert scipy.fft.get_workers() == 1
@@ -227,7 +227,7 @@ class TestRunCommand:
 class TestVerifyCommand:
     def test_verify_written_ledger(self, tmp_path):
         config = parse_config(FAST_RUN)
-        assert cmd_run(config, out_dir=str(tmp_path)) == 0
+        assert cmd_run(replace(config, out_dir=str(tmp_path))) == 0
         assert cmd_verify(str(tmp_path / "ledger.csv"), config) == 0
 
     def test_missing_ledger_exit_four(self, tmp_path):
@@ -262,12 +262,18 @@ class TestSweepCommand:
 
     def test_two_point_sweep(self, tmp_path):
         config = parse_config(FAST_RUN + "sweep_delta = 0.005, 0.01\n")
-        code = cmd_sweep(config, out_dir=str(tmp_path))
+        code = cmd_sweep(replace(config, out_dir=str(tmp_path)))
         assert code == 0
         assert (tmp_path / "certificates.csv").exists()
         subdirs = [p.name for p in tmp_path.iterdir() if p.is_dir()]
         assert len(subdirs) == 2
 
+    def test_point_records_its_own_out_dir(self, tmp_path):
+        config = parse_config(FAST_RUN + "sweep_delta = 0.01\n")
+        assert cmd_sweep(replace(config, out_dir=str(tmp_path))) == 0
+        (point,) = [p for p in tmp_path.iterdir() if p.is_dir()]
+        report = json.loads((point / "report.json").read_text())
+        assert parse_config(report["config_text"]).out_dir == str(point)
 
     def test_failed_points_report_no_stale_certificates(self, tmp_path, monkeypatch):
         # a second sweep into the same directory whose points all abort must
@@ -276,7 +282,7 @@ class TestSweepCommand:
 
         config = parse_config(FAST_RUN + "sweep_delta = 0.01\n")
         table = tmp_path / "certificates.csv"
-        assert cmd_sweep(config, out_dir=str(tmp_path)) == 0
+        assert cmd_sweep(replace(config, out_dir=str(tmp_path))) == 0
         assert len(table.read_text().splitlines()) > 1
 
         def nan_initial(config, grid=None):
@@ -284,7 +290,7 @@ class TestSweepCommand:
             return VectorField(g, np.full((3,) + (config.n,) * 3, np.nan, dtype=complex), SPECTRAL)
 
         monkeypatch.setattr(tn.ns_dynamics, "make_initial_data", nan_initial)
-        assert cmd_sweep(config, out_dir=str(tmp_path)) == 3
+        assert cmd_sweep(replace(config, out_dir=str(tmp_path))) == 3
         assert table.read_text().splitlines() == ["inequality_id,alpha,delta,n,value"]
 
 
@@ -330,6 +336,19 @@ class TestMainEntry:
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("alpha = 0.9\n")
         assert main(["--config", str(cfg_path), "run"]) == 1
+
+    @pytest.mark.parametrize(
+        "axis", ["sweep_n = 7", "sweep_delta = -1", "sweep_n = 8, 16"],
+        ids=["odd_n", "negative_delta", "n8_loses_initial_modes"],
+    )
+    def test_bad_sweep_point_exit_one(self, tmp_path, capsys, axis):
+        # every sweep point is checked when the config is built, before any runs
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(FAST_RUN + axis + "\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg_path), "--out", str(out), "sweep"]) == 1
+        assert "[torusns] config error: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_check_switch_is_unknown_option(self, tmp_path, capsys):
         cfg_path = tmp_path / "switch.cfg"
