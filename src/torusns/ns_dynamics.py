@@ -8,20 +8,25 @@ band-limited for the whole run.
 
 Inside a step the velocity is held on the dealias band (3, K, K, c + 1) of
 `spectral_core`: the modes |m_j| <= c, 3c < n, with m3 >= 0, which are the
-only ones a state carries.  `step`, `nonlinear_rhs` and `cfl_dt` gather the
-band once, through `spectral_core.gather_band`, which rejects a field with a
-coefficient outside it.  The advection term is evaluated in rotational form,
-P[u x omega] with omega = curl u: it differs from -P[(u . grad) u] only by
-the gradient grad(|u|^2 / 2), which the projection removes.  Each RK4 stage
+only ones a state carries.  `TrajectoryState.from_field` and `nonlinear_rhs`
+gather the band through `spectral_core.gather_band`, which rejects a field
+with a coefficient outside it.  The advection term is evaluated in
+rotational form, P[u x omega] with omega = curl u: it differs from
+-P[(u . grad) u] only by the gradient grad(|u|^2 / 2), which the projection
+removes.  Each RK4 stage
 costs two inverse and one forward pruned real 3-vector transform, and the
 forward transform of the band is already dealiased.  The first stage reuses
 the state's samples (`TrajectoryState.samples`), which `cfl_dt` also reads,
 so a step of `run` takes 8 inverse and 4 forward band transforms.  A ledger
 row passes both routes the state's band and samples: no gather, no transform.
 The product is `spectral_core.rotational_product`, which the ledger's
-multiplier route shares.  States and `nonlinear_rhs` values cross the public
-API as full-spectrum fields, written straight from the band, exactly
-Hermitian, by `spectral_core.full_spectrum`.
+multiplier route shares.
+
+A state is its band plus the samples of it, and no state keeps a full
+lattice: `step` hands back a band whose plane m3 = 0 is exactly Hermitian,
+and a full-spectrum field, exactly Hermitian, is written from the band by
+`spectral_core.full_spectrum` only on request (`TrajectoryState.u_hat`, which
+a ledger row's `norms` reads, and the value of `nonlinear_rhs`).
 """
 
 from __future__ import annotations
@@ -98,32 +103,43 @@ def _band_field(coef: np.ndarray, grid: SpectralGrid) -> VectorField:
 
 @dataclass
 class TrajectoryState:
-    """A velocity on the clock.  The state is not modified once built:
-    `band`, `samples` and `advective_limit` are computed from `u_hat` on
-    first use and kept."""
+    """A velocity on the clock, held as its dealias band `band` (3, K, K, c + 1)
+    of `grid`.  The state is not modified once built: `samples` and
+    `advective_limit` are computed from the band on first use and kept, and
+    `u_hat`, the full-spectrum field, is written on each access and never
+    kept."""
 
-    u_hat: VectorField
+    grid: SpectralGrid
+    band: np.ndarray
     t: float
     step_index: int
     last_dt: float
 
-    @cached_property
-    def band(self) -> np.ndarray:
-        """The velocity on the dealias band (`spectral_core.gather_band`)."""
-        return spectral_core.gather_band(self.u_hat)
+    @classmethod
+    def from_field(
+        cls, u_hat: VectorField, t: float, step_index: int, last_dt: float
+    ) -> "TrajectoryState":
+        """The state with velocity `u_hat`; ValueError for a coefficient
+        outside the dealias band (`spectral_core.gather_band`)."""
+        return cls(u_hat.grid, spectral_core.gather_band(u_hat), t, step_index, last_dt)
+
+    @property
+    def u_hat(self) -> VectorField:
+        """The exactly Hermitian full-spectrum velocity, written from the band."""
+        return _band_field(self.band, self.grid)
 
     @cached_property
     def samples(self) -> np.ndarray:
         """The physical velocity: the state's one inverse band transform,
         which gives `advective_limit`, the first RK4 stage of `step` and the
         u samples of both routes of the state's ledger row."""
-        return spectral_core.band_to_physical(self.band, self.u_hat.grid.n)
+        return spectral_core.band_to_physical(self.band, self.grid.n)
 
     @cached_property
     def advective_limit(self) -> float:
         """dx / max|u|, read by `cfl_dt` and checked by `step`."""
         vmax = float(np.sqrt(np.max(np.sum(self.samples**2, axis=0))))
-        return self.u_hat.grid.dx / vmax if vmax > 0.0 else math.inf
+        return self.grid.dx / vmax if vmax > 0.0 else math.inf
 
 
 def make_initial_data(config: SimulationConfig, grid: SpectralGrid | None = None) -> VectorField:
@@ -148,22 +164,43 @@ def make_initial_data(config: SimulationConfig, grid: SpectralGrid | None = None
             ]
         )
         u_hat = spectral_core.to_spectral(VectorField(grid, data, spectral_core.PHYSICAL))
+        coef = spectral_core.dealias(u_hat).data
+        coef[:, 0, 0, 0] = 0.0
     else:
-        rng = np.random.default_rng(config.seed)
-        shape = (3, grid.n, grid.n, grid.n)
-        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        mask = (grid.k_mag <= config.init_k_max) & (grid.k_mag > 0.0)
-        raw *= mask
-        # enforce coef(-k) = conj(coef(k)) so the field is real
-        flipped = np.roll(raw[:, ::-1, ::-1, ::-1], 1, axis=(1, 2, 3))
-        sym = 0.5 * (raw + np.conj(flipped))
-        u_hat = spectral_core.leray_project(VectorField(grid, sym, SPECTRAL))
-
-    coef = spectral_core.dealias(u_hat).data
-    coef[:, 0, 0, 0] = 0.0
-    current = math.sqrt(grid.volume * float(np.sum(np.abs(coef) ** 2)))
-    coef = coef * (config.delta / current) if current > 0.0 else coef * 0.0
+        coef = _random_low_modes(config, grid)
+    power = np.abs(coef)
+    power **= 2  # in place: one real lattice beside coef, not two
+    current = math.sqrt(grid.volume * float(np.sum(power)))
+    coef *= config.delta / current if current > 0.0 else 0.0
     return VectorField(grid, coef, SPECTRAL)
+
+
+def _random_low_modes(config: SimulationConfig, grid: SpectralGrid) -> np.ndarray:
+    """The unscaled `random_low_mode` coefficients on the full lattice.
+
+    The real and then the imaginary parts are drawn as standard Gaussians
+    on the whole (3, n, n, n) lattice, so the seed fixes every mode, but only
+    the modes 0 < |k| <= init_k_max are kept.  Each is averaged with the
+    conjugate of its mirror -k, so the field is real, and projected onto
+    divergence-free fields; the modes lie inside the dealias band, and they
+    are scattered once into a zeroed lattice.
+    """
+    n = grid.n
+    seeded = np.nonzero((grid.k_mag <= config.init_k_max) & (grid.k_mag > 0.0))
+    flat = np.ravel_multi_index(seeded, (n, n, n))
+    mirror = np.searchsorted(flat, np.ravel_multi_index(tuple(-i % n for i in seeded), (n, n, n)))
+    rng = np.random.default_rng(config.seed)
+    draw = np.empty((3, n, n, n))
+    raw = rng.standard_normal(out=draw)[(slice(None),) + seeded].astype(np.complex128)
+    raw.imag = rng.standard_normal(out=draw)[(slice(None),) + seeded]
+    del draw
+    sym = 0.5 * (raw + np.conj(raw[:, mirror]))
+    kvec = np.stack([grid.k[j].ravel()[seeded[j]] for j in range(3)])
+    coef = np.zeros((3, n, n, n), dtype=np.complex128)
+    coef[(slice(None),) + seeded] = spectral_core.project_coefficients(
+        sym, kvec, grid.k_sq[seeded]
+    )
+    return coef
 
 
 def _rhs_band(coef: np.ndarray, u: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -199,7 +236,7 @@ def cfl_dt(state: TrajectoryState, c_cfl: float = 1.0) -> float:
     energetic fields.  max|u| reads the state's samples, which the first
     stage of `step` reuses.
     """
-    viscous = 1.0 / state.u_hat.grid.max_wavenumber**2
+    viscous = 1.0 / state.grid.max_wavenumber**2
     return c_cfl * min(state.advective_limit, viscous)
 
 
@@ -209,13 +246,13 @@ def step(state: TrajectoryState, dt: float) -> TrajectoryState:
     With the advection term zeroed this reduces to the heat kernel
     exp(-|k|^2 dt) exactly; with it, the scheme is classical fourth order.
     The stages run on the dealias band; the first reuses the state's samples,
-    which also give the advective bound.  Raises ValueError for a state with
-    a coefficient outside the band.  The returned state is full-spectrum and
-    exactly Hermitian.
+    which also give the advective bound.  The returned state's band has its
+    plane m3 = 0 made exactly Hermitian (`spectral_core.hermitian_band`), so
+    it is the band of its own full-spectrum field.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    grid = state.u_hat.grid
+    grid = state.grid
     u0 = state.band
     # Only advection limits stability: the viscous part is integrated exactly.
     limit = state.advective_limit
@@ -233,25 +270,19 @@ def step(state: TrajectoryState, dt: float) -> TrajectoryState:
     kd = dt * rhs(e_full * u0 + e_half * kc)
     u1 = e_full * u0 + (e_full * ka + 2.0 * e_half * (kb + kc) + kd) / 6.0
     return TrajectoryState(
-        u_hat=_band_field(u1, grid),
+        grid=grid,
+        band=spectral_core.hermitian_band(u1),
         t=state.t + dt,
         step_index=state.step_index + 1,
         last_dt=dt,
     )
 
 
-def _abort_if_not_finite(state: TrajectoryState) -> None:
-    """Raise NumericalBlowupError if the state holds a non-finite coefficient.
-
-    A stepped state is written from its band, so the band is checked; the
-    initial data may hold any mode, and a non-finite one outside the band
-    must abort the run rather than fail `gather_band`.
-    """
-    coef = state.band if state.step_index else state.u_hat.data
+def _abort_if_not_finite(coef: np.ndarray, t: float, step_index: int) -> None:
+    """Raise NumericalBlowupError if the coefficients `coef` at (t, step_index)
+    hold a non-finite value."""
     if not np.isfinite(coef).all():
-        raise NumericalBlowupError(
-            f"non-finite coefficients at t={state.t} (step {state.step_index})"
-        )
+        raise NumericalBlowupError(f"non-finite coefficients at t={t} (step {step_index})")
 
 
 def _ledger_row(
@@ -260,12 +291,13 @@ def _ledger_row(
     """One ledger row, its values in `inequality_lab.CSV_COLUMNS` order.
 
     Both routes take the state's band and samples, which `cfl_dt` and the
-    next step read as well.
+    next step read as well; the full-spectrum field that `norms` reads is
+    the row's one full lattice, and it is dropped with the row.
     """
     clock = SimilarityClock(horizon=config.horizon, t=state.t)
     u_norms = spectral_core.norms(state.u_hat)
-    wa = w_functionals_scaling_route(state.u_hat.grid, state.band, state.samples, clock, mults)
-    wb = w_functionals_multiplier_route(state.u_hat.grid, state.band, state.samples, clock, mults)
+    wa = w_functionals_scaling_route(state.grid, state.band, state.samples, clock, mults)
+    wb = w_functionals_multiplier_route(state.grid, state.band, state.samples, clock, mults)
     try:
         wa.validate()
         wb.validate()
@@ -300,16 +332,18 @@ def run(config: SimulationConfig) -> EnergyLedger:
     Rows are emitted at step 0, every `stride` steps, and at the final step.
     A state's step size is taken before its row, so the state's samples are
     transformed inside `cfl_dt`, except for the final state, whose row takes
-    them.  A non-finite field aborts with NumericalBlowupError; a ledger that
-    fails its invariants raises LedgerError.  The metadata is every field of
-    `config` plus the number of steps taken.
+    them.  A non-finite field aborts with NumericalBlowupError (the initial
+    data, which may hold any mode, are checked on their full lattice before
+    their band is gathered); a ledger that fails its invariants raises
+    LedgerError.  The metadata is every field of `config` plus the number of
+    steps taken.
     """
     grid = make_grid(config.n, config.box_length)
     mults = MultiplierSet.build(config.alpha)
-    state = TrajectoryState(
-        u_hat=make_initial_data(config, grid), t=0.0, step_index=0, last_dt=0.0
-    )
-    _abort_if_not_finite(state)
+    u0 = make_initial_data(config, grid)
+    _abort_if_not_finite(u0.data, 0.0, 0)
+    state = TrajectoryState.from_field(u0, t=0.0, step_index=0, last_dt=0.0)
+    del u0
     t_end = config.horizon - config.t_min
     rows = []
     while True:
@@ -321,4 +355,4 @@ def run(config: SimulationConfig) -> EnergyLedger:
         if done:
             return EnergyLedger(rows, meta={**asdict(config), "steps": state.step_index})
         state = step(state, dt)
-        _abort_if_not_finite(state)
+        _abort_if_not_finite(state.band, state.t, state.step_index)

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -57,6 +58,7 @@ class ReportBundle:
     config_hash: str
     versions: dict
     wall_time_s: float
+    peak_rss_mb: float
     reports: tuple
     certificates: tuple
     schema: int = SCHEMA_VERSION
@@ -90,6 +92,10 @@ class RunConfig(SimulationConfig):
                 SimulationConfig(**{**simulation, "alpha": a, "delta": d, "n": n})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        for axis in ("sweep_alpha", "sweep_delta", "sweep_n"):
+            values = getattr(self, axis)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{axis} repeats a value: {_format_value(values)}")
         if self.inject_corruption not in ("none",) + inequality_lab.CORRUPTION_KINDS:
             raise ConfigError(f"unknown corruption kind {self.inject_corruption!r}")
         if self.threads < 1:
@@ -177,6 +183,8 @@ def _report_lines(reports) -> list[str]:
 
 
 def _bundle(config: RunConfig, reports, wall_time: float) -> ReportBundle:
+    """The run's bundle; `peak_rss_mb` is the process's resident high-water
+    mark so far, which in a sweep covers the points before this one too."""
     text = config.as_text()
     certificates = tuple(
         CertificateConstant(r.inequality_id, r.certificate, config.n, config.delta)
@@ -193,6 +201,7 @@ def _bundle(config: RunConfig, reports, wall_time: float) -> ReportBundle:
             "scipy": scipy.__version__,
         },
         wall_time_s=wall_time,
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         reports=tuple(reports),
         certificates=certificates,
     )
@@ -313,7 +322,7 @@ def cmd_sweep(config: RunConfig) -> int:
     table: list[dict] = []
     for a, d, n in _sweep_points(config):
         point = replace(config, alpha=a, delta=d, n=n, sweep_alpha=(), sweep_delta=(), sweep_n=())
-        tag = f"alpha{a:g}_delta{d:g}_n{n}"
+        tag = f"alpha{a!r}_delta{d!r}_n{n}"
         print(f"[torusns] sweep point {tag}")
         code, bundle = _run_point(replace(point, out_dir=str(base / tag)))
         worst = max(worst, code)

@@ -18,9 +18,9 @@ per row.  Two computation routes are provided and audited against each other:
 
 Both take the field on the dealias band of `spectral_core`: its band
 coefficients (3, K, K, c + 1) and their physical values, the samples.  A
-ledger row passes the state's `TrajectoryState.band` and `.samples`, so the
-band is gathered and checked once per state (`spectral_core.gather_band`);
-a caller holding a full-spectrum field takes the pair from
+ledger row passes the state's `TrajectoryState.band` and `.samples`, so a
+run gathers and checks a band once, from its initial data
+(`spectral_core.gather_band`); a caller holding a full-spectrum field takes the pair from
 `spectral_core.band_terms`.  Every inverse transform is `band_to_physical`
 and both products, F[(u . grad) u] and F[w x curl w], go through
 `band_to_spectral`; every spectral sum is a `band_sum` over the band's

@@ -230,7 +230,8 @@ def to_spectral(field: VectorField) -> VectorField:
 def to_physical(field: VectorField) -> VectorField:
     """Inverse transform; discards the roundoff-level imaginary part."""
     field.require(SPECTRAL)
-    vals = scipy.fft.ifftn(field.data, axes=(1, 2, 3)) * field.grid.num_modes
+    vals = scipy.fft.ifftn(field.data, axes=(1, 2, 3))
+    vals *= field.grid.num_modes
     return VectorField(field.grid, np.ascontiguousarray(vals.real), PHYSICAL)
 
 
@@ -261,9 +262,9 @@ def band_to_physical(coef: np.ndarray, n: int) -> np.ndarray:
 
     The one-dimensional transforms of `half_to_physical` in its order: along
     axis -3 on the band's (m2, m3) columns only, along -2 on its m3 columns
-    only, then the real transform along -1, which pads the c + 1 columns to
-    n//2 + 1 itself.  The result equals `half_to_physical` of the same modes
-    bit for bit.
+    only, in place in the half-spectrum rows, whose columns past c are zero,
+    then the real transform along -1, which thus pads nothing itself.  The
+    result equals `half_to_physical` of the same modes bit for bit.
     """
     c = band_cutoff(n)
     lead = coef.shape[:-3]
@@ -272,12 +273,17 @@ def band_to_physical(coef: np.ndarray, n: int) -> np.ndarray:
     cols[..., c + 1 : n - c, :, :] = 0.0
     cols[..., n - c :, :, :] = coef[..., c + 1 :, :, :]
     cols = scipy.fft.ifft(cols, axis=-3, norm="forward", overwrite_x=True)
-    rows = np.empty(lead + (n, n, c + 1), dtype=np.complex128)
-    rows[..., : c + 1, :] = cols[..., : c + 1, :]
-    rows[..., c + 1 : n - c, :] = 0.0
-    rows[..., n - c :, :] = cols[..., c + 1 :, :]
-    rows = scipy.fft.ifft(rows, axis=-2, norm="forward", overwrite_x=True)
-    return scipy.fft.irfft(rows, n=n, axis=-1, norm="forward", overwrite_x=True)
+    rows = np.empty(lead + (n, n, n // 2 + 1), dtype=np.complex128)
+    head = rows[..., : c + 1]
+    head[..., : c + 1, :] = cols[..., : c + 1, :]
+    head[..., c + 1 : n - c, :] = 0.0
+    head[..., n - c :, :] = cols[..., c + 1 :, :]
+    rows[..., c + 1 :] = 0.0
+    del cols
+    done = scipy.fft.ifft(head, axis=-2, norm="forward", overwrite_x=True)
+    if not np.may_share_memory(done, rows):  # a scipy.fft backend need not work in place
+        head[...] = done
+    return scipy.fft.irfft(rows, n=n, axis=-1, norm="forward")
 
 
 def band_to_spectral(values: np.ndarray) -> np.ndarray:
@@ -331,19 +337,29 @@ def _reflect_modes(planes: np.ndarray) -> np.ndarray:
     return np.roll(planes[:, ::-1, ::-1], 1, axis=(1, 2))
 
 
+def hermitian_band(band: np.ndarray) -> np.ndarray:
+    """A copy of the dealias-band coefficients `band` whose plane m3 = 0, its
+    own mirror image, is made exactly Hermitian: 0.5 * (P + conj(P[-m1, -m2])).
+
+    It is the band of `full_spectrum(band, n)` bit for bit, and a band that
+    is already Hermitian comes back unchanged.
+    """
+    herm = band.copy()
+    herm[..., 0] = 0.5 * (band[..., 0] + np.conj(_reflect_modes(band[..., 0])))
+    return herm
+
+
 def full_spectrum(band: np.ndarray, n: int) -> np.ndarray:
     """The (3, n, n, n) coefficients of the real field with dealias-band
     coefficients `band`; every mode outside the band and its mirror is zero.
 
-    The plane m3 = 0 is its own mirror image and is first made exactly
-    Hermitian, 0.5 * (P + conj(P[-m1, -m2])); the modes m3 < 0 are then
-    written as conj(coef(-k)).  The result satisfies coef(-k) = conj(coef(k))
-    bitwise, so `hermitian_defect` reads 0.0.
+    The band is first made exactly Hermitian (`hermitian_band`); the modes
+    m3 < 0 are then written as conj(coef(-k)).  The result satisfies
+    coef(-k) = conj(coef(k)) bitwise, so `hermitian_defect` reads 0.0.
     """
     positions = _band_positions(n)
     c = band_cutoff(n)
-    herm = band.copy()
-    herm[..., 0] = 0.5 * (band[..., 0] + np.conj(_reflect_modes(band[..., 0])))
+    herm = hermitian_band(band)
     out = np.zeros(band.shape[:1] + (n, n, n), dtype=np.complex128)
     out[positions] = herm
     out[positions[:3] + (slice(n - c, n),)] = np.conj(_reflect_modes(herm[..., c:0:-1]))

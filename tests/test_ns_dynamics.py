@@ -1,6 +1,7 @@
 """Tests for the pseudo-spectral integrator and its invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,14 +25,35 @@ from torusns.spectral_core import (
 )
 
 
-def single_mode_state(grid, k_index=(1, 0, 0), amplitude=1.0):
+def single_mode_field(grid, k_index=(1, 0, 0), amplitude=1.0):
     """Divergence-free single cosine mode; its self-advection vanishes."""
     data = np.zeros((3, grid.n, grid.n, grid.n), dtype=complex)
     v = np.array([0.0, 1.0, 0.5])  # orthogonal to k = (k1, 0, 0)
     i, j, l = k_index
     data[:, i, j, l] = 0.5 * amplitude * v
     data[:, -i, -j, -l] = 0.5 * amplitude * v
-    return TrajectoryState(VectorField(grid, data, SPECTRAL), 0.0, 0, 0.0)
+    return VectorField(grid, data, SPECTRAL)
+
+
+def single_mode_state(grid, k_index=(1, 0, 0), amplitude=1.0):
+    return TrajectoryState.from_field(single_mode_field(grid, k_index, amplitude), 0.0, 0, 0.0)
+
+
+def full_lattice_initial_data(config, grid):
+    """Reference `random_low_mode` initial data, built on the full lattice:
+    both Gaussian draws kept whole, symmetrized through a flipped copy,
+    projected and dealiased there.  No computation uses it: it is what
+    `make_initial_data` is tested against."""
+    rng = np.random.default_rng(config.seed)
+    shape = (3, grid.n, grid.n, grid.n)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    raw *= (grid.k_mag <= config.init_k_max) & (grid.k_mag > 0.0)
+    flipped = np.roll(raw[:, ::-1, ::-1, ::-1], 1, axis=(1, 2, 3))
+    sym = 0.5 * (raw + np.conj(flipped))
+    coef = dealias(tn.leray_project(VectorField(grid, sym, SPECTRAL))).data
+    coef[:, 0, 0, 0] = 0.0
+    current = math.sqrt(grid.volume * float(np.sum(np.abs(coef) ** 2)))
+    return coef * (config.delta / current) if current > 0.0 else coef * 0.0
 
 
 def half_spectrum_step(state, dt):
@@ -100,6 +122,29 @@ class TestInitialData:
         outside = np.abs(u0.data) * (grid16.k_mag > config.init_k_max)
         assert np.max(outside) == 0.0
 
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_full_lattice_reference(self, n, seed):
+        config = tn.SimulationConfig(n=n, delta=0.3, seed=seed)
+        grid = tn.make_grid(n)
+        u0 = tn.make_initial_data(config, grid)
+        assert np.array_equal(u0.data, full_lattice_initial_data(config, grid))
+
+    def test_builds_no_full_lattice_copies(self):
+        # the output lattice and the squared magnitudes of its norm; the
+        # full-lattice reference peaks near six complex lattices
+        config = tn.SimulationConfig(n=32, delta=0.01, seed=3)
+        grid = tn.make_grid(32)
+        lattice = 3 * 32**3 * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            tn.make_initial_data(config, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * lattice
+        assert "wavevectors" not in vars(grid)
+
     def test_band_must_survive_dealiasing(self):
         with pytest.raises(ValueError):
             tn.SimulationConfig(n=16, init_k_max=6.0)
@@ -150,7 +195,7 @@ class TestNonlinearTerm:
 
 class TestStep:
     def test_zero_field_fixed_point(self, grid16):
-        state = TrajectoryState(zero_field(grid16, SPECTRAL), 0.0, 0, 0.0)
+        state = TrajectoryState.from_field(zero_field(grid16, SPECTRAL), 0.0, 0, 0.0)
         out = tn.step(state, 1e-3)
         assert np.max(np.abs(out.u_hat.data)) == 0.0
 
@@ -166,7 +211,7 @@ class TestStep:
         u0 = tn.make_initial_data(config, grid16)
 
         def advance(dt, substeps):
-            st = TrajectoryState(u0, 0.0, 0, 0.0)
+            st = TrajectoryState.from_field(u0, 0.0, 0, 0.0)
             for _ in range(substeps):
                 st = tn.step(st, dt / substeps)
             return st.u_hat.data
@@ -182,7 +227,7 @@ class TestStep:
         u0 = tn.make_initial_data(config, grid16)
 
         def integrate(dt, t_end=0.2):
-            st = TrajectoryState(u0, 0.0, 0, 0.0)
+            st = TrajectoryState.from_field(u0, 0.0, 0, 0.0)
             while st.t < t_end - 1e-12:
                 st = tn.step(st, min(dt, t_end - st.t))
             return st.u_hat.data
@@ -201,7 +246,7 @@ class TestStep:
 
     def test_divergence_and_symmetry_preserved(self, grid16):
         config = tn.SimulationConfig(n=16, delta=0.3, seed=2)
-        state = TrajectoryState(tn.make_initial_data(config, grid16), 0.0, 0, 0.0)
+        state = TrajectoryState.from_field(tn.make_initial_data(config, grid16), 0.0, 0, 0.0)
         dt = tn.cfl_dt(state, 0.9)
         for _ in range(500):
             state = tn.step(state, dt)
@@ -211,7 +256,7 @@ class TestStep:
     def test_state_stays_exactly_hermitian(self, grid16):
         for kind, delta in (("random_low_mode", 0.3), ("taylor_green", 1.0)):
             config = tn.SimulationConfig(n=16, initial_kind=kind, delta=delta, seed=5)
-            state = TrajectoryState(tn.make_initial_data(config, grid16), 0.0, 0, 0.0)
+            state = TrajectoryState.from_field(tn.make_initial_data(config, grid16), 0.0, 0, 0.0)
             for _ in range(3):
                 state = tn.step(state, tn.cfl_dt(state))
                 assert hermitian_defect(state.u_hat) == 0.0
@@ -220,7 +265,7 @@ class TestStep:
         # e_high is ~1e-49 of the energy here: any non-Hermitian roundoff in
         # the state shows up as a gap between the two routes
         config = tn.SimulationConfig(n=64, delta=0.01, horizon=0.0019, seed=51, stride=2)
-        state = TrajectoryState(tn.make_initial_data(config), 0.0, 0, 0.0)
+        state = TrajectoryState.from_field(tn.make_initial_data(config), 0.0, 0, 0.0)
         for _ in range(2):
             state = tn.step(state, tn.cfl_dt(state, config.c_cfl))
         row = _ledger_row(state, config, MultiplierSet.build(config.alpha))
@@ -228,7 +273,7 @@ class TestStep:
 
     def test_discrete_energy_law(self, grid16):
         config = tn.SimulationConfig(n=16, initial_kind="taylor_green", delta=1.0)
-        state = TrajectoryState(tn.make_initial_data(config, grid16), 0.0, 0, 0.0)
+        state = TrajectoryState.from_field(tn.make_initial_data(config, grid16), 0.0, 0, 0.0)
         dt = 2e-3
         for _ in range(20):
             before = tn.norms(state.u_hat)
@@ -246,7 +291,7 @@ class TestDealiasBandStages:
     @pytest.mark.parametrize("n", [16, 32])
     def test_step_matches_half_spectrum_reference_bitwise(self, n):
         config = tn.SimulationConfig(n=n, delta=2.0, seed=11)
-        state = TrajectoryState(tn.make_initial_data(config), 0.0, 0, 0.0)
+        state = TrajectoryState.from_field(tn.make_initial_data(config), 0.0, 0, 0.0)
         for _ in range(3):
             dt = tn.cfl_dt(state)
             expected = half_spectrum_step(state, dt)
@@ -255,26 +300,38 @@ class TestDealiasBandStages:
 
     @pytest.mark.parametrize("index", [(6, 0, 0), (1, 10, 0), (0, 0, 8), (2, 3, 10)])
     def test_coefficient_outside_band_rejected(self, grid16, index):
-        # the band of n = 16 keeps |m| <= 5 on every axis
+        # the band of n = 16 keeps |m| <= 5 on every axis; a state is its
+        # band, so the field is rejected where it would become one
         for amplitude in (1.0, 0.0):
-            state = single_mode_state(grid16, amplitude=amplitude)
-            state.u_hat.data[(0,) + index] = 1e-3
+            field = single_mode_field(grid16, amplitude=amplitude)
+            field.data[(0,) + index] = 1e-3
             with pytest.raises(ValueError, match="outside the dealias band"):
-                tn.nonlinear_rhs(state.u_hat)
+                TrajectoryState.from_field(field, 0.0, 0, 0.0)
             with pytest.raises(ValueError, match="outside the dealias band"):
-                tn.cfl_dt(state)
-            with pytest.raises(ValueError, match="outside the dealias band"):
-                tn.step(state, 1e-3)
+                tn.nonlinear_rhs(field)
             for oracle in (trilinear_form, advective_laplacian_form, convective_product):
                 with pytest.raises(ValueError, match="outside the dealias band"):
-                    oracle(state.u_hat)
+                    oracle(field)
+
+    def test_state_keeps_no_full_lattice(self):
+        config = tn.SimulationConfig(n=16, delta=2.0, seed=11)
+        state = TrajectoryState.from_field(tn.make_initial_data(config), 0.0, 0, 0.0)
+        for _ in range(2):
+            state = tn.step(state, tn.cfl_dt(state))
+            full = state.u_hat
+            assert full is not state.u_hat
+            assert np.array_equal(state.band, spectral_core.gather_band(full))
+            assert not any(
+                np.iscomplexobj(v) and np.shape(v) == (3, 16, 16, 16) for v in vars(state).values()
+            )
 
     def test_eight_inverse_transforms_per_step(self, monkeypatch):
         # cfl_dt, the first stage and both routes of a row share the state's
-        # band and samples; each state's band is gathered once, a row adds 9
-        # inverse and 2 forward band transforms, and only the last state's
-        # samples are taken for its row alone
-        counts = {"gather": 0, "inverse": 0, "forward": 0, "half": 0}
+        # band and samples; the band is gathered once, from the initial
+        # data, a step hands back a band, a row adds 9 inverse and 2 forward
+        # band transforms and writes one full lattice, for norms, and only
+        # the last state's samples are taken for its row alone
+        counts = {"gather": 0, "full": 0, "inverse": 0, "forward": 0, "half": 0}
 
         def counted(name, key):
             transform = getattr(spectral_core, name)
@@ -286,6 +343,7 @@ class TestDealiasBandStages:
             monkeypatch.setattr(spectral_core, name, wrapper)
 
         counted("gather_band", "gather")
+        counted("full_spectrum", "full")
         counted("band_to_physical", "inverse")
         counted("band_to_spectral", "forward")
         counted("half_to_physical", "half")
@@ -294,7 +352,8 @@ class TestDealiasBandStages:
         steps, rows = ledger.meta["steps"], len(ledger)
         assert steps > 1 and rows > 2
         assert counts == {
-            "gather": steps + 1,
+            "gather": 1,
+            "full": rows,
             "inverse": 8 * steps + 9 * rows + 1,
             "forward": 4 * steps + 2 * rows,
             "half": 0,
@@ -303,7 +362,7 @@ class TestDealiasBandStages:
 
 class TestCflBound:
     def test_rest_field_uses_viscous_bound(self, grid16):
-        state = TrajectoryState(zero_field(grid16, SPECTRAL), 0.0, 0, 0.0)
+        state = TrajectoryState.from_field(zero_field(grid16, SPECTRAL), 0.0, 0, 0.0)
         expected = 1.0 / grid16.max_wavenumber**2
         assert tn.cfl_dt(state) == pytest.approx(expected, rel=1e-14)
         assert tn.cfl_dt(state, 0.5) == pytest.approx(0.5 * expected, rel=1e-14)
@@ -361,7 +420,7 @@ class TestRun:
         mults = MultiplierSet.build(config.alpha)
         state = single_mode_state(grid16, amplitude=1.0)
         norm0 = math.sqrt(tn.norms(state.u_hat).l2_sq)
-        state = TrajectoryState(
+        state = TrajectoryState.from_field(
             VectorField(grid16, state.u_hat.data * (config.delta / norm0), SPECTRAL),
             0.0,
             0,

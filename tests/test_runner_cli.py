@@ -1,6 +1,7 @@
 """Tests for configuration parsing, the CLI commands, and exit codes."""
 
 import json
+import resource
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -166,6 +167,12 @@ class TestRunCommand:
         certificate_keys = {"inequality_id", "value", "n", "delta"}
         assert all(set(c) == certificate_keys for c in bundle["certificates"])
 
+    def test_report_records_peak_rss(self, tmp_path):
+        config = parse_config(FAST_RUN)
+        assert cmd_run(replace(config, out_dir=str(tmp_path))) == 0
+        recorded = json.loads((tmp_path / "report.json").read_text())["peak_rss_mb"]
+        assert 0.0 < recorded <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
     def test_corruption_fixture_exit_two(self, tmp_path):
         config = parse_config(FAST_RUN + "inject_corruption = energy_bump\n")
         assert cmd_run(replace(config, out_dir=str(tmp_path / "bad"))) == 2
@@ -268,6 +275,17 @@ class TestSweepCommand:
         subdirs = [p.name for p in tmp_path.iterdir() if p.is_dir()]
         assert len(subdirs) == 2
 
+    def test_close_axis_values_get_their_own_directories(self, tmp_path):
+        # equal to six significant digits: each point still keeps its files
+        config = parse_config(FAST_RUN + "sweep_alpha = 0.0625, 0.06250001\n")
+        assert cmd_sweep(replace(config, out_dir=str(tmp_path))) == 0
+        points = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
+        assert points == ["alpha0.06250001_delta0.01_n16", "alpha0.0625_delta0.01_n16"]
+        reports = [json.loads((tmp_path / p / "report.json").read_text()) for p in points]
+        alphas = {parse_config(r["config_text"]).alpha for r in reports}
+        assert alphas == {0.0625, 0.06250001}
+        assert len((tmp_path / "certificates.csv").read_text().splitlines()) == 7
+
     def test_point_records_its_own_out_dir(self, tmp_path):
         config = parse_config(FAST_RUN + "sweep_delta = 0.01\n")
         assert cmd_sweep(replace(config, out_dir=str(tmp_path))) == 0
@@ -338,8 +356,8 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path), "run"]) == 1
 
     @pytest.mark.parametrize(
-        "axis", ["sweep_n = 7", "sweep_delta = -1", "sweep_n = 8, 16"],
-        ids=["odd_n", "negative_delta", "n8_loses_initial_modes"],
+        "axis", ["sweep_n = 7", "sweep_delta = -1", "sweep_n = 8, 16", "sweep_n = 16, 16"],
+        ids=["odd_n", "negative_delta", "n8_loses_initial_modes", "repeated_n"],
     )
     def test_bad_sweep_point_exit_one(self, tmp_path, capsys, axis):
         # every sweep point is checked when the config is built, before any runs

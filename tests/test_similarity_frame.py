@@ -232,7 +232,7 @@ class TestTwoRoutes:
         # dealias band: the one complex transform is the one inside norms,
         # which runs once, and no w-grid is built
         config = tn.SimulationConfig(n=16, delta=0.01, horizon=0.03)
-        state = ns_dynamics.TrajectoryState(tn.make_initial_data(config), 0.0, 0, 0.0)
+        state = ns_dynamics.TrajectoryState.from_field(tn.make_initial_data(config), 0.0, 0, 0.0)
         state = ns_dynamics.step(state, ns_dynamics.cfl_dt(state))
         assert hermitian_defect(state.u_hat) == 0.0
         counts = {"norms": 0, "complex_transforms": 0, "grids": 0}
@@ -270,7 +270,7 @@ class TestTwoRoutes:
     @staticmethod
     def _solver_state(n=16):
         config = tn.SimulationConfig(n=n, delta=0.01, horizon=0.03)
-        state = ns_dynamics.TrajectoryState(tn.make_initial_data(config), 0.0, 0, 0.0)
+        state = ns_dynamics.TrajectoryState.from_field(tn.make_initial_data(config), 0.0, 0, 0.0)
         return ns_dynamics.step(state, ns_dynamics.cfl_dt(state)), config
 
     def test_audit_sees_a_wrong_contraction(self, monkeypatch):
