@@ -20,9 +20,6 @@ from .inequality_lab import (
 )
 from .multiplier_bank import (
     MultiplierSet,
-    RadialMultiplier,
-    build_chi,
-    build_phi,
     check_bernstein,
     hausdorff_young_constant,
     sign_certificate_A,

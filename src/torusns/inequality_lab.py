@@ -85,8 +85,10 @@ class EnergyLedger:
         return self.table[:, _COLUMN_INDEX[name]]
 
     def validate(self) -> None:
-        if not len(self.table):
-            raise LedgerError("empty ledger")
+        if len(self.table) < 3:
+            raise LedgerError(
+                f"ledger has {len(self.table)} rows; differencing needs at least three"
+            )
         tau = self.column("tau")
         if not np.all(np.diff(tau) > 0):
             raise LedgerError("tau must be strictly increasing")

@@ -1,7 +1,9 @@
 """Radial Fourier multipliers and the frequency-split operators built on them.
 
 One smooth low-pass profile `phi` (identically 1 inside radius 1, identically
-0 outside radius 2, nonincreasing) generates the whole bank:
+0 outside radius 2, nonincreasing) generates the whole bank.  The profiles
+are the fields of `Profiles`, and `MultiplierSet.profiles` is the one place
+that evaluates them, from a single evaluation of `phi`:
 
 * ``phi``                    -- low-pass cut (operator: low part of a field),
 * ``one_minus_phi``          -- the complementary high-pass cut,
@@ -9,20 +11,21 @@ One smooth low-pass profile `phi` (identically 1 inside radius 1, identically
   phi^2 + (sqrt(1-phi^2))^2 = 1 pointwise and the two parts split the L2
   energy exactly,
 * ``chi``                    -- a weighted low-pass: r^(1/2+2a) * phi(r) below
-  the knee r = 1/2 + a and (1/2+a)^(1/2+2a) * phi(r) above it, for a weight
-  exponent a in (0, 1/8).
+  the knee r = 1/2 + a and (1/2+a)^(1/2+2a) * phi(r) above it, for the weight
+  exponent a in (0, 1/8) that a `MultiplierSet` holds.
 
-The module also provides the quadrature constant bounding L^m norms of the
-low part by the chi-weighted L2 norm, a Bernstein-type margin check, and the
-two pointwise sign certificates used by the energy-decay argument.
+`evaluate_on_grid` and `apply` take a profile by its field name.  The module
+also provides the quadrature constant bounding L^m norms of the low part by
+the chi-weighted L2 norm, a Bernstein-type margin check, and the two
+pointwise sign certificates used by the energy-decay argument.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,64 +56,9 @@ def _smoothstep(s: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class RadialMultiplier:
-    """A radial symbol r >= 0 -> [0, C]; `fn` must accept numpy arrays.
-
-    A profile derived from `phi` carries its formula as `of_phi(r, phi(r))`,
-    and `fn` applies it to its own evaluation of `phi`.
-    """
-
-    label: str
-    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    alpha: float | None = None
-    sharpness: float = 1.0
-    of_phi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False
-    )
-
-    def __call__(self, r: np.ndarray | float) -> np.ndarray:
-        return self.fn(np.asarray(r, dtype=float))
-
-    def sq(self, r: np.ndarray | float) -> np.ndarray:
-        return self(r) ** 2
-
-    def d_sq_dr(self, r: np.ndarray | float) -> np.ndarray:
-        """Central-difference derivative of the squared profile (O(h^2))."""
-        r = np.asarray(r, dtype=float)
-        h = _FD_STEP
-        return (self.sq(r + h) - self.sq(np.maximum(r - h, 0.0))) / (
-            (r + h) - np.maximum(r - h, 0.0)
-        )
-
-
-def _from_phi(phi: RadialMultiplier, label: str, of_phi, alpha=None) -> RadialMultiplier:
-    """The profile r -> of_phi(r, phi(r))."""
-
-    def fn(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return of_phi(r, phi(r))
-
-    return RadialMultiplier(
-        label=label, fn=fn, alpha=alpha, sharpness=phi.sharpness, of_phi=of_phi
-    )
-
-
-def build_phi(transition_sharpness: float = 1.0) -> RadialMultiplier:
-    """Smooth low-pass profile: 1 on r <= 1, 0 on r >= 2, nonincreasing.
-
-    `transition_sharpness` in (0, 1] is the fraction of [1, 2] used for the
-    transition (measured from r = 2 backwards); values above 1 would erode the
-    inner plateau and are rejected.
-    """
-    w = float(transition_sharpness)
-    if not 0.0 < w <= 1.0:
-        raise ValueError(f"transition sharpness must lie in (0, 1], got {w}")
-
-    def fn(r: np.ndarray) -> np.ndarray:
-        return _smoothstep((2.0 - np.asarray(r, dtype=float)) / w)
-
-    return RadialMultiplier(label="phi", fn=fn, sharpness=w)
+def phi(r: np.ndarray | float) -> np.ndarray:
+    """Smooth low-pass profile: 1 on r <= 1, 0 on r >= 2, nonincreasing."""
+    return _smoothstep(2.0 - np.asarray(r, dtype=float))
 
 
 def check_alpha(alpha: float) -> float:
@@ -119,31 +67,6 @@ def check_alpha(alpha: float) -> float:
     if not 0.0 < a < 0.125:
         raise ValueError(f"alpha must lie in (0, 1/8), got {a}")
     return a
-
-
-def build_chi(phi: RadialMultiplier, alpha: float) -> RadialMultiplier:
-    """Weighted low-pass profile with knee at r = 1/2 + alpha.
-
-    Equals r^(1/2+2a)*phi(r) below the knee and (1/2+a)^(1/2+2a)*phi(r) above
-    it; the two branches match continuously at the knee.
-    """
-    a = check_alpha(alpha)
-    knee = 0.5 + a
-    exponent = 0.5 + 2.0 * a
-
-    def of_phi(r: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.minimum(r, knee) ** exponent * p
-
-    return _from_phi(phi, "chi", of_phi, alpha=a)
-
-
-def _one_minus(r: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return 1.0 - p
-
-
-def _sqrt_one_minus_sq(r: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # (1-phi)(1+phi) is better conditioned near phi = 1 than 1 - phi^2.
-    return np.sqrt(np.clip((1.0 - p) * (1.0 + p), 0.0, None))
 
 
 class Profiles(NamedTuple):
@@ -157,54 +80,46 @@ class Profiles(NamedTuple):
 
 @dataclass(frozen=True)
 class MultiplierSet:
-    """The four profiles of the bank for one weight exponent alpha."""
+    """The profile bank for one weight exponent alpha, checked when built
+    (ValueError unless 0 < alpha < 1/8)."""
 
     alpha: float
-    phi: RadialMultiplier
-    chi: RadialMultiplier
-    one_minus_phi: RadialMultiplier
-    sqrt_one_minus_phi_sq: RadialMultiplier
 
-    @classmethod
-    def build(cls, alpha: float, transition_sharpness: float = 1.0) -> "MultiplierSet":
-        phi = build_phi(transition_sharpness)
-        return cls(
-            alpha=float(alpha),
-            phi=phi,
-            chi=build_chi(phi, alpha),
-            one_minus_phi=_from_phi(phi, "one_minus_phi", _one_minus),
-            sqrt_one_minus_phi_sq=_from_phi(phi, "sqrt_one_minus_phi_sq", _sqrt_one_minus_sq),
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
 
-    def profiles(self, r: np.ndarray) -> Profiles:
+    def profiles(self, r: np.ndarray | float) -> Profiles:
         """All four profiles at the radii `r`, from one evaluation of `phi`.
 
-        Each value equals the profile's own evaluation at the same radius.
+        `chi` has its knee at r = 1/2 + alpha: r^(1/2+2a)*phi(r) below it and
+        (1/2+a)^(1/2+2a)*phi(r) above it, the branches matching at the knee.
         """
         r = np.asarray(r, dtype=float)
-        p = self.phi(r)
+        p = phi(r)
+        knee = 0.5 + self.alpha
         return Profiles(
             phi=p,
-            chi=self.chi.of_phi(r, p),
-            one_minus_phi=self.one_minus_phi.of_phi(r, p),
-            sqrt_one_minus_phi_sq=self.sqrt_one_minus_phi_sq.of_phi(r, p),
+            chi=np.minimum(r, knee) ** (0.5 + 2.0 * self.alpha) * p,
+            one_minus_phi=1.0 - p,
+            # (1-phi)(1+phi) is better conditioned near phi = 1 than 1 - phi^2.
+            sqrt_one_minus_phi_sq=np.sqrt(np.clip((1.0 - p) * (1.0 + p), 0.0, None)),
         )
 
 
-def evaluate_on_grid(mult: RadialMultiplier, grid) -> np.ndarray:
-    """Profile evaluated at |k| over the grid lattice.
+def evaluate_on_grid(mults: MultiplierSet, name: str, grid) -> np.ndarray:
+    """The profile `name` (a field of Profiles) at |k| over the grid lattice.
 
     Values are cached for the most recent lattice (n, L) only, so fields on a
     sequence of boxes (such as `similarity_frame.build_w_field` makes) keep
     the cache bounded.
     """
     lattice = (grid.n, grid.box_length)
-    key = lattice + (mult.label, mult.alpha, mult.sharpness)
+    key = lattice + (name, mults.alpha)
     with _cache_lock:
         hit = _profile_cache.get(key)
     if hit is not None:
         return hit
-    values = mult(grid.k_mag)
+    values = getattr(mults.profiles(grid.k_mag), name)
     with _cache_lock:
         if any(cached[:2] != lattice for cached in _profile_cache):
             _profile_cache.clear()
@@ -212,10 +127,10 @@ def evaluate_on_grid(mult: RadialMultiplier, grid) -> np.ndarray:
     return values
 
 
-def apply(mult: RadialMultiplier, field: VectorField) -> VectorField:
-    """Multiply the coefficients by profile(|k|)."""
+def apply(mults: MultiplierSet, name: str, field: VectorField) -> VectorField:
+    """Multiply the coefficients by the profile `name` at |k|."""
     field.require(SPECTRAL)
-    weights = evaluate_on_grid(mult, field.grid)
+    weights = evaluate_on_grid(mults, name, field.grid)
     return VectorField(field.grid, field.data * weights, SPECTRAL)
 
 
@@ -255,8 +170,8 @@ def check_bernstein(mults: MultiplierSet, field: VectorField, beta: tuple[int, i
     deriv = spectral_derivative(field, beta)
     g = field.grid
     power = np.sum(np.abs(deriv.data) ** 2, axis=0)
-    w_high = evaluate_on_grid(mults.one_minus_phi, g) ** 2
-    w_split = evaluate_on_grid(mults.sqrt_one_minus_phi_sq, g) ** 2
+    w_high = evaluate_on_grid(mults, "one_minus_phi", g) ** 2
+    w_split = evaluate_on_grid(mults, "sqrt_one_minus_phi_sq", g) ** 2
     return g.volume * float(np.sum((w_split - w_high) * power))
 
 
@@ -273,13 +188,13 @@ def sign_certificate_A(alpha: float, r_grid: np.ndarray | None = None) -> float:
     bracket(r) = (1/4) r d(-chi^2)/dr - r^2 chi^2 + (1/4 + alpha) chi^2.
     On the power branch the algebra collapses to -r^(3+4a) exactly.
     """
-    mults = MultiplierSet.build(alpha)
+    mults = MultiplierSet(alpha)
     if r_grid is None:
         r_grid = np.linspace(0.0, 1.0, 10_001)
     r = np.asarray(r_grid, dtype=float)
     if r.min() < 0.0 or r.max() > 1.0:
         raise ValueError("the low-range certificate is defined on r in [0, 1]")
-    chi_sq = mults.chi.sq(r)
+    chi_sq = mults.profiles(r).chi ** 2
     bracket = -0.25 * r * _chi_sq_derivative(mults, r) + (0.25 + alpha - r**2) * chi_sq
     return float(np.max(bracket))
 
@@ -291,13 +206,16 @@ def sign_certificate_B(alpha: float, r_grid: np.ndarray | None = None) -> float:
     with c = (1/2 + alpha)^(1 + 4 alpha).  Both terms are nonpositive: the
     profile is nonincreasing and r^2 >= 1 > 1/4 + alpha.
     """
-    mults = MultiplierSet.build(alpha)
+    check_alpha(alpha)
     if r_grid is None:
         r_grid = np.linspace(1.0, 2.0, 10_001)
     r = np.asarray(r_grid, dtype=float)
     if r.min() < 1.0 or r.max() > 2.0:
         raise ValueError("the transition-range certificate is defined on r in [1, 2]")
     c = (0.5 + alpha) ** (1.0 + 4.0 * alpha)
-    dphi_sq = mults.phi.d_sq_dr(r)
-    bracket = 0.25 * (1.0 - c) * r * dphi_sq - (r**2 - (0.25 + alpha)) * c * mults.phi.sq(r)
+    h = _FD_STEP
+    dphi_sq = (phi(r + h) ** 2 - phi(np.maximum(r - h, 0.0)) ** 2) / (
+        (r + h) - np.maximum(r - h, 0.0)
+    )
+    bracket = 0.25 * (1.0 - c) * r * dphi_sq - (r**2 - (0.25 + alpha)) * c * phi(r) ** 2
     return float(np.max(bracket))

@@ -79,10 +79,16 @@ class SimulationConfig:
         if not self.box_length > 0 or not self.horizon > 0:
             raise ValueError("box length and horizon must be positive")
         check_alpha(self.alpha)
-        if self.delta < 0.0:
+        if not self.delta >= 0.0:
             raise ValueError(f"delta target must be nonnegative, got {self.delta}")
         if self.initial_kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial data kind {self.initial_kind!r}")
+        k_min = 2.0 * math.pi / self.box_length
+        if self.initial_kind == "random_low_mode" and not self.init_k_max >= k_min:
+            raise ValueError(
+                f"init_k_max {self.init_k_max} seeds no mode; the smallest wavenumber"
+                f" is 2 pi / L = {k_min!r}"
+            )
         if not 0.0 < self.c_cfl <= 1.0:
             raise ValueError(f"CFL safety factor must lie in (0, 1], got {self.c_cfl}")
         if not 0.0 < self.t_min < self.horizon:
@@ -339,7 +345,7 @@ def run(config: SimulationConfig) -> EnergyLedger:
     steps taken.
     """
     grid = make_grid(config.n, config.box_length)
-    mults = MultiplierSet.build(config.alpha)
+    mults = MultiplierSet(config.alpha)
     u0 = make_initial_data(config, grid)
     _abort_if_not_finite(u0.data, 0.0, 0)
     state = TrajectoryState.from_field(u0, t=0.0, step_index=0, last_dt=0.0)

@@ -100,8 +100,9 @@ class RunConfig(SimulationConfig):
             raise ConfigError(f"unknown corruption kind {self.inject_corruption!r}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if not self.epsilon >= 0:
-            raise ConfigError("epsilon must be nonnegative")
+        for key in ("epsilon", "decay_tol"):
+            if not getattr(self, key) >= 0:
+                raise ConfigError(f"{key} must be nonnegative")
 
     def as_text(self) -> str:
         lines = []
@@ -144,7 +145,8 @@ _FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse ``key = value`` configuration text; unknown keys are errors."""
+    """Parse ``key = value`` configuration text; unknown and repeated keys
+    are errors."""
     values: dict = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -156,6 +158,8 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {line_no}: unknown option {key!r}")
+        if key in values:
+            raise ConfigError(f"line {line_no}: repeated option {key!r}")
         values[key] = _parse_value(key, raw_value, _FIELD_TYPES[key], line_no)
     return RunConfig(**values)
 

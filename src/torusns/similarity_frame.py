@@ -320,8 +320,8 @@ def initial_similarity_energy(
     bound chi^2 + 1 - phi^2 <= 1 (verified here on a dense radial grid
     before use).
     """
-    r = np.linspace(0.0, 3.0, 30_001)
-    weight = mults.chi(r) ** 2 + mults.sqrt_one_minus_phi_sq(r) ** 2
+    prof = mults.profiles(np.linspace(0.0, 3.0, 30_001))
+    weight = prof.chi**2 + prof.sqrt_one_minus_phi_sq**2
     if float(np.max(weight)) > 1.0 + 1e-13:
         raise AssertionError("split weight exceeds 1; profile construction is broken")
 

@@ -50,18 +50,18 @@ def sweep_result(tmp_path_factory):
 
 
 def test_criterion_01_operator_identities(grid32):
-    mults = MultiplierSet.build(1.0 / 16.0)
+    mults = MultiplierSet(1.0 / 16.0)
     rng = np.random.default_rng(11)
     worst_complete = 0.0
     worst_split = 0.0
     for _ in range(100):
         f = make_random_spectral_field(grid32, rng)
-        low = apply(mults.phi, f)
-        high = apply(mults.one_minus_phi, f)
+        low = apply(mults, "phi", f)
+        high = apply(mults, "one_minus_phi", f)
         recon_gap = np.max(np.abs(low.data + high.data - f.data))
         worst_complete = max(worst_complete, recon_gap / np.max(np.abs(f.data)))
         total = tn.norms(f).l2_sq
-        split = tn.norms(low).l2_sq + tn.norms(apply(mults.sqrt_one_minus_phi_sq, f)).l2_sq
+        split = tn.norms(low).l2_sq + tn.norms(apply(mults, "sqrt_one_minus_phi_sq", f)).l2_sq
         worst_split = max(worst_split, abs(split - total) / total)
     ok = worst_complete <= 1e-12 and worst_split <= 1e-12
     verdict(
@@ -112,7 +112,7 @@ def test_criterion_03_sign_certificates():
 
 def test_criterion_04_low_norm_bound_and_bernstein(grid32):
     alpha = 1.0 / 16.0
-    mults = MultiplierSet.build(alpha)
+    mults = MultiplierSet(alpha)
     c4 = tn.hausdorff_young_constant(alpha, 4)
     cinf = tn.hausdorff_young_constant(alpha, math.inf)
     rng = np.random.default_rng(13)
@@ -124,8 +124,8 @@ def test_criterion_04_low_norm_bound_and_bernstein(grid32):
     ]
     for _ in range(100):
         f = make_random_spectral_field(grid32, rng)
-        low = tn.norms(apply(mults.phi, f))
-        chi_l2 = math.sqrt(tn.norms(apply(mults.chi, f)).l2_sq)
+        low = tn.norms(apply(mults, "phi", f))
+        chi_l2 = math.sqrt(tn.norms(apply(mults, "chi", f)).l2_sq)
         if low.l4 > c4 * chi_l2 or low.sup > cinf * chi_l2:
             violations += 1
         scale = tn.norms(f).l2_sq + tn.norms(f).h2_sq

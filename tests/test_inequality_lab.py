@@ -103,6 +103,11 @@ class TestLedgerStorage:
         assert sub.column("t")[-1] == small_ledger.column("t")[-1]
         assert len(sub) < len(small_ledger)
 
+    def test_validate_rejects_fewer_than_three_rows(self):
+        for rows in (0, 1, 2):
+            with pytest.raises(LedgerError, match=f"ledger has {rows} rows"):
+                EnergyLedger(make_table(np.arange(float(rows))))
+
     def test_validate_rejects_nonmonotone_tau(self):
         table = zero_ledger().table.copy()
         table[[5, 6]] = table[[6, 5]]
@@ -157,10 +162,10 @@ class TestH1Verifier:
         assert report.details["envelope_violation"] <= report.details["envelope_tolerance"]
 
     def test_missing_rows_error(self):
+        # a two-row ledger is rejected when it is built, before any verifier
         tau = np.array([0.0, 0.5])
-        ledger = EnergyLedger(make_table(tau))
         with pytest.raises(ValueError):
-            verify_h1_inequality(ledger)
+            verify_h1_inequality(EnergyLedger(make_table(tau)))
 
 
 class TestH2Verifier:

@@ -9,10 +9,9 @@ import torusns as tn
 from torusns.multiplier_bank import (
     MultiplierSet,
     apply,
-    build_chi,
-    build_phi,
     check_bernstein,
     evaluate_on_grid,
+    phi,
 )
 
 ALPHAS = (1.0 / 32.0, 1.0 / 16.0, 3.0 / 32.0, 0.124)
@@ -20,113 +19,96 @@ ALPHAS = (1.0 / 32.0, 1.0 / 16.0, 3.0 / 32.0, 0.124)
 
 class TestLowPassProfile:
     def test_plateau_values(self):
-        phi = build_phi()
         assert phi(0.5) == 1.0
         assert phi(1.0) == 1.0
         assert phi(2.0) == 0.0
         assert phi(2.5) == 0.0
 
     def test_dense_monotonicity(self):
-        phi = build_phi()
         r = np.linspace(0.0, 3.0, 10_001)
         assert np.all(np.diff(phi(r)) <= 0.0)
 
     def test_bounded_in_unit_interval(self):
-        phi = build_phi()
         vals = phi(np.linspace(0.0, 4.0, 5000))
         assert vals.min() >= 0.0 and vals.max() <= 1.0
-
-    def test_sharpness_validation(self):
-        with pytest.raises(ValueError):
-            build_phi(0.0)
-        with pytest.raises(ValueError):
-            build_phi(1.5)
-
-    def test_narrow_transition_keeps_plateau(self):
-        phi = build_phi(0.5)
-        assert phi(1.4) == 1.0
-        assert phi(2.0) == 0.0
 
 
 class TestWeightedLowPass:
     def test_branch_continuity_at_knee(self):
         alpha = 1.0 / 16.0
-        phi = build_phi()
-        chi = build_chi(phi, alpha)
+        mults = MultiplierSet(alpha)
         knee = 0.5 + alpha
         left = knee ** (0.5 + 2 * alpha) * phi(knee)
-        assert chi(knee) == pytest.approx(float(left), abs=1e-14)
+        assert mults.profiles(knee).chi == pytest.approx(float(left), abs=1e-14)
         eps = 1e-9
-        assert chi(knee - eps) == pytest.approx(float(chi(knee + eps)), abs=1e-8)
+        assert mults.profiles(knee - eps).chi == pytest.approx(
+            float(mults.profiles(knee + eps).chi), abs=1e-8
+        )
 
     def test_zero_at_origin(self):
-        chi = build_chi(build_phi(), 1.0 / 16.0)
-        assert chi(0.0) == 0.0
+        assert MultiplierSet(1.0 / 16.0).profiles(0.0).chi == 0.0
 
     def test_alpha_range_open(self):
-        phi = build_phi()
         for bad in (0.125, 0.0, -0.01, 0.2):
             with pytest.raises(ValueError):
-                build_chi(phi, bad)
+                MultiplierSet(bad)
 
     def test_domination_identity(self):
         # chi(r) equals r^(1/2+2a) phi(r) min(1, (knee/r)^(1/2+2a)) pointwise
         alpha = 3.0 / 32.0
-        mults = MultiplierSet.build(alpha)
         r = np.linspace(1e-6, 3.0, 7001)
+        prof = MultiplierSet(alpha).profiles(r)
         expo = 0.5 + 2 * alpha
         knee = 0.5 + alpha
-        rhs = r**expo * mults.phi(r) * np.minimum(1.0, (knee / r) ** expo)
-        assert np.max(np.abs(mults.chi(r) - rhs)) < 1e-13
+        rhs = r**expo * prof.phi * np.minimum(1.0, (knee / r) ** expo)
+        assert np.max(np.abs(prof.chi - rhs)) < 1e-13
 
 
 class TestOperatorIdentities:
     def test_completeness_pointwise(self):
-        mults = MultiplierSet.build(1.0 / 16.0)
-        r = np.linspace(0.0, 3.0, 10_001)
-        assert np.max(np.abs(mults.phi(r) + mults.one_minus_phi(r) - 1.0)) < 1e-15
-        split = mults.phi(r) ** 2 + mults.sqrt_one_minus_phi_sq(r) ** 2
+        prof = MultiplierSet(1.0 / 16.0).profiles(np.linspace(0.0, 3.0, 10_001))
+        assert np.max(np.abs(prof.phi + prof.one_minus_phi - 1.0)) < 1e-15
+        split = prof.phi**2 + prof.sqrt_one_minus_phi_sq**2
         assert np.max(np.abs(split - 1.0)) < 1e-14
 
     def test_low_pass_identity_on_low_field(self, grid16, rng, random_field_factory):
-        mults = MultiplierSet.build(1.0 / 16.0)
+        mults = MultiplierSet(1.0 / 16.0)
         f = random_field_factory(grid16, rng, k_max=1.0)
-        low = apply(mults.phi, f)
+        low = apply(mults, "phi", f)
         assert np.max(np.abs(low.data - f.data)) < 1e-15
-        high = apply(mults.one_minus_phi, f)
+        high = apply(mults, "one_minus_phi", f)
         assert np.max(np.abs(high.data)) < 1e-15
 
     def test_energy_split(self, grid16, rng, random_field_factory):
-        mults = MultiplierSet.build(1.0 / 16.0)
+        mults = MultiplierSet(1.0 / 16.0)
         for _ in range(20):
             f = random_field_factory(grid16, rng)
             total = tn.norms(f).l2_sq
-            low = tn.norms(apply(mults.phi, f)).l2_sq
-            high = tn.norms(apply(mults.sqrt_one_minus_phi_sq, f)).l2_sq
+            low = tn.norms(apply(mults, "phi", f)).l2_sq
+            high = tn.norms(apply(mults, "sqrt_one_minus_phi_sq", f)).l2_sq
             assert low + high == pytest.approx(total, rel=1e-12)
 
     def test_grid_cache_consistency(self, grid16):
-        mults = MultiplierSet.build(1.0 / 16.0)
-        a = evaluate_on_grid(mults.chi, grid16)
-        b = evaluate_on_grid(mults.chi, grid16)
+        mults = MultiplierSet(1.0 / 16.0)
+        a = evaluate_on_grid(mults, "chi", grid16)
+        b = evaluate_on_grid(mults, "chi", grid16)
         assert a is b  # cache hit
-        assert np.array_equal(a, mults.chi(grid16.k_mag))
+        assert np.array_equal(a, mults.profiles(grid16.k_mag).chi)
 
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("s", [1.0, 0.25, 0.01])
     def test_profiles_on_shells_match_lattice(self, n, s):
-        # one phi evaluation on the distinct |k| values of the dealias band,
-        # gathered, gives every profile's own evaluation on the band value
-        # for value
+        # the profiles on the distinct |k| values of the dealias band,
+        # gathered, equal the profiles evaluated on the band value for value
         grid = tn.make_grid(n)
-        mults = MultiplierSet.build(1.0 / 16.0)
+        mults = MultiplierSet(1.0 / 16.0)
         root = math.sqrt(s)
         shells, index = grid.band.shells, grid.band.shell_index
         assert shells.size < index.size
         on_shells = mults.profiles(root * shells)
-        xi = root * np.sqrt(grid.band.k_sq)
-        for name in ("phi", "chi", "one_minus_phi", "sqrt_one_minus_phi_sq"):
-            assert np.array_equal(getattr(on_shells, name)[index], getattr(mults, name)(xi)), name
+        on_band = mults.profiles(root * np.sqrt(grid.band.k_sq))
+        for name in on_band._fields:
+            assert np.array_equal(getattr(on_shells, name)[index], getattr(on_band, name)), name
 
     def test_profile_cache_flat_in_row_count(self):
         # ledger rows evaluate the rescaled profiles on the u-lattice and
@@ -180,32 +162,32 @@ class TestQuadratureConstant:
 class TestLowNormBound:
     def test_random_fields_never_violate(self, grid16, rng, random_field_factory):
         alpha = 1.0 / 16.0
-        mults = MultiplierSet.build(alpha)
+        mults = MultiplierSet(alpha)
         c4 = tn.hausdorff_young_constant(alpha, 4)
         cinf = tn.hausdorff_young_constant(alpha, math.inf)
         for _ in range(20):
             f = random_field_factory(grid16, rng)
-            low = tn.norms(apply(mults.phi, f))
-            chi_l2 = math.sqrt(tn.norms(apply(mults.chi, f)).l2_sq)
+            low = tn.norms(apply(mults, "phi", f))
+            chi_l2 = math.sqrt(tn.norms(apply(mults, "chi", f)).l2_sq)
             assert low.l4 <= c4 * chi_l2
             assert low.sup <= cinf * chi_l2
 
 
 class TestBernsteinMargin:
     def test_high_band_equality(self, grid16, rng, random_field_factory):
-        mults = MultiplierSet.build(1.0 / 16.0)
+        mults = MultiplierSet(1.0 / 16.0)
         f = random_field_factory(grid16, rng, k_min=2.0)
         margin = check_bernstein(mults, f, (0, 0, 0))
         scale = tn.norms(f).l2_sq
         assert abs(margin) <= 1e-12 * scale
 
     def test_low_band_both_zero(self, grid16, rng, random_field_factory):
-        mults = MultiplierSet.build(1.0 / 16.0)
+        mults = MultiplierSet(1.0 / 16.0)
         f = random_field_factory(grid16, rng, k_max=1.0)
         assert check_bernstein(mults, f, (1, 0, 0)) == pytest.approx(0.0, abs=1e-14)
 
     def test_margin_nonnegative_all_orders(self, grid16, rng, random_field_factory):
-        mults = MultiplierSet.build(1.0 / 16.0)
+        mults = MultiplierSet(1.0 / 16.0)
         betas = [
             (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
             (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1),
@@ -217,7 +199,7 @@ class TestBernsteinMargin:
                 assert check_bernstein(mults, f, beta) >= -1e-12 * scale
 
     def test_order_cap(self, grid16, rng, random_field_factory):
-        mults = MultiplierSet.build(1.0 / 16.0)
+        mults = MultiplierSet(1.0 / 16.0)
         with pytest.raises(ValueError):
             check_bernstein(mults, random_field_factory(grid16, rng), (2, 1, 0))
 
@@ -228,8 +210,7 @@ class TestSignCertificates:
         alpha = 1.0 / 16.0
         knee = 0.5 + alpha
         r = np.linspace(0.0, knee * 0.999, 2001)
-        mults = MultiplierSet.build(alpha)
-        chi_sq = mults.chi.sq(r)
+        chi_sq = MultiplierSet(alpha).profiles(r).chi ** 2
         d_chi_sq = (1 + 4 * alpha) * r ** (4 * alpha)
         bracket = -0.25 * r * d_chi_sq + (0.25 + alpha - r**2) * chi_sq
         assert np.max(np.abs(bracket - (-(r ** (3 + 4 * alpha))))) < 1e-13
@@ -237,9 +218,8 @@ class TestSignCertificates:
     def test_constant_branch_value(self):
         alpha = 1.0 / 16.0
         expected = (9.0 / 16.0) ** 1.25 * (0.25 + alpha - 0.81)
-        mults = MultiplierSet.build(alpha)
         r = np.array([0.9])
-        chi_sq = float(mults.chi.sq(r)[0])
+        chi_sq = float(MultiplierSet(alpha).profiles(r).chi[0] ** 2)
         bracket = (0.25 + alpha - 0.81) * chi_sq  # derivative term vanishes
         assert bracket == pytest.approx(expected, rel=1e-12)
         assert bracket < 0.0

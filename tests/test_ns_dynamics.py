@@ -268,7 +268,7 @@ class TestStep:
         state = TrajectoryState.from_field(tn.make_initial_data(config), 0.0, 0, 0.0)
         for _ in range(2):
             state = tn.step(state, tn.cfl_dt(state, config.c_cfl))
-        row = _ledger_row(state, config, MultiplierSet.build(config.alpha))
+        row = _ledger_row(state, config, MultiplierSet(config.alpha))
         assert row[CSV_COLUMNS.index("route_gap")] <= 1e-10
 
     def test_discrete_energy_law(self, grid16):
@@ -417,7 +417,7 @@ class TestRun:
         from torusns.multiplier_bank import MultiplierSet
 
         config = tn.SimulationConfig(n=16, delta=0.05, horizon=1.0, stride=1)
-        mults = MultiplierSet.build(config.alpha)
+        mults = MultiplierSet(config.alpha)
         state = single_mode_state(grid16, amplitude=1.0)
         norm0 = math.sqrt(tn.norms(state.u_hat).l2_sq)
         state = TrajectoryState.from_field(

@@ -42,6 +42,13 @@ def _main_run(tmp_path, name, config_text, *flags):
     return out
 
 
+def _zero_ledger_text(rows: int) -> str:
+    """CSV text of a valid ledger: `rows` rows at tau = 0, 1, ..., all else 0."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(["0", str(tau)] + ["0"] * 17) for tau in range(rows)]
+    return "\n".join(lines) + "\n"
+
+
 def _recorded_threads(out) -> int:
     return parse_config(json.loads((out / "report.json").read_text())["config_text"]).threads
 
@@ -68,6 +75,10 @@ class TestConfigParsing:
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("n = 16\nwibble = 3\n")
+
+    def test_repeated_key_reports_line(self):
+        with pytest.raises(ConfigError, match="line 2: repeated option 'n'"):
+            parse_config("n = 32\nn = 16\n")
 
     def test_syntax_error_reports_line(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -214,6 +225,15 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "[torusns] invalid ledger: " in err and "negative squared norm w_h1_sq" in err
 
+    def test_two_row_ledger_exit_two(self, tmp_path, capsys):
+        # row 0 and the final row only: too few for the differenced checks
+        cfg_path = tmp_path / "short.cfg"
+        cfg_path.write_text("n = 16\nhorizon = 0.03\nstride = 100000\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg_path), "--out", str(out), "run"]) == 2
+        assert "[torusns] invalid ledger: ledger has 2 rows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_resolves_and_records_worker_count(self, tmp_path, monkeypatch):
         seen = []
         real_run = tn.ns_dynamics.run
@@ -252,8 +272,9 @@ class TestVerifyCommand:
                 ),
                 "route disagreement",
             ),
+            (_zero_ledger_text(2), "ledger has 2 rows"),
         ],
-        ids=["header", "route_gap"],
+        ids=["header", "route_gap", "two_rows"],
     )
     def test_invalid_ledger_exit_one(self, tmp_path, capsys, text, reason):
         path = tmp_path / "bad.csv"
@@ -261,6 +282,15 @@ class TestVerifyCommand:
         assert main(["verify", str(path)]) == 1
         err = capsys.readouterr().err
         assert "[torusns] invalid ledger: " in err and reason in err
+
+    @pytest.mark.parametrize("value", ["-2", "nan"])
+    def test_bad_decay_tol_exit_one(self, tmp_path, capsys, value):
+        ledger_path = tmp_path / "ledger.csv"
+        ledger_path.write_text(_zero_ledger_text(3))
+        cfg_path = tmp_path / "tol.cfg"
+        cfg_path.write_text(f"decay_tol = {value}\n")
+        assert main(["--config", str(cfg_path), "verify", str(ledger_path)]) == 1
+        assert "[torusns] config error: decay_tol must be nonnegative" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -365,6 +395,20 @@ class TestMainEntry:
         cfg_path.write_text(FAST_RUN + axis + "\n")
         out = tmp_path / "o"
         assert main(["--config", str(cfg_path), "--out", str(out), "sweep"]) == 1
+        assert "[torusns] config error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        ["init_k_max = 0.5", "init_k_max = nan", "init_k_max = -1", "delta = nan"],
+        ids=["k_below_lowest_mode", "k_nan", "k_negative", "delta_nan"],
+    )
+    def test_bad_initial_data_exit_one(self, tmp_path, capsys, line):
+        # random_low_mode with no mode |k| <= init_k_max would certify the zero field
+        cfg_path = tmp_path / "empty.cfg"
+        cfg_path.write_text(f"n = 16\nhorizon = 0.03\nstride = 1\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg_path), "--out", str(out), "run"]) == 1
         assert "[torusns] config error: " in capsys.readouterr().err
         assert not out.exists()
 

@@ -47,8 +47,8 @@ def reference_functionals(u, clock, mults):
     w = build_w_field(u, clock)
     g = w.grid
     ns_w = tn.norms(w)
-    low_mag_sq = np.sum(tn.to_physical(apply(mults.phi, w)).data ** 2, axis=0)
-    high = apply(mults.one_minus_phi, w)
+    low_mag_sq = np.sum(tn.to_physical(apply(mults, "phi", w)).data ** 2, axis=0)
+    high = apply(mults, "one_minus_phi", w)
     grads = np.stack([tn.to_physical(spectral_derivative(w, b)).data for b in UNIT])
     trilinear = 0.0
     for j in range(3):
@@ -67,8 +67,8 @@ def reference_functionals(u, clock, mults):
         w_h2_sq=ns_w.h2_sq,
         w_sup=ns_w.sup,
         low_l2_sq=float(np.sum(low_mag_sq)) * g.cell_volume,
-        e_low=quadrature_l2_sq(apply(mults.chi, w)),
-        e_high=quadrature_l2_sq(apply(mults.sqrt_one_minus_phi_sq, w)),
+        e_low=quadrature_l2_sq(apply(mults, "chi", w)),
+        e_high=quadrature_l2_sq(apply(mults, "sqrt_one_minus_phi_sq", w)),
         low_l4=float((np.sum(low_mag_sq**2) * g.cell_volume) ** 0.25),
         low_sup=float(np.sqrt(np.max(low_mag_sq))),
         grad_high_sq=sum(quadrature_l2_sq(spectral_derivative(high, b)) for b in UNIT),
@@ -197,7 +197,7 @@ class TestExponentTableOracle:
 class TestTwoRoutes:
     def test_unit_remaining_matches_u(self, grid16, rng, random_field_factory):
         u = random_field_factory(grid16, rng, divergence_free=True, k_max=4.0)
-        mults = MultiplierSet.build(1.0 / 16.0)
+        mults = MultiplierSet(1.0 / 16.0)
         clock = SimilarityClock(horizon=2.0, t=1.0)  # s = 1
         wa = w_functionals_scaling_route(*route_args(u), clock, mults)
         ns = tn.norms(u)
@@ -210,7 +210,7 @@ class TestTwoRoutes:
     @pytest.mark.parametrize("t", [0.0, 0.3, 0.75, 0.95])
     def test_route_agreement(self, t, grid16, rng, random_field_factory):
         u = random_field_factory(grid16, rng, divergence_free=True, k_max=4.0)
-        mults = MultiplierSet.build(1.0 / 16.0)
+        mults = MultiplierSet(1.0 / 16.0)
         clock = SimilarityClock(horizon=1.0, t=t)
         wa = w_functionals_scaling_route(*route_args(u), clock, mults)
         wb = w_functionals_multiplier_route(*route_args(u), clock, mults)
@@ -219,7 +219,7 @@ class TestTwoRoutes:
     @pytest.mark.parametrize("s", [1.0, 0.25, 0.01])
     def test_routes_match_full_spectrum_reference(self, s, grid16, rng, random_field_factory):
         # route_gap measures the signed integrals against their majorants
-        mults = MultiplierSet.build(1.0 / 16.0)
+        mults = MultiplierSet(1.0 / 16.0)
         clock = SimilarityClock(horizon=1.0, t=1.0 - s)
         for _ in range(3):
             u = random_field_factory(grid16, rng, divergence_free=True)
@@ -264,7 +264,7 @@ class TestTwoRoutes:
         for name in ("to_physical", "to_spectral"):
             monkeypatch.setattr(spectral_core, name, counted(getattr(spectral_core, name)))
         monkeypatch.setattr(SpectralGrid, "__post_init__", counted_grid)
-        ns_dynamics._ledger_row(state, config, MultiplierSet.build(config.alpha))
+        ns_dynamics._ledger_row(state, config, MultiplierSet(config.alpha))
         assert counts == {"norms": 1, "complex_transforms": 0, "grids": 0}
 
     @staticmethod
@@ -279,7 +279,7 @@ class TestTwoRoutes:
         # as a route gap
         state, config = self._solver_state()
         clock = SimilarityClock(horizon=config.horizon, t=state.t)
-        mults = MultiplierSet.build(config.alpha)
+        mults = MultiplierSet(config.alpha)
         routes = (w_functionals_scaling_route, w_functionals_multiplier_route)
         assert route_gap(*(route(*route_args(state.u_hat), clock, mults) for route in routes)) <= 1e-12
         original = spectral_core.nonlinear_integrals
@@ -298,7 +298,7 @@ class TestTwoRoutes:
         # route and the step share spectral_core.rotational_product
         state, config = self._solver_state()
         clock = SimilarityClock(horizon=config.horizon, t=state.t)
-        mults = MultiplierSet.build(config.alpha)
+        mults = MultiplierSet(config.alpha)
         calls = {"phi": 0, "rotational": 0}
         smoothstep, rotational = multiplier_bank._smoothstep, spectral_core.rotational_product
 
@@ -321,7 +321,7 @@ class TestTwoRoutes:
 
     def test_split_identity(self, grid16, rng, random_field_factory):
         u = random_field_factory(grid16, rng, divergence_free=True)
-        mults = MultiplierSet.build(1.0 / 16.0)
+        mults = MultiplierSet(1.0 / 16.0)
         clock = SimilarityClock(horizon=1.0, t=0.5)
         for w in (
             w_functionals_scaling_route(*route_args(u), clock, mults),
@@ -340,12 +340,12 @@ class TestTwoRoutes:
 
 class TestInitialEnergy:
     def test_zero_field(self, grid16):
-        mults = MultiplierSet.build(1.0 / 16.0)
+        mults = MultiplierSet(1.0 / 16.0)
         u0 = VectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex), SPECTRAL)
         assert tn.initial_similarity_energy(u0, 1.0, mults) == 0.0
 
     def test_bounded_by_initial_norm(self, grid16, rng, random_field_factory):
-        mults = MultiplierSet.build(1.0 / 16.0)
+        mults = MultiplierSet(1.0 / 16.0)
         for horizon in (1.0, 2.0):
             u0 = random_field_factory(grid16, rng, divergence_free=True)
             energy = tn.initial_similarity_energy(u0, horizon, mults)
@@ -355,7 +355,7 @@ class TestInitialEnergy:
     def test_high_band_saturates_bound(self, grid16, rng, random_field_factory):
         # supported where the low-pass profile vanishes: the split energy is
         # the whole energy
-        mults = MultiplierSet.build(1.0 / 16.0)
+        mults = MultiplierSet(1.0 / 16.0)
         u0 = random_field_factory(grid16, rng, k_min=2.01, k_max=5.0)
         energy = tn.initial_similarity_energy(u0, 1.0, mults)
         total = tn.norms(u0).l2_sq
