@@ -110,16 +110,14 @@ def verify_trap(params: ComparisonParams, tau_max: float = 50.0, dt: float = 1e-
     )
 
 
-def gronwall_envelope(
-    tau: np.ndarray, values: np.ndarray, rate: float, offset: float = 0.0
-) -> float:
-    """Max violation of values(tau) against the exponential envelope implied
-    by values' <= -rate * values + offset:
+def envelope_excess(
+    tau: np.ndarray, values: np.ndarray, rate: float, offset: float
+) -> np.ndarray:
+    """Rowwise excess values - env of a series over the exponential envelope
+    implied by values' <= -rate * values + offset:
 
         env(tau) = exp(-rate (tau - tau0)) values(tau0)
                    + (offset / rate) (1 - exp(-rate (tau - tau0)))
-
-    Returns max(values - env); nonpositive means the envelope holds.
     """
     tau = np.asarray(tau, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -128,5 +126,11 @@ def gronwall_envelope(
     if rate <= 0.0:
         raise ValueError(f"decay rate must be positive, got {rate}")
     decay = np.exp(-rate * (tau - tau[0]))
-    env = decay * values[0] + (offset / rate) * (1.0 - decay)
-    return float(np.max(values - env))
+    return values - (decay * values[0] + (offset / rate) * (1.0 - decay))
+
+
+def gronwall_envelope(
+    tau: np.ndarray, values: np.ndarray, rate: float, offset: float = 0.0
+) -> float:
+    """Max of `envelope_excess`; nonpositive means the envelope holds."""
+    return float(np.max(envelope_excess(tau, values, rate, offset)))

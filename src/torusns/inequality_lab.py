@@ -4,7 +4,9 @@ A ledger is the per-step record of a run: physical-variable norms, rescaled
 functionals, split energies, and the nonlinear coupling integrals.  The
 verifiers difference the series in the slow time tau and check each energy
 inequality rowwise, fitting a certificate constant wherever the underlying
-statement leaves a generic constant unspecified.  All verdicts are
+statement leaves a generic constant unspecified.  Each verifier lists its
+checks, and one rule (`_report`, stated in InequalityReport) turns the list
+into the status and the quoted residual and tolerance.  All verdicts are
 deterministic functions of the ledger.
 """
 
@@ -153,8 +155,16 @@ class EnergyLedger:
 class InequalityReport:
     """Verdict for one inequality over a ledger.
 
-    `max_residual` and `tolerance` are quoted at the row with the worst
-    excess, so a violated report always has max_residual > tolerance.
+    A verdict is an ordered list of named checks, each a rowwise residual
+    against a tolerance that fires where residual > tolerance.  The status is
+    violated if a violated-kind check fires, else inconclusive if an
+    inconclusive-kind check fires, else the verdict's clean status (holds or
+    holds_with_certificate).  `max_residual` and `tolerance` are those of the
+    check that decided the status (the first check when none fired) at its
+    worst row, the row of largest residual - tolerance: a violated or
+    inconclusive report has max_residual > tolerance, a holding one
+    max_residual <= tolerance.  `details` names that check (`decided_by`)
+    and its row (`worst_row`, `worst_tau`).
     """
 
     inequality_id: str
@@ -251,18 +261,42 @@ def differencing_tolerance(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
     return tol
 
 
-def _headline(
-    residual: np.ndarray, tol: np.ndarray
-) -> tuple[float, float, bool]:
-    """Residual/tolerance pair at the worst row, and whether it fired."""
-    excess = residual - tol
-    idx = int(np.argmax(excess))
-    return float(residual[idx]), float(tol[idx]), bool(excess[idx] > 0.0)
+def _report(
+    inequality_id: str,
+    ledger: EnergyLedger,
+    checks: list,
+    clean: str,
+    certificate: float | None,
+    details: dict,
+) -> InequalityReport:
+    """The one rule that decides every verdict (see InequalityReport).
 
-
-def _tau_range(ledger: EnergyLedger) -> tuple[float, float]:
+    `checks` is an ordered list of (name, first_row, residual, tolerance,
+    status): residual[i] belongs to ledger row first_row + i, the tolerance
+    is an array over those rows or a scalar, and `status` (violated or
+    inconclusive) is what the check sets when it fires.  `clean` is the
+    status when no check fires.
+    """
     tau = ledger.column("tau")
-    return (float(tau[0]), float(tau[-1]))
+    quotes, fired = [], []
+    for name, first_row, residual, tol, status in checks:
+        tol = np.broadcast_to(tol, residual.shape)
+        row = int(np.argmax(residual - tol))
+        quotes.append((status, name, first_row + row, float(residual[row]), float(tol[row])))
+        if residual[row] > tol[row]:
+            fired.append(quotes[-1])
+    status, name, row, residual, tol = min(
+        fired, key=lambda q: q[0] != VIOLATED, default=quotes[0]
+    )
+    return InequalityReport(
+        inequality_id=inequality_id,
+        status=status if fired else clean,
+        max_residual=residual,
+        tolerance=tol,
+        certificate=certificate,
+        tau_range=(float(tau[0]), float(tau[-1])),
+        details={**details, "decided_by": name, "worst_row": row, "worst_tau": float(tau[row])},
+    )
 
 
 def _burn_in_index(tau: np.ndarray) -> int:
@@ -288,29 +322,22 @@ def verify_l2_inequality(ledger: EnergyLedger) -> InequalityReport:
     residual = lhs - rhs
     tol_rows = 0.5 * differencing_tolerance(tau, w2)
     tol_rows += ROUTE_GAP_LIMIT * (h1 + 0.25 * w2)
-    res_a, tol_a, fired_a = _headline(residual, tol_rows)
 
     increments = np.diff(u2)
-    tol_inc = np.full_like(increments, 1e-12 * max(float(np.max(u2)), 1e-300))
-    res_b, tol_b, fired_b = _headline(increments, tol_inc)
+    tol_inc = 1e-12 * max(float(np.max(u2)), 1e-300)
 
     h = _local_spacing(tau)
-    status = VIOLATED if (fired_a or fired_b) else HOLDS
-    headline = (res_b, tol_b) if (fired_b and not fired_a) else (res_a, tol_a)
-    return InequalityReport(
-        inequality_id="l2_energy",
-        status=status,
-        max_residual=headline[0],
-        tolerance=headline[1],
-        certificate=None,
-        tau_range=_tau_range(ledger),
-        details={
-            "max_differential_residual": float(np.max(residual)),
-            "max_energy_increment": float(np.max(increments)),
-            "fitted_quadratic_coefficient": float(np.max(residual / h**2)),
-            "monotone_fired": fired_b,
-        },
-    )
+    checks = [
+        ("differential", 0, residual, tol_rows, VIOLATED),
+        ("energy_increment", 1, increments, tol_inc, VIOLATED),
+    ]
+    details = {
+        "max_differential_residual": float(np.max(residual)),
+        "max_energy_increment": float(np.max(increments)),
+        "fitted_quadratic_coefficient": float(np.max(residual / h**2)),
+        "monotone_fired": bool(np.any(increments > tol_inc)),
+    }
+    return _report("l2_energy", ledger, checks, HOLDS, None, details)
 
 
 def verify_h1_inequality(ledger: EnergyLedger) -> InequalityReport:
@@ -332,40 +359,28 @@ def verify_h1_inequality(ledger: EnergyLedger) -> InequalityReport:
     raw_residual = d1 - (-2.0 * h2 - 0.5 * f - 2.0 * tri)
     tol_rows = differencing_tolerance(tau, f)
     tol_rows += ROUTE_GAP_LIMIT * (2.0 * h2 + 0.5 * f + 2.0 * np.abs(tri))
-    res_a, tol_a, fired_a = _headline(raw_residual, tol_rows)
 
     offset_needed = d1 + h2 + 0.5 * f - tol_rows  # dead band absorbs stencil error
     certificate = float(max(0.0, np.max(offset_needed)))
 
-    envelope_violation = gronwall_comparator.gronwall_envelope(
-        tau, f, rate=0.5, offset=certificate
-    )
+    envelope = gronwall_comparator.envelope_excess(tau, f, rate=0.5, offset=certificate)
     envelope_tol = 1e-8 * max(float(np.max(f)), 1e-300)
-    fired_env = envelope_violation > envelope_tol
 
     burn = _burn_in_index(tau)
     delta1 = float(np.sqrt(np.max(grad_high[burn:])))
 
-    if fired_a or fired_env:
-        status = VIOLATED
-    elif certificate > 0.0:
-        status = HOLDS_WITH_CERTIFICATE
-    else:
-        status = HOLDS
-    return InequalityReport(
-        inequality_id="h1_gradient",
-        status=status,
-        max_residual=res_a,
-        tolerance=tol_a,
-        certificate=certificate,
-        tau_range=_tau_range(ledger),
-        details={
-            "envelope_violation": envelope_violation,
-            "envelope_tolerance": envelope_tol,
-            "delta1": delta1,
-            "max_raw_residual": float(np.max(raw_residual)),
-        },
-    )
+    checks = [
+        ("raw_inequality", 0, raw_residual, tol_rows, VIOLATED),
+        ("envelope", 0, envelope, envelope_tol, VIOLATED),
+    ]
+    details = {
+        "envelope_violation": float(np.max(envelope)),
+        "envelope_tolerance": envelope_tol,
+        "delta1": delta1,
+        "max_raw_residual": float(np.max(raw_residual)),
+    }
+    clean = HOLDS_WITH_CERTIFICATE if certificate > 0.0 else HOLDS
+    return _report("h1_gradient", ledger, checks, clean, certificate, details)
 
 
 def verify_h2_inequality(ledger: EnergyLedger) -> InequalityReport:
@@ -376,7 +391,8 @@ def verify_h2_inequality(ledger: EnergyLedger) -> InequalityReport:
     dropped; the stored columns carry no third-derivative norm.  The tail fit
     reports the largest rho with ||Lap w||^2(tau) <= e^{-rho (tau - tau0)}
     ||Lap w||^2(tau0) and compares it against the target 3/2 less the fitted
-    gradient certificate scaled by the measured high-part gradient bound.
+    gradient certificate scaled by the measured high-part gradient bound;
+    falling short of the target is inconclusive, not violated.
     """
     tau = ledger.column("tau")
     f = ledger.column("w_h2sq")
@@ -386,45 +402,36 @@ def verify_h2_inequality(ledger: EnergyLedger) -> InequalityReport:
     residual = d1 + 1.5 * f + 2.0 * lap
     tol_rows = differencing_tolerance(tau, f)
     tol_rows += ROUTE_GAP_LIMIT * (1.5 * f + 2.0 * np.abs(lap))
-    res_a, tol_a, fired_a = _headline(residual, tol_rows)
 
     h1_report = verify_h1_inequality(ledger)
     delta1 = h1_report.details["delta1"]
     rate_target = 1.5 - h1_report.certificate * delta1
 
     start = _burn_in_index(tau)
-    tail = tau >= tau[start] + 1.0
+    first_tail = int(np.searchsorted(tau, tau[start] + 1.0))
     floor = 1e-30 * max(float(np.max(f)), 1e-300)
-    rho = 0.0
     trivial = f[start] <= floor
-    if not trivial and np.any(tail):
-        with np.errstate(divide="ignore"):
-            rates = np.log(f[start] / np.maximum(f[tail], floor)) / (tau[tail] - tau[start])
+    checks = [("rowwise_inequality", 0, residual, tol_rows, VIOLATED)]
+    rho = 0.0
+    if not trivial:
+        rates = np.zeros(1)  # no tail row yet: no decay measured
+        if first_tail < len(tau):
+            with np.errstate(divide="ignore"):
+                rates = np.log(f[start] / np.maximum(f[first_tail:], floor))
+            rates /= tau[first_tail:] - tau[start]
         rho = float(np.min(rates))
-
-    if fired_a:
-        status = VIOLATED
-    elif trivial:
-        status = HOLDS
-    elif rho >= rate_target:
-        status = HOLDS_WITH_CERTIFICATE
-    else:
-        status = INCONCLUSIVE
-    return InequalityReport(
-        inequality_id="h2_laplacian",
-        status=status,
-        max_residual=res_a,
-        tolerance=tol_a,
-        certificate=rho,
-        tau_range=_tau_range(ledger),
-        details={
-            "decay_rate": rho,
-            "rate_target": rate_target,
-            "delta1": delta1,
-            "h1_certificate": h1_report.certificate,
-            "tail_rows": int(np.count_nonzero(tail)),
-        },
-    )
+        checks.append(
+            ("tail_rate", min(first_tail, len(tau) - 1), rate_target - rates, 0.0, INCONCLUSIVE)
+        )
+    details = {
+        "decay_rate": rho,
+        "rate_target": rate_target,
+        "delta1": delta1,
+        "h1_certificate": h1_report.certificate,
+        "tail_rows": len(tau) - first_tail,
+    }
+    clean = HOLDS if trivial else HOLDS_WITH_CERTIFICATE
+    return _report("h2_laplacian", ledger, checks, clean, rho, details)
 
 
 def verify_decomposition_decay(
@@ -438,7 +445,8 @@ def verify_decomposition_decay(
     (a) fits the smallest C with (1/2) E' <= -alpha E + C E^(3/2) rowwise;
     (b) checks E(tau) <= E(tau0) e^{-alpha (tau - tau0)} (1 + tol); a failure
         counts as a violation when the smallness condition
-        E(tau0) <= (alpha / 2C)^2 is active, and is inconclusive otherwise;
+        E(tau0) <= (alpha / 2C)^2 is active (always, when C = 0), and is
+        inconclusive otherwise;
     (c) requires the low-pass L4/sup norms and the high split energy to be
         nonincreasing after burn-in and to end at <= 10% of their start.
     """
@@ -456,51 +464,36 @@ def verify_decomposition_decay(
     if np.any(valid):
         certificate = float(max(0.0, np.max(surplus[valid] / energy[valid] ** 1.5)))
 
-    smallness = math.inf if certificate == 0.0 else (alpha / (2.0 * certificate)) ** 2
-    condition_active = energy[0] <= smallness
+    smallness = None if certificate == 0.0 else (alpha / (2.0 * certificate)) ** 2
+    condition_active = smallness is None or energy[0] <= smallness
     envelope = energy[0] * np.exp(-alpha * (tau - tau[0])) * (1.0 + tol)
-    excess = energy - envelope
-    res_env, tol_env, fired_env = _headline(excess, np.zeros_like(excess))
+    checks = [("envelope", 0, energy, envelope, VIOLATED if condition_active else INCONCLUSIVE)]
 
     start = _burn_in_index(tau)
-    tail_ok = True
     tail_ratios = {}
     for name in ("low_l4", "low_sup", "E_high"):
         series = ledger.column(name)
         if name != "E_high":
             series = series**2  # compare on the energy footing of E_high
         scale = max(float(np.max(series)), 1e-300)
-        steps_ok = np.all(
-            series[start + 1 :] <= series[start:-1] * (1.0 + 1e-6) + 1e-12 * scale
-        )
+        step_bound = series[start:-1] * (1.0 + 1e-6) + 1e-12 * scale
         ratio = series[-1] / series[0] if series[0] > 0.0 else 0.0
         tail_ratios[name] = float(ratio)
-        tail_ok = tail_ok and bool(steps_ok) and ratio <= 0.1
-
-    if (fired_env and condition_active) or not tail_ok:
-        status = VIOLATED
-    elif fired_env:
-        status = INCONCLUSIVE
-    elif certificate > 0.0:
-        status = HOLDS_WITH_CERTIFICATE
-    else:
-        status = HOLDS
-    return InequalityReport(
-        inequality_id="split_energy_decay",
-        status=status,
-        max_residual=res_env,
-        tolerance=tol_env if fired_env else float(tol * max(energy[0], 1e-300)),
-        certificate=certificate,
-        tau_range=_tau_range(ledger),
-        details={
-            "smallness_threshold": smallness,
-            "condition_active": bool(condition_active),
-            "envelope_excess": float(np.max(excess)),
-            "tail_ratios": tail_ratios,
-            "tail_monotone_and_small": bool(tail_ok),
-            "initial_energy": float(energy[0]),
-        },
-    )
+        checks += [
+            (f"{name}_monotone", start + 1, series[start + 1 :], step_bound, VIOLATED),
+            (f"{name}_end_ratio", len(tau) - 1, np.array([ratio]), 0.1, VIOLATED),
+        ]
+    tail_ok = not any(np.any(res > t) for _, _, res, t, _ in checks[1:])
+    details = {
+        "smallness_threshold": smallness,
+        "condition_active": bool(condition_active),
+        "envelope_excess": float(np.max(energy - envelope)),
+        "tail_ratios": tail_ratios,
+        "tail_monotone_and_small": tail_ok,
+        "initial_energy": float(energy[0]),
+    }
+    clean = HOLDS_WITH_CERTIFICATE if certificate > 0.0 else HOLDS
+    return _report("split_energy_decay", ledger, checks, clean, certificate, details)
 
 
 def verify_blowup_rate(ledger: EnergyLedger, epsilon: float) -> InequalityReport:
@@ -508,45 +501,32 @@ def verify_blowup_rate(ledger: EnergyLedger, epsilon: float) -> InequalityReport
     for every logged time after t0.
 
     The monitored quantity equals sup|w|, so the check reads off one ledger
-    column.  With epsilon too small to ever be met the verdict is
-    inconclusive, never violated: the bound is an eventual statement.
+    column; the report quotes the rows after t0 (all rows when no row
+    exceeds epsilon, and t0 is the first logged time).  With epsilon too
+    small to ever be met the verdict is inconclusive, never violated: the
+    bound is an eventual statement.
     """
     q = ledger.column("w_sup")
-    t = ledger.column("t")
-    over = q > epsilon
-    if not np.any(over):
-        idx = 0
+    over = np.nonzero(q > epsilon)[0]
+    first = int(over[-1]) + 1 if over.size else 0  # rows from here on meet the bound
+    if first == len(q):  # the last row exceeds epsilon: no t0 yet
+        t0, first = None, 0
     else:
-        last_over = int(np.nonzero(over)[0][-1])
-        idx = last_over if last_over + 1 < len(q) else None
+        t0 = float(ledger.column("t")[max(first - 1, 0)])
 
     third = max(1, len(q) // 3)
     tail = q[-third:]
     slack = 1e-12 * max(float(np.max(q)), 1e-300)
     final_third_nonincreasing = bool(np.all(np.diff(tail) <= slack))
 
-    if idx is None:
-        status = INCONCLUSIVE
-        residual = float(np.max(q - epsilon))
-        t0 = None
-    else:
-        status = HOLDS
-        residual = float(np.max(q[idx:] - epsilon))
-        t0 = float(t[idx])
-    return InequalityReport(
-        inequality_id="supnorm_rate_monitor",
-        status=status,
-        max_residual=residual,
-        tolerance=0.0,
-        certificate=None,
-        tau_range=_tau_range(ledger),
-        details={
-            "epsilon": epsilon,
-            "t0": t0,
-            "final_third_nonincreasing": final_third_nonincreasing,
-            "monitor_final": float(q[-1]),
-        },
-    )
+    checks = [("bound_after_t0", first, q[first:] - epsilon, 0.0, INCONCLUSIVE)]
+    details = {
+        "epsilon": epsilon,
+        "t0": t0,
+        "final_third_nonincreasing": final_third_nonincreasing,
+        "monitor_final": float(q[-1]),
+    }
+    return _report("supnorm_rate_monitor", ledger, checks, HOLDS, None, details)
 
 
 def two_route_audit(ledger: EnergyLedger) -> float:
@@ -561,15 +541,8 @@ def route_audit_report(ledger: EnergyLedger) -> InequalityReport:
     built, and its table is read-only, so no ledger that reaches this check
     can violate it; a run whose routes disagree ends in LedgerError instead.
     """
-    return InequalityReport(
-        inequality_id="two_route_audit",
-        status=HOLDS,
-        max_residual=two_route_audit(ledger),
-        tolerance=ROUTE_GAP_LIMIT,
-        certificate=None,
-        tau_range=_tau_range(ledger),
-        details={},
-    )
+    checks = [("route_gap", 0, ledger.column("route_gap"), ROUTE_GAP_LIMIT, VIOLATED)]
+    return _report("two_route_audit", ledger, checks, HOLDS, None, {})
 
 
 def corrupt_ledger(ledger: EnergyLedger, kind: str) -> EnergyLedger:

@@ -2,7 +2,8 @@
 
 Config files are line-oriented ``key = value`` text with ``#`` comments and
 no nesting.  Ledgers go to CSV with a fixed header; verdict bundles go to
-JSON with an integer ``schema`` field.  Exit codes are a stable contract:
+strict JSON (no NaN or Infinity) with an integer ``schema`` field.  Exit
+codes are a stable contract:
 
     0  every check holds (with or without certificate)
     1  configuration or usage error, or an invalid ledger given to verify
@@ -101,8 +102,8 @@ class RunConfig(SimulationConfig):
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         for key in ("epsilon", "decay_tol"):
-            if not getattr(self, key) >= 0:
-                raise ConfigError(f"{key} must be nonnegative")
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be nonnegative and finite")
 
     def as_text(self) -> str:
         lines = []
@@ -212,11 +213,10 @@ def _bundle(config: RunConfig, reports, wall_time: float) -> ReportBundle:
 
 
 def _write_outputs(out_dir: Path, ledger: EnergyLedger, bundle: ReportBundle) -> None:
+    text = json.dumps(asdict(bundle), indent=2, sort_keys=True, allow_nan=False)
     out_dir.mkdir(parents=True, exist_ok=True)
     ledger.write_csv(out_dir / "ledger.csv")
-    (out_dir / "report.json").write_text(
-        json.dumps(asdict(bundle), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out_dir / "report.json").write_text(text + "\n", encoding="utf-8")
 
 
 def _verify(ledger: EnergyLedger, config: RunConfig) -> list:

@@ -88,3 +88,21 @@ def flip_fixture_run():
         seed=0,
     )
     return tn.run(config)
+
+
+@pytest.fixture(scope="session")
+def h1_envelope_only_ledger():
+    """A ledger whose only h1 failure is the envelope: on the n=32, seed-5
+    ledger of a 0.03 horizon, the gradient energy grows like
+    e^{(tau - tau0)/2}, the curvature energy is 0 and the trilinear term -10,
+    so the raw inequality holds on every row while the fitted offset's
+    envelope is exceeded."""
+    config = tn.SimulationConfig(n=32, delta=0.01, horizon=0.03, stride=1, seed=5)
+    ledger = tn.run(config)
+    table = ledger.table.copy()
+    column = tn.inequality_lab.CSV_COLUMNS.index
+    tau = table[:, column("tau")]
+    table[:, column("w_h1sq")] = np.exp(0.5 * (tau - tau[0]))
+    table[:, column("w_h2sq")] = 0.0
+    table[:, column("trilinear_w")] = -10.0
+    return tn.EnergyLedger(table, meta=ledger.meta)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from torusns.inequality_lab import (
+    CORRUPTION_KINDS,
     CSV_COLUMNS,
     _window_max,
     EnergyLedger,
@@ -161,6 +162,14 @@ class TestH1Verifier:
         assert report.status in ("holds", "holds_with_certificate")
         assert report.details["envelope_violation"] <= report.details["envelope_tolerance"]
 
+    def test_envelope_only_failure_quotes_the_envelope(self, h1_envelope_only_ledger):
+        report = verify_h1_inequality(h1_envelope_only_ledger)
+        assert report.status == "violated"
+        assert report.details["decided_by"] == "envelope"
+        assert report.details["max_raw_residual"] < 0.0
+        assert report.max_residual == report.details["envelope_violation"]
+        assert report.tolerance == report.details["envelope_tolerance"]
+
     def test_missing_rows_error(self):
         # a two-row ledger is rejected when it is built, before any verifier
         tau = np.array([0.0, 0.5])
@@ -261,6 +270,17 @@ class TestRateMonitor:
         crossing_t = ledger.column("t")[np.argmax(tau >= 2.0) - 1]
         assert report.details["t0"] == pytest.approx(crossing_t)
 
+    def test_quotes_only_rows_after_t0(self):
+        # the row at t0 is the last one above epsilon; the bound is claimed after it
+        tau = np.linspace(0.0, 6.0, 50)
+        q = np.where(tau < 2.0, 1.0, 0.01)
+        ledger = EnergyLedger(make_table(tau, w_sup=q))
+        report = verify_blowup_rate(ledger, epsilon=0.1)
+        assert report.status == "holds"
+        assert report.max_residual == pytest.approx(0.01 - 0.1)
+        assert report.max_residual <= report.tolerance
+        assert ledger.column("t")[report.details["worst_row"]] > report.details["t0"]
+
 
 class TestRouteAudit:
     def test_zero_ledger(self):
@@ -294,6 +314,25 @@ class TestCorruptions:
 
 
 class TestVerifyAll:
+    @pytest.mark.parametrize(
+        "source",
+        ["small", "energy_bump", "trilinear_flip", "subrate_energy", "zero", "h1_envelope_only"],
+    )
+    def test_quoted_row_decides_the_status(self, request, small_ledger, source):
+        # a verdict that fires quotes a residual above its tolerance, one that
+        # holds a residual at or below it, both at the row named in details
+        if source in CORRUPTION_KINDS:
+            ledger = corrupt_ledger(small_ledger, source)
+        elif source == "zero":
+            ledger = zero_ledger()
+        else:
+            ledger = request.getfixturevalue(f"{source}_ledger")
+        tau = ledger.column("tau")
+        for report in verify_all(ledger, alpha=0.0625, epsilon=0.1):
+            fired = report.status in ("violated", "inconclusive")
+            assert fired == (report.max_residual > report.tolerance), report
+            assert report.details["worst_tau"] == tau[report.details["worst_row"]]
+
     def test_full_set(self, small_ledger):
         reports = verify_all(small_ledger, alpha=0.0625, epsilon=0.1)
         assert [r.inequality_id for r in reports] == [

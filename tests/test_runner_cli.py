@@ -1,6 +1,7 @@
 """Tests for configuration parsing, the CLI commands, and exit codes."""
 
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -49,8 +50,17 @@ def _zero_ledger_text(rows: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reject_constant(name):
+    raise ValueError(f"report.json holds the non-finite constant {name}")
+
+
+def _read_report(path) -> dict:
+    """A report.json, parsed as strict JSON: NaN and Infinity are errors."""
+    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+
+
 def _recorded_threads(out) -> int:
-    return parse_config(json.loads((out / "report.json").read_text())["config_text"]).threads
+    return parse_config(_read_report(out / "report.json")["config_text"]).threads
 
 
 class TestConfigParsing:
@@ -166,7 +176,7 @@ class TestRunCommand:
         assert ledger_path.exists() and report_path.exists()
         ledger = EnergyLedger.read_csv(ledger_path)
         assert ledger.to_csv_text() == ledger_path.read_text()
-        bundle = json.loads(report_path.read_text())
+        bundle = _read_report(report_path)
         assert bundle["schema"] == 1
         assert {r["inequality_id"] for r in bundle["reports"]} >= {"l2_energy"}
         report_keys = {
@@ -174,6 +184,10 @@ class TestRunCommand:
             "details",
         }
         assert all(set(r) == report_keys for r in bundle["reports"])
+        quoted = {"decided_by", "worst_row", "worst_tau"}
+        assert all(quoted <= set(r["details"]) for r in bundle["reports"])
+        (split,) = [r for r in bundle["reports"] if r["inequality_id"] == "split_energy_decay"]
+        assert split["certificate"] == 0.0 and split["details"]["smallness_threshold"] is None
         assert bundle["certificates"]
         certificate_keys = {"inequality_id", "value", "n", "delta"}
         assert all(set(c) == certificate_keys for c in bundle["certificates"])
@@ -181,7 +195,7 @@ class TestRunCommand:
     def test_report_records_peak_rss(self, tmp_path):
         config = parse_config(FAST_RUN)
         assert cmd_run(replace(config, out_dir=str(tmp_path))) == 0
-        recorded = json.loads((tmp_path / "report.json").read_text())["peak_rss_mb"]
+        recorded = _read_report(tmp_path / "report.json")["peak_rss_mb"]
         assert 0.0 < recorded <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     def test_corruption_fixture_exit_two(self, tmp_path):
@@ -292,6 +306,19 @@ class TestVerifyCommand:
         assert main(["--config", str(cfg_path), "verify", str(ledger_path)]) == 1
         assert "[torusns] config error: decay_tol must be nonnegative" in capsys.readouterr().err
 
+    def test_envelope_only_h1_failure(self, tmp_path, capsys, h1_envelope_only_ledger):
+        # the raw h1 inequality holds on every row; the line quotes the envelope
+        path = tmp_path / "ledger.csv"
+        h1_envelope_only_ledger.write_csv(path)
+        assert main(["verify", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "[torusns] h1_gradient: violated (" in out
+        lines = re.findall(r"(\w+): (\w+) \(residual=(\S+), tol=([^,)]+)", out)
+        assert len(lines) == 6
+        for check, status, residual, tol in lines:
+            fired = status in ("violated", "inconclusive")
+            assert fired == (float(residual) > float(tol)), check
+
 
 class TestSweepCommand:
     def test_empty_axes_rejected(self):
@@ -311,7 +338,7 @@ class TestSweepCommand:
         assert cmd_sweep(replace(config, out_dir=str(tmp_path))) == 0
         points = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
         assert points == ["alpha0.06250001_delta0.01_n16", "alpha0.0625_delta0.01_n16"]
-        reports = [json.loads((tmp_path / p / "report.json").read_text()) for p in points]
+        reports = [_read_report(tmp_path / p / "report.json") for p in points]
         alphas = {parse_config(r["config_text"]).alpha for r in reports}
         assert alphas == {0.0625, 0.06250001}
         assert len((tmp_path / "certificates.csv").read_text().splitlines()) == 7
@@ -320,7 +347,7 @@ class TestSweepCommand:
         config = parse_config(FAST_RUN + "sweep_delta = 0.01\n")
         assert cmd_sweep(replace(config, out_dir=str(tmp_path))) == 0
         (point,) = [p for p in tmp_path.iterdir() if p.is_dir()]
-        report = json.loads((point / "report.json").read_text())
+        report = _read_report(point / "report.json")
         assert parse_config(report["config_text"]).out_dir == str(point)
 
     def test_failed_points_report_no_stale_certificates(self, tmp_path, monkeypatch):
@@ -410,6 +437,21 @@ class TestMainEntry:
         out = tmp_path / "o"
         assert main(["--config", str(cfg_path), "--out", str(out), "run"]) == 1
         assert "[torusns] config error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("key", ["epsilon", "decay_tol"])
+    def test_infinite_tolerance_exit_one(self, tmp_path, capsys, key, command):
+        # an infinite tolerance passes its check on any ledger and writes Infinity
+        ledger_path = tmp_path / "ledger.csv"
+        ledger_path.write_text(_zero_ledger_text(3))
+        cfg_path = tmp_path / "inf.cfg"
+        cfg_path.write_text(f"{FAST_RUN}{key} = inf\n")
+        out = tmp_path / "o"
+        args = [str(ledger_path)] if command == "verify" else []
+        assert main(["--config", str(cfg_path), "--out", str(out), command, *args]) == 1
+        err = capsys.readouterr().err
+        assert f"[torusns] config error: {key} must be nonnegative and finite" in err
         assert not out.exists()
 
     def test_check_switch_is_unknown_option(self, tmp_path, capsys):
