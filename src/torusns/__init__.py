@@ -40,7 +40,6 @@ from .similarity_frame import (
     SimilarityClock,
     WFunctionals,
     build_w_field,
-    initial_similarity_energy,
     t_of_tau,
     tau_of_t,
     w_functionals_multiplier_route,

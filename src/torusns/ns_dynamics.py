@@ -6,21 +6,23 @@ dealiased, projected advection term is advanced with classical RK4.  The mean
 mode is pinned to zero and the field stays real, divergence-free, and
 band-limited for the whole run.
 
-Inside a step the velocity is held on the dealias band (3, K, K, c + 1) of
+The velocity is held on the dealias band (3, K, K, c + 1) of
 `spectral_core`: the modes |m_j| <= c, 3c < n, with m3 >= 0, which are the
-only ones a state carries.  `TrajectoryState.from_field` and `nonlinear_rhs`
-gather the band through `spectral_core.gather_band`, which rejects a field
-with a coefficient outside it.  The advection term is evaluated in
-rotational form, P[u x omega] with omega = curl u: it differs from
--P[(u . grad) u] only by the gradient grad(|u|^2 / 2), which the projection
-removes.  Each RK4 stage
-costs two inverse and one forward pruned real 3-vector transform, and the
-forward transform of the band is already dealiased.  The first stage reuses
-the state's samples (`TrajectoryState.samples`), which `cfl_dt` also reads,
-so a step of `run` takes 8 inverse and 4 forward band transforms.  A ledger
-row passes both routes the state's band and samples: no gather, no transform.
-The product is `spectral_core.rotational_product`, which the ledger's
-multiplier route shares.
+only ones a state carries.  `make_initial_data` builds the initial state
+there, from the modes of the data, so a run holds no full lattice before its
+first ledger row.  `TrajectoryState.from_field` and `nonlinear_rhs` take a
+full-spectrum field and gather its band through `spectral_core.gather_band`,
+which rejects a field with a coefficient outside it.  The advection term is
+evaluated in rotational form, P[u x omega] with omega = curl u: it differs
+from -P[(u . grad) u] only by the gradient grad(|u|^2 / 2), which the
+projection removes.  Each RK4 stage costs two inverse and one forward pruned
+real 3-vector transform, and the forward transform of the band is already
+dealiased.  The first stage reuses the state's samples
+(`TrajectoryState.samples`), which `cfl_dt` also reads, so a step of `run`
+takes 8 inverse and 4 forward band transforms.  A ledger row passes both
+routes the state's band and samples: no gather, no transform.  The product
+is `spectral_core.rotational_product`, which the ledger's multiplier route
+shares.
 
 A state is its band plus the samples of it, and no state keeps a full
 lattice: `step` hands back a band whose plane m3 = 0 is exactly Hermitian,
@@ -148,48 +150,46 @@ class TrajectoryState:
         return self.grid.dx / vmax if vmax > 0.0 else math.inf
 
 
-def make_initial_data(config: SimulationConfig, grid: SpectralGrid | None = None) -> VectorField:
-    """Divergence-free, mean-free initial velocity scaled exactly to the
-    requested L2 norm `config.delta`.
+def make_initial_data(config: SimulationConfig, grid: SpectralGrid) -> TrajectoryState:
+    """The initial state (t = 0): a divergence-free, mean-free velocity
+    scaled exactly to the requested L2 norm `config.delta`, built on the
+    dealias band of `grid`.
 
-    `taylor_green` is the classical single-mode vortex; `random_low_mode`
-    seeds every mode with |k| <= init_k_max with standard Gaussian
-    coefficients and projects out the gradient part.  Either shape is built
-    at unit scale and then rescaled to `delta`, so `delta` alone sets the size
-    of the data.
+    `taylor_green` is the classical single-mode vortex
+    (sin x1 cos x2 cos x3, -cos x1 sin x2 cos x3, 0) at wavenumber 2 pi / L,
+    written from its eight modes (+-1, +-1, +-1): the band holds the four
+    with m3 = 1, and their mirrors follow.  Its coefficients are exactly
+    divergence-free.  `random_low_mode` seeds every mode with
+    |k| <= init_k_max with standard Gaussian coefficients and projects out
+    the gradient part.  Either shape is built at unit scale and then
+    rescaled to `delta`, so `delta` alone sets the size of the data.
     """
-    grid = grid or make_grid(config.n, config.box_length)
+    band = np.zeros((3,) + grid.band.k_sq.shape, dtype=np.complex128)
     if config.initial_kind == "taylor_green":
-        x1, x2, x3 = grid.coordinates()
-        q = 2.0 * math.pi / grid.box_length
-        data = np.stack(
-            [
-                np.sin(q * x1) * np.cos(q * x2) * np.cos(q * x3),
-                -np.cos(q * x1) * np.sin(q * x2) * np.cos(q * x3),
-                np.zeros((grid.n, grid.n, grid.n)),
-            ]
-        )
-        u_hat = spectral_core.to_spectral(VectorField(grid, data, spectral_core.PHYSICAL))
-        coef = spectral_core.dealias(u_hat).data
-        coef[:, 0, 0, 0] = 0.0
+        for m1 in (1, -1):
+            for m2 in (1, -1):
+                band[0, m1, m2, 1] = -1j * m1 / 8
+                band[1, m1, m2, 1] = 1j * m2 / 8
+        sum_sq = spectral_core.band_sum(np.sum(np.abs(band) ** 2, axis=0))
     else:
-        coef = _random_low_modes(config, grid)
-    power = np.abs(coef)
-    power **= 2  # in place: one real lattice beside coef, not two
-    current = math.sqrt(grid.volume * float(np.sum(power)))
-    coef *= config.delta / current if current > 0.0 else 0.0
-    return VectorField(grid, coef, SPECTRAL)
+        sum_sq = _random_low_modes(config, grid, band)
+    current = math.sqrt(grid.volume * sum_sq)
+    band *= config.delta / current if current > 0.0 else 0.0
+    return TrajectoryState(grid, band, t=0.0, step_index=0, last_dt=0.0)
 
 
-def _random_low_modes(config: SimulationConfig, grid: SpectralGrid) -> np.ndarray:
-    """The unscaled `random_low_mode` coefficients on the full lattice.
+def _random_low_modes(config: SimulationConfig, grid: SpectralGrid, band: np.ndarray) -> float:
+    """Write the unscaled `random_low_mode` coefficients into the zeroed
+    `band` and return the sum of their |coef|^2 over the full lattice.
 
     The real and then the imaginary parts are drawn as standard Gaussians
     on the whole (3, n, n, n) lattice, so the seed fixes every mode, but only
     the modes 0 < |k| <= init_k_max are kept.  Each is averaged with the
     conjugate of its mirror -k, so the field is real, and projected onto
-    divergence-free fields; the modes lie inside the dealias band, and they
-    are scattered once into a zeroed lattice.
+    divergence-free fields.  `SimulationConfig` checks that the modes lie
+    inside the dealias band; those with m3 >= 0 are written into it.  The
+    draw buffer, zeroed, then holds |coef|^2 of every mode, so the sum
+    rounds as the full-lattice sum of the norm.
     """
     n = grid.n
     seeded = np.nonzero((grid.k_mag <= config.init_k_max) & (grid.k_mag > 0.0))
@@ -199,14 +199,17 @@ def _random_low_modes(config: SimulationConfig, grid: SpectralGrid) -> np.ndarra
     draw = np.empty((3, n, n, n))
     raw = rng.standard_normal(out=draw)[(slice(None),) + seeded].astype(np.complex128)
     raw.imag = rng.standard_normal(out=draw)[(slice(None),) + seeded]
-    del draw
     sym = 0.5 * (raw + np.conj(raw[:, mirror]))
     kvec = np.stack([grid.k[j].ravel()[seeded[j]] for j in range(3)])
-    coef = np.zeros((3, n, n, n), dtype=np.complex128)
-    coef[(slice(None),) + seeded] = spectral_core.project_coefficients(
-        sym, kvec, grid.k_sq[seeded]
-    )
-    return coef
+    modes = spectral_core.project_coefficients(sym, kvec, grid.k_sq[seeded])
+    draw.fill(0.0)
+    draw[(slice(None),) + seeded] = np.abs(modes) ** 2
+    sum_sq = float(np.sum(draw))
+    del draw
+    m1, m2, m3 = (np.where(i < n // 2, i, i - n) for i in seeded)
+    kept = m3 >= 0
+    band[:, m1[kept], m2[kept], m3[kept]] = modes[:, kept]
+    return sum_sq
 
 
 def _rhs_band(coef: np.ndarray, u: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -335,21 +338,20 @@ def _ledger_row(
 def run(config: SimulationConfig) -> EnergyLedger:
     """Integrate from t = 0 to horizon - t_min, recording ledger rows.
 
-    Rows are emitted at step 0, every `stride` steps, and at the final step.
-    A state's step size is taken before its row, so the state's samples are
-    transformed inside `cfl_dt`, except for the final state, whose row takes
-    them.  A non-finite field aborts with NumericalBlowupError (the initial
-    data, which may hold any mode, are checked on their full lattice before
-    their band is gathered); a ledger that fails its invariants raises
+    The run starts from the state of `make_initial_data`, on the band, and
+    holds no full lattice before its first row.  Rows are emitted at step 0,
+    every `stride` steps, and at the final step.  A state's step size is
+    taken before its row, so the state's samples are transformed inside
+    `cfl_dt`, except for the final state, whose row takes them.  A
+    non-finite band, the initial one included, aborts with
+    NumericalBlowupError; a ledger that fails its invariants raises
     LedgerError.  The metadata is every field of `config` plus the number of
     steps taken.
     """
     grid = make_grid(config.n, config.box_length)
     mults = MultiplierSet(config.alpha)
-    u0 = make_initial_data(config, grid)
-    _abort_if_not_finite(u0.data, 0.0, 0)
-    state = TrajectoryState.from_field(u0, t=0.0, step_index=0, last_dt=0.0)
-    del u0
+    state = make_initial_data(config, grid)
+    _abort_if_not_finite(state.band, state.t, state.step_index)
     t_end = config.horizon - config.t_min
     rows = []
     while True:

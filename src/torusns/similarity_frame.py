@@ -18,14 +18,14 @@ per row.  Two computation routes are provided and audited against each other:
 
 Both take the field on the dealias band of `spectral_core`: its band
 coefficients (3, K, K, c + 1) and their physical values, the samples.  A
-ledger row passes the state's `TrajectoryState.band` and `.samples`, so a
-run gathers and checks a band once, from its initial data
-(`spectral_core.gather_band`); a caller holding a full-spectrum field takes the pair from
-`spectral_core.band_terms`.  Every inverse transform is `band_to_physical`
-and both products, F[(u . grad) u] and F[w x curl w], go through
-`band_to_spectral`; every spectral sum is a `band_sum` over the band's
-modes.  Each route evaluates the radial profiles once, on the distinct |k|
-values of the band (`DealiasBand.shells`).
+ledger row passes the state's `TrajectoryState.band` and `.samples`, and a
+run builds its initial state on the band, so it gathers no band; a caller
+holding a full-spectrum field takes the pair from `spectral_core.band_terms`.
+Every inverse transform is `band_to_physical` and both products,
+F[(u . grad) u] and F[w x curl w], go through `band_to_spectral`; every
+spectral sum is a `band_sum` over the band's modes.  Each route evaluates
+the radial profiles once, on the distinct |k| values of the band
+(`DealiasBand.shells`).
 The signed integrals use different algebra in the two routes: the scaling
 route takes the gradient-tensor quadrature tr(G^T G G) and the convective
 coupling of `spectral_core.nonlinear_integrals`, the multiplier route the
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import spectral_core
 from .multiplier_bank import MultiplierSet
-from .spectral_core import SPECTRAL, SpectralGrid, VectorField, band_sum, band_terms, make_grid
+from .spectral_core import SPECTRAL, SpectralGrid, VectorField, band_sum, make_grid
 
 #: Normative scaling exponents: functional(w) = s**power * functional(u).
 #: Squared integral quantities unless noted; `sup` and `l4` are plain norms.
@@ -308,29 +308,3 @@ def w_functionals_multiplier_route(
         trilinear_scale=tri_scale,
         lap_scale=lap_scale,
     )
-
-
-def initial_similarity_energy(
-    u0_hat: VectorField, horizon: float, mults: MultiplierSet
-) -> float:
-    """Split energy E(0) of the rescaled initial data, with its upper bound.
-
-    Returns e_low + e_high at t = 0 and checks it never exceeds
-    ||w(0)||^2 = T^(-1/2) ||u0||^2, which follows from the pointwise weight
-    bound chi^2 + 1 - phi^2 <= 1 (verified here on a dense radial grid
-    before use).
-    """
-    prof = mults.profiles(np.linspace(0.0, 3.0, 30_001))
-    weight = prof.chi**2 + prof.sqrt_one_minus_phi_sq**2
-    if float(np.max(weight)) > 1.0 + 1e-13:
-        raise AssertionError("split weight exceeds 1; profile construction is broken")
-
-    clock = SimilarityClock(horizon=horizon, t=0.0)
-    w = w_functionals_multiplier_route(u0_hat.grid, *band_terms(u0_hat)[:2], clock, mults)
-    energy = w.energy
-    bound = w.w_l2_sq
-    if energy > bound * (1.0 + 1e-12) + 1e-300:
-        raise AssertionError(
-            f"initial split energy {energy!r} exceeds its bound {bound!r}"
-        )
-    return energy

@@ -312,9 +312,9 @@ def gather_band(field: VectorField) -> np.ndarray:
 
     Raises ValueError if a coefficient outside the band is nonzero: a
     computation on the band would otherwise drop it, or advect it with
-    aliased content.  Roundoff below 1e-12 of the largest band coefficient,
-    such as `to_spectral` leaves on the samples of a band-limited field, is
-    dropped.
+    aliased content.  The message says when that coefficient is non-finite.
+    Roundoff below 1e-12 of the largest band coefficient, such as
+    `to_spectral` leaves on the samples of a band-limited field, is dropped.
     """
     field.require(SPECTRAL)
     grid = field.grid
@@ -325,10 +325,11 @@ def gather_band(field: VectorField) -> np.ndarray:
         if outside.any():
             largest = float(np.max(np.abs(outside)))
             if not largest <= _OUTSIDE_BAND_ROUNDOFF * float(np.max(np.abs(coef))):
-                raise ValueError(
-                    f"a coefficient of size {largest:.3g} lies outside the dealias band "
-                    f"|m| <= {c} of n={n}"
-                )
+                if np.isfinite(largest):
+                    what = f"coefficient of size {largest:.3g}"
+                else:
+                    what = f"non-finite coefficient ({largest})"
+                raise ValueError(f"a {what} lies outside the dealias band |m| <= {c} of n={n}")
     return coef
 
 

@@ -70,6 +70,8 @@ class TestOperatorIdentities:
         assert np.max(np.abs(prof.phi + prof.one_minus_phi - 1.0)) < 1e-15
         split = prof.phi**2 + prof.sqrt_one_minus_phi_sq**2
         assert np.max(np.abs(split - 1.0)) < 1e-14
+        # the split-energy weight, so E <= ||w||^2
+        assert np.max(prof.chi**2 + prof.sqrt_one_minus_phi_sq**2) <= 1.0 + 1e-13
 
     def test_low_pass_identity_on_low_field(self, grid16, rng, random_field_factory):
         mults = MultiplierSet(1.0 / 16.0)

@@ -88,25 +88,29 @@ def half_spectrum_step(state, dt):
 
 class TestInitialData:
     def test_taylor_green_divergence_free(self, grid16):
+        # written from its modes: exactly divergence-free, and nothing but
+        # the eight modes (+-1, +-1, +-1) holds a coefficient
         config = tn.SimulationConfig(n=16, initial_kind="taylor_green", delta=0.5)
-        u0 = tn.make_initial_data(config, grid16)
-        assert divergence_ratio(u0) < 1e-13
+        u0 = tn.make_initial_data(config, grid16).u_hat
+        assert divergence_ratio(u0) == 0.0
+        nonzero = {tuple(m) for m in np.argwhere(np.any(u0.data != 0.0, axis=0))}
+        assert nonzero == {(i, j, l) for i in (1, 15) for j in (1, 15) for l in (1, 15)}
 
     def test_exact_norm_target(self, grid16):
         for delta in (0.01, 0.3):
             config = tn.SimulationConfig(n=16, delta=delta)
-            u0 = tn.make_initial_data(config, grid16)
+            u0 = tn.make_initial_data(config, grid16).u_hat
             assert math.sqrt(tn.norms(u0).l2_sq) == pytest.approx(delta, rel=1e-12)
 
     def test_zero_target_gives_zero_field(self, grid16):
         config = tn.SimulationConfig(n=16, delta=0.0)
-        u0 = tn.make_initial_data(config, grid16)
+        u0 = tn.make_initial_data(config, grid16).u_hat
         assert np.max(np.abs(u0.data)) == 0.0
 
     def test_seed_determinism(self, grid16):
         config = tn.SimulationConfig(n=16, seed=7)
-        a = tn.make_initial_data(config, grid16)
-        b = tn.make_initial_data(config, grid16)
+        a = tn.make_initial_data(config, grid16).u_hat
+        b = tn.make_initial_data(config, grid16).u_hat
         assert np.array_equal(a.data, b.data)
 
     def test_unknown_kind_rejected(self):
@@ -115,7 +119,7 @@ class TestInitialData:
 
     def test_random_field_structure(self, grid16):
         config = tn.SimulationConfig(n=16, delta=0.1, seed=3)
-        u0 = tn.make_initial_data(config, grid16)
+        u0 = tn.make_initial_data(config, grid16).u_hat
         assert hermitian_defect(u0) < 1e-13
         assert divergence_ratio(u0) < 1e-13
         assert u0.data[0, 0, 0, 0] == 0.0
@@ -127,23 +131,25 @@ class TestInitialData:
     def test_matches_full_lattice_reference(self, n, seed):
         config = tn.SimulationConfig(n=n, delta=0.3, seed=seed)
         grid = tn.make_grid(n)
-        u0 = tn.make_initial_data(config, grid)
+        u0 = tn.make_initial_data(config, grid).u_hat
         assert np.array_equal(u0.data, full_lattice_initial_data(config, grid))
 
     def test_builds_no_full_lattice_copies(self):
-        # the output lattice and the squared magnitudes of its norm; the
-        # full-lattice reference peaks near six complex lattices
-        config = tn.SimulationConfig(n=32, delta=0.01, seed=3)
-        grid = tn.make_grid(32)
+        # the data are built on the band: random_low_mode holds the real
+        # draw buffer, half a complex lattice, and taylor_green no lattice;
+        # the full-lattice reference peaks near six complex lattices
         lattice = 3 * 32**3 * np.dtype(np.complex128).itemsize
-        tracemalloc.start()
-        try:
-            tn.make_initial_data(config, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * lattice
-        assert "wavevectors" not in vars(grid)
+        for kind in ("random_low_mode", "taylor_green"):
+            config = tn.SimulationConfig(n=32, delta=0.01, seed=3, initial_kind=kind)
+            grid = tn.make_grid(32)
+            tracemalloc.start()
+            try:
+                tn.make_initial_data(config, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= lattice, kind
+            assert "wavevectors" not in vars(grid)
 
     def test_band_must_survive_dealiasing(self):
         with pytest.raises(ValueError):
@@ -211,7 +217,7 @@ class TestStep:
         u0 = tn.make_initial_data(config, grid16)
 
         def advance(dt, substeps):
-            st = TrajectoryState.from_field(u0, 0.0, 0, 0.0)
+            st = u0
             for _ in range(substeps):
                 st = tn.step(st, dt / substeps)
             return st.u_hat.data
@@ -227,7 +233,7 @@ class TestStep:
         u0 = tn.make_initial_data(config, grid16)
 
         def integrate(dt, t_end=0.2):
-            st = TrajectoryState.from_field(u0, 0.0, 0, 0.0)
+            st = u0
             while st.t < t_end - 1e-12:
                 st = tn.step(st, min(dt, t_end - st.t))
             return st.u_hat.data
@@ -246,7 +252,7 @@ class TestStep:
 
     def test_divergence_and_symmetry_preserved(self, grid16):
         config = tn.SimulationConfig(n=16, delta=0.3, seed=2)
-        state = TrajectoryState.from_field(tn.make_initial_data(config, grid16), 0.0, 0, 0.0)
+        state = tn.make_initial_data(config, grid16)
         dt = tn.cfl_dt(state, 0.9)
         for _ in range(500):
             state = tn.step(state, dt)
@@ -256,7 +262,7 @@ class TestStep:
     def test_state_stays_exactly_hermitian(self, grid16):
         for kind, delta in (("random_low_mode", 0.3), ("taylor_green", 1.0)):
             config = tn.SimulationConfig(n=16, initial_kind=kind, delta=delta, seed=5)
-            state = TrajectoryState.from_field(tn.make_initial_data(config, grid16), 0.0, 0, 0.0)
+            state = tn.make_initial_data(config, grid16)
             for _ in range(3):
                 state = tn.step(state, tn.cfl_dt(state))
                 assert hermitian_defect(state.u_hat) == 0.0
@@ -265,7 +271,7 @@ class TestStep:
         # e_high is ~1e-49 of the energy here: any non-Hermitian roundoff in
         # the state shows up as a gap between the two routes
         config = tn.SimulationConfig(n=64, delta=0.01, horizon=0.0019, seed=51, stride=2)
-        state = TrajectoryState.from_field(tn.make_initial_data(config), 0.0, 0, 0.0)
+        state = tn.make_initial_data(config, tn.make_grid(config.n))
         for _ in range(2):
             state = tn.step(state, tn.cfl_dt(state, config.c_cfl))
         row = _ledger_row(state, config, MultiplierSet(config.alpha))
@@ -273,7 +279,7 @@ class TestStep:
 
     def test_discrete_energy_law(self, grid16):
         config = tn.SimulationConfig(n=16, initial_kind="taylor_green", delta=1.0)
-        state = TrajectoryState.from_field(tn.make_initial_data(config, grid16), 0.0, 0, 0.0)
+        state = tn.make_initial_data(config, grid16)
         dt = 2e-3
         for _ in range(20):
             before = tn.norms(state.u_hat)
@@ -291,7 +297,7 @@ class TestDealiasBandStages:
     @pytest.mark.parametrize("n", [16, 32])
     def test_step_matches_half_spectrum_reference_bitwise(self, n):
         config = tn.SimulationConfig(n=n, delta=2.0, seed=11)
-        state = TrajectoryState.from_field(tn.make_initial_data(config), 0.0, 0, 0.0)
+        state = tn.make_initial_data(config, tn.make_grid(n))
         for _ in range(3):
             dt = tn.cfl_dt(state)
             expected = half_spectrum_step(state, dt)
@@ -313,9 +319,18 @@ class TestDealiasBandStages:
                 with pytest.raises(ValueError, match="outside the dealias band"):
                     oracle(field)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coefficient_outside_band_named(self, grid16, value):
+        # a blow-up, not a layout error: the message names the value
+        field = single_mode_field(grid16)
+        field.data[0, 6, 0, 0] = value
+        for build in (spectral_core.gather_band, tn.nonlinear_rhs):
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                build(field)
+
     def test_state_keeps_no_full_lattice(self):
         config = tn.SimulationConfig(n=16, delta=2.0, seed=11)
-        state = TrajectoryState.from_field(tn.make_initial_data(config), 0.0, 0, 0.0)
+        state = tn.make_initial_data(config, tn.make_grid(16))
         for _ in range(2):
             state = tn.step(state, tn.cfl_dt(state))
             full = state.u_hat
@@ -327,10 +342,10 @@ class TestDealiasBandStages:
 
     def test_eight_inverse_transforms_per_step(self, monkeypatch):
         # cfl_dt, the first stage and both routes of a row share the state's
-        # band and samples; the band is gathered once, from the initial
-        # data, a step hands back a band, a row adds 9 inverse and 2 forward
-        # band transforms and writes one full lattice, for norms, and only
-        # the last state's samples are taken for its row alone
+        # band and samples; the initial data are built on the band, so no
+        # band is gathered, a step hands back a band, a row adds 9 inverse
+        # and 2 forward band transforms and writes one full lattice, for
+        # norms, and only the last state's samples are taken for its row alone
         counts = {"gather": 0, "full": 0, "inverse": 0, "forward": 0, "half": 0}
 
         def counted(name, key):
@@ -352,7 +367,7 @@ class TestDealiasBandStages:
         steps, rows = ledger.meta["steps"], len(ledger)
         assert steps > 1 and rows > 2
         assert counts == {
-            "gather": 1,
+            "gather": 0,
             "full": rows,
             "inverse": 8 * steps + 9 * rows + 1,
             "forward": 4 * steps + 2 * rows,
@@ -404,7 +419,7 @@ class TestRun:
         def bad_initial(config, grid=None):
             data = np.zeros((3, 16, 16, 16), dtype=complex)
             data[0, 1, 0, 0] = np.inf
-            return VectorField(grid16, data, SPECTRAL)
+            return TrajectoryState.from_field(VectorField(grid16, data, SPECTRAL), 0.0, 0, 0.0)
 
         monkeypatch.setattr(tn.ns_dynamics, "make_initial_data", bad_initial)
         with pytest.raises(NumericalBlowupError):

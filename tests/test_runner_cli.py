@@ -215,7 +215,7 @@ class TestRunCommand:
             g = tn.make_grid(config.n, config.box_length)
             data = np.zeros((3, config.n, config.n, config.n), dtype=complex)
             data[0, 1, 0, 0] = np.nan
-            return VectorField(g, data, SPECTRAL)
+            return tn.TrajectoryState.from_field(VectorField(g, data, SPECTRAL), 0.0, 0, 0.0)
 
         monkeypatch.setattr(tn.ns_dynamics, "make_initial_data", bad_initial)
         config = parse_config(FAST_RUN)
@@ -362,7 +362,8 @@ class TestSweepCommand:
 
         def nan_initial(config, grid=None):
             g = tn.make_grid(config.n, config.box_length)
-            return VectorField(g, np.full((3,) + (config.n,) * 3, np.nan, dtype=complex), SPECTRAL)
+            band = np.full((3,) + g.band.k_sq.shape, np.nan, dtype=complex)
+            return tn.TrajectoryState(g, band, 0.0, 0, 0.0)
 
         monkeypatch.setattr(tn.ns_dynamics, "make_initial_data", nan_initial)
         assert cmd_sweep(replace(config, out_dir=str(tmp_path))) == 3
@@ -453,6 +454,24 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert f"[torusns] config error: {key} must be nonnegative and finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_taylor_green_short_horizon_exits_on_its_verdicts(self, tmp_path, capsys, n):
+        # built from its eight modes, the vortex is exactly divergence-free,
+        # so its roundoff-only high part reads alike on both routes
+        cfg_path = tmp_path / "tg.cfg"
+        cfg_path.write_text(f"n = {n}\ninitial_kind = taylor_green\nhorizon = 0.05\nstride = 1\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg_path), "--out", str(out), "--strict", "run"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid ledger" not in captured.err
+        verdicts = [line for line in captured.out.splitlines() if re.match(r"\[torusns\] \w+: ", line)]
+        assert len(verdicts) == 6
+        (audit,) = [
+            r for r in _read_report(out / "report.json")["reports"]
+            if r["inequality_id"] == "two_route_audit"
+        ]
+        assert audit["status"] == "holds" and audit["max_residual"] <= 1e-14
 
     def test_check_switch_is_unknown_option(self, tmp_path, capsys):
         cfg_path = tmp_path / "switch.cfg"

@@ -1,6 +1,7 @@
 """Tests for the self-similar change of variables and the two routes."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -232,7 +233,7 @@ class TestTwoRoutes:
         # dealias band: the one complex transform is the one inside norms,
         # which runs once, and no w-grid is built
         config = tn.SimulationConfig(n=16, delta=0.01, horizon=0.03)
-        state = ns_dynamics.TrajectoryState.from_field(tn.make_initial_data(config), 0.0, 0, 0.0)
+        state = tn.make_initial_data(config, tn.make_grid(config.n))
         state = ns_dynamics.step(state, ns_dynamics.cfl_dt(state))
         assert hermitian_defect(state.u_hat) == 0.0
         counts = {"norms": 0, "complex_transforms": 0, "grids": 0}
@@ -270,7 +271,7 @@ class TestTwoRoutes:
     @staticmethod
     def _solver_state(n=16):
         config = tn.SimulationConfig(n=n, delta=0.01, horizon=0.03)
-        state = ns_dynamics.TrajectoryState.from_field(tn.make_initial_data(config), 0.0, 0, 0.0)
+        state = tn.make_initial_data(config, tn.make_grid(config.n))
         return ns_dynamics.step(state, ns_dynamics.cfl_dt(state)), config
 
     def test_audit_sees_a_wrong_contraction(self, monkeypatch):
@@ -292,6 +293,41 @@ class TestTwoRoutes:
 
         monkeypatch.setattr(spectral_core, "nonlinear_integrals", wrong_contraction)
         assert route_gap(*(route(*route_args(state.u_hat), clock, mults) for route in routes)) > 1e-6
+
+    def test_audit_sees_a_divergent_state(self):
+        # the taylor_green data built from their samples, through a complex
+        # transform and the two-thirds mask, hold unprojected roundoff on
+        # every high mode of the band: |curl h|^2 and |k|^2 |h|^2 differ for
+        # a divergent high part h, so the grad_high_sq gap fires
+        grid = tn.make_grid(16)
+        x1, x2, x3 = grid.coordinates()
+        samples = np.stack(
+            [
+                np.sin(x1) * np.cos(x2) * np.cos(x3),
+                -np.cos(x1) * np.sin(x2) * np.cos(x3),
+                np.zeros((16, 16, 16)),
+            ]
+        )
+        coef = tn.dealias(tn.to_spectral(VectorField(grid, samples, PHYSICAL))).data
+        coef[:, 0, 0, 0] = 0.0
+        clock = SimilarityClock(horizon=0.05, t=0.0)
+        mults = MultiplierSet(1.0 / 16.0)
+
+        def gaps(data):
+            u = VectorField(grid, data, SPECTRAL)
+            wa = w_functionals_scaling_route(*route_args(u), clock, mults)
+            wb = w_functionals_multiplier_route(*route_args(u), clock, mults)
+            each = {
+                name: route_gap(wa, replace(wa, **{name: getattr(wb, name)}))
+                for name in WFunctionals.COMPARED
+            }
+            return route_gap(wa, wb), each
+
+        gap, each = gaps(coef)
+        assert gap > 1e-10
+        assert max(each, key=each.get) == "grad_high_sq"
+        projected = spectral_core.project_coefficients(coef, grid.wavevectors, grid.k_sq)
+        assert gaps(projected)[0] <= 1e-12
 
     def test_one_profile_evaluation_and_one_rotational_kernel(self, monkeypatch):
         # each route evaluates phi once, on the |k| shells; the multiplier
@@ -339,24 +375,31 @@ class TestTwoRoutes:
 
 
 class TestInitialEnergy:
+    """The split energy E(0) = e_low + e_high of the rescaled initial data is
+    at most ||w(0)||^2 = T^(-1/2) ||u0||^2, by the pointwise weight bound
+    chi^2 + 1 - phi^2 <= 1."""
+
+    @staticmethod
+    def _initial_functionals(u0, horizon):
+        clock = SimilarityClock(horizon=horizon, t=0.0)
+        return w_functionals_multiplier_route(*route_args(u0), clock, MultiplierSet(1.0 / 16.0))
+
     def test_zero_field(self, grid16):
-        mults = MultiplierSet(1.0 / 16.0)
         u0 = VectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex), SPECTRAL)
-        assert tn.initial_similarity_energy(u0, 1.0, mults) == 0.0
+        w = self._initial_functionals(u0, 1.0)
+        assert w.energy == 0.0 and w.w_l2_sq == 0.0
 
     def test_bounded_by_initial_norm(self, grid16, rng, random_field_factory):
-        mults = MultiplierSet(1.0 / 16.0)
         for horizon in (1.0, 2.0):
             u0 = random_field_factory(grid16, rng, divergence_free=True)
-            energy = tn.initial_similarity_energy(u0, horizon, mults)
-            bound = horizon ** -0.5 * tn.norms(u0).l2_sq
-            assert energy <= bound * (1.0 + 1e-12)
+            w = self._initial_functionals(u0, horizon)
+            assert w.w_l2_sq == pytest.approx(horizon**-0.5 * tn.norms(u0).l2_sq, rel=1e-12)
+            assert w.energy <= w.w_l2_sq * (1.0 + 1e-12)
 
     def test_high_band_saturates_bound(self, grid16, rng, random_field_factory):
         # supported where the low-pass profile vanishes: the split energy is
         # the whole energy
-        mults = MultiplierSet(1.0 / 16.0)
         u0 = random_field_factory(grid16, rng, k_min=2.01, k_max=5.0)
-        energy = tn.initial_similarity_energy(u0, 1.0, mults)
-        total = tn.norms(u0).l2_sq
-        assert energy == pytest.approx(total, rel=1e-12)
+        w = self._initial_functionals(u0, 1.0)
+        assert w.energy == pytest.approx(w.w_l2_sq, rel=1e-12)
+        assert w.w_l2_sq == pytest.approx(tn.norms(u0).l2_sq, rel=1e-12)
