@@ -17,12 +17,19 @@ evaluated in rotational form, P[u x omega] with omega = curl u: it differs
 from -P[(u . grad) u] only by the gradient grad(|u|^2 / 2), which the
 projection removes.  Each RK4 stage costs two inverse and one forward pruned
 real 3-vector transform, and the forward transform of the band is already
-dealiased.  The first stage reuses the state's samples
-(`TrajectoryState.samples`), which `cfl_dt` also reads, so a step of `run`
-takes 8 inverse and 4 forward band transforms.  A ledger row passes both
-routes the state's band and samples: no gather, no transform.  The product
-is `spectral_core.rotational_product`, which the ledger's multiplier route
-shares.
+dealiased.  The first stage projects the state's product u x omega
+(`TrajectoryState.rotation`), which is taken from the state's samples
+(`TrajectoryState.samples`), so a step of `run` takes 8 inverse and 4
+forward band transforms.  A state computes each of its own quantities once,
+on first use: the samples, the product and max|u|
+(`TrajectoryState.max_speed`).  `cfl_dt`, the first stage and both routes of
+the state's ledger row read them, and whichever comes first takes them: in
+`run`, the samples and max|u| inside `cfl_dt`, and the product inside the
+row's multiplier route, which rescales it to the w-field, or inside `step`
+for a state that is not logged.  A row thus adds 7 inverse and 1 forward
+band transform, all in its scaling route, and a run of S steps and R rows
+takes 8 S + 7 R + 2 inverse and 4 S + R + 1 forward ones: the last state's
+samples and product serve its row alone.
 
 A state is its band plus the samples of it, and no state keeps a full
 lattice: `step` hands back a band whose plane m3 = 0 is exactly Hermitian,
@@ -112,10 +119,10 @@ def _band_field(coef: np.ndarray, grid: SpectralGrid) -> VectorField:
 @dataclass
 class TrajectoryState:
     """A velocity on the clock, held as its dealias band `band` (3, K, K, c + 1)
-    of `grid`.  The state is not modified once built: `samples` and
-    `advective_limit` are computed from the band on first use and kept, and
-    `u_hat`, the full-spectrum field, is written on each access and never
-    kept."""
+    of `grid`.  The state is not modified once built: `samples`, `rotation`,
+    `max_speed` and `advective_limit` are computed from the band on first
+    use and kept, and `u_hat`, the full-spectrum field, is written on each
+    access and never kept."""
 
     grid: SpectralGrid
     band: np.ndarray
@@ -138,15 +145,35 @@ class TrajectoryState:
 
     @cached_property
     def samples(self) -> np.ndarray:
-        """The physical velocity: the state's one inverse band transform,
-        which gives `advective_limit`, the first RK4 stage of `step` and the
-        u samples of both routes of the state's ledger row."""
+        """The physical velocity: the state's one inverse band transform of
+        its band, which gives `max_speed`, `rotation` and the u samples of
+        the scaling route of the state's ledger row."""
         return spectral_core.band_to_physical(self.band, self.grid.n)
+
+    @cached_property
+    def rotation(self) -> np.ndarray:
+        """The unprojected band coefficients of u x omega, omega = curl u
+        (`spectral_core.rotational_product`): the first RK4 stage of `step`
+        projects them, and the multiplier route of the state's ledger row
+        rescales them to the w-field."""
+        return spectral_core.rotational_product(self.samples, self.band, self.grid.band.k)
+
+    @cached_property
+    def max_speed(self) -> float:
+        """max|u| over the samples, read by `advective_limit` and by both
+        routes of the state's ledger row.  Raises NumericalBlowupError if it
+        is not finite, so a non-finite state gets no step size."""
+        vmax = float(np.sqrt(np.max(np.sum(self.samples**2, axis=0))))
+        if not math.isfinite(vmax):
+            raise NumericalBlowupError(
+                f"non-finite velocity at t={self.t} (step {self.step_index})"
+            )
+        return vmax
 
     @cached_property
     def advective_limit(self) -> float:
         """dx / max|u|, read by `cfl_dt` and checked by `step`."""
-        vmax = float(np.sqrt(np.max(np.sum(self.samples**2, axis=0))))
+        vmax = self.max_speed
         return self.grid.dx / vmax if vmax > 0.0 else math.inf
 
 
@@ -212,14 +239,19 @@ def _random_low_modes(config: SimulationConfig, grid: SpectralGrid, band: np.nda
     return sum_sq
 
 
-def _rhs_band(coef: np.ndarray, u: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """The projected, dealiased rotational term P[dealias(F[u x omega])] on
-    the dealias band, for band coefficients `coef` with samples `u`."""
+def _project_band(lamb: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """P[lamb] with the mean mode zeroed, for band coefficients `lamb`; a new array."""
     band = grid.band
-    lamb = spectral_core.rotational_product(u, coef, band.k)
     out = spectral_core.project_coefficients(lamb, band.wavevectors, band.k_sq)
     out[:, 0, 0, 0] = 0.0
     return out
+
+
+def _rhs_band(coef: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """The projected, dealiased rotational term P[dealias(F[u x omega])] on
+    the dealias band, for band coefficients `coef`."""
+    u = spectral_core.band_to_physical(coef, grid.n)
+    return _project_band(spectral_core.rotational_product(u, coef, grid.band.k), grid)
 
 
 def nonlinear_rhs(u_hat: VectorField) -> VectorField:
@@ -231,10 +263,8 @@ def nonlinear_rhs(u_hat: VectorField) -> VectorField:
     output is mean-free, divergence-free and exactly Hermitian.  Raises
     ValueError for a field with a coefficient outside the dealias band.
     """
-    coef = spectral_core.gather_band(u_hat)
     grid = u_hat.grid
-    out = _rhs_band(coef, spectral_core.band_to_physical(coef, grid.n), grid)
-    return _band_field(out, grid)
+    return _band_field(_rhs_band(spectral_core.gather_band(u_hat), grid), grid)
 
 
 def cfl_dt(state: TrajectoryState, c_cfl: float = 1.0) -> float:
@@ -242,8 +272,8 @@ def cfl_dt(state: TrajectoryState, c_cfl: float = 1.0) -> float:
 
     The viscous bound is informational (the integrating factor is exact) but
     it is what limits dt for small data; the advective bound takes over for
-    energetic fields.  max|u| reads the state's samples, which the first
-    stage of `step` reuses.
+    energetic fields.  max|u| is the state's `max_speed`, which raises
+    NumericalBlowupError for a non-finite state.
     """
     viscous = 1.0 / state.grid.max_wavenumber**2
     return c_cfl * min(state.advective_limit, viscous)
@@ -254,10 +284,11 @@ def step(state: TrajectoryState, dt: float) -> TrajectoryState:
 
     With the advection term zeroed this reduces to the heat kernel
     exp(-|k|^2 dt) exactly; with it, the scheme is classical fourth order.
-    The stages run on the dealias band; the first reuses the state's samples,
-    which also give the advective bound.  The returned state's band has its
-    plane m3 = 0 made exactly Hermitian (`spectral_core.hermitian_band`), so
-    it is the band of its own full-spectrum field.
+    The stages run on the dealias band; the first projects the state's
+    product `rotation`, which its ledger row may already have taken.  The
+    returned state's band has its plane m3 = 0 made exactly Hermitian
+    (`spectral_core.hermitian_band`), so it is the band of its own
+    full-spectrum field.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -270,13 +301,10 @@ def step(state: TrajectoryState, dt: float) -> TrajectoryState:
     e_half = np.exp(-grid.band.k_sq * (0.5 * dt))
     e_full = e_half * e_half
 
-    def rhs(coef: np.ndarray) -> np.ndarray:
-        return _rhs_band(coef, spectral_core.band_to_physical(coef, grid.n), grid)
-
-    ka = dt * _rhs_band(u0, state.samples, grid)
-    kb = dt * rhs(e_half * (u0 + 0.5 * ka))
-    kc = dt * rhs(e_half * u0 + 0.5 * kb)
-    kd = dt * rhs(e_full * u0 + e_half * kc)
+    ka = dt * _project_band(state.rotation, grid)
+    kb = dt * _rhs_band(e_half * (u0 + 0.5 * ka), grid)
+    kc = dt * _rhs_band(e_half * u0 + 0.5 * kb, grid)
+    kd = dt * _rhs_band(e_full * u0 + e_half * kc, grid)
     u1 = e_full * u0 + (e_full * ka + 2.0 * e_half * (kb + kc) + kd) / 6.0
     return TrajectoryState(
         grid=grid,
@@ -299,14 +327,17 @@ def _ledger_row(
 ) -> tuple[float, ...]:
     """One ledger row, its values in `inequality_lab.CSV_COLUMNS` order.
 
-    Both routes take the state's band and samples, which `cfl_dt` and the
-    next step read as well; the full-spectrum field that `norms` reads is
-    the row's one full lattice, and it is dropped with the row.
+    Both routes take the state and read its samples and max|u|, which
+    `cfl_dt` reads as well; the multiplier route reads its product, which
+    the next step projects, and the scaling route's low part.  Every
+    transform runs inside `norms` or a route.  The full-spectrum field that
+    `norms` reads is the row's one full lattice, and it is dropped with the
+    row.
     """
     clock = SimilarityClock(horizon=config.horizon, t=state.t)
     u_norms = spectral_core.norms(state.u_hat)
-    wa = w_functionals_scaling_route(state.grid, state.band, state.samples, clock, mults)
-    wb = w_functionals_multiplier_route(state.grid, state.band, state.samples, clock, mults)
+    wa = w_functionals_scaling_route(state, clock, mults)
+    wb = w_functionals_multiplier_route(state, clock, mults, wa.low_mag_sq)
     try:
         wa.validate()
         wb.validate()
@@ -342,7 +373,8 @@ def run(config: SimulationConfig) -> EnergyLedger:
     holds no full lattice before its first row.  Rows are emitted at step 0,
     every `stride` steps, and at the final step.  A state's step size is
     taken before its row, so the state's samples are transformed inside
-    `cfl_dt`, except for the final state, whose row takes them.  A
+    `cfl_dt`, except for the final state, whose row takes them; a logged
+    state's product is taken inside its row's multiplier route.  A
     non-finite band, the initial one included, aborts with
     NumericalBlowupError; a ledger that fails its invariants raises
     LedgerError.  The metadata is every field of `config` plus the number of

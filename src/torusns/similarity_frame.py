@@ -16,23 +16,30 @@ per row.  Two computation routes are provided and audited against each other:
 * the *multiplier route* evaluates the rescaled symbols against the
   u-coefficients in spectral sums, and the signed integrals on the w-field.
 
-Both take the field on the dealias band of `spectral_core`: its band
-coefficients (3, K, K, c + 1) and their physical values, the samples.  A
-ledger row passes the state's `TrajectoryState.band` and `.samples`, and a
-run builds its initial state on the band, so it gathers no band; a caller
-holding a full-spectrum field takes the pair from `spectral_core.band_terms`.
-Every inverse transform is `band_to_physical` and both products,
-F[(u . grad) u] and F[w x curl w], go through `band_to_spectral`; every
-spectral sum is a `band_sum` over the band's modes.  Each route evaluates
-the radial profiles once, on the distinct |k| values of the band
-(`DealiasBand.shells`).
+Both take a state on the dealias band of `spectral_core` (`BandState`, such
+as `ns_dynamics.TrajectoryState`): its grid, its band coefficients
+(3, K, K, c + 1), their physical values (the samples), max|u| and the band
+coefficients of u x curl u (the product).  The state computes each of these
+once, so the step, `cfl_dt` and both routes share them; a caller holding a
+full-spectrum field builds the state with `TrajectoryState.from_field`.
+Every inverse transform is `band_to_physical` and the product
+F[(u . grad) u] goes through `band_to_spectral`; every spectral sum is a
+`band_sum` over the band's modes.  Each route evaluates the radial profiles
+once, on the distinct |k| values of the band (`DealiasBand.shells`).  The
+scaling route makes all 7 inverse and 1 forward transforms of a row.  The
+multiplier route makes none: it takes the w-side product as s^(3/2) times
+the state's (w = sqrt(s) u with wavevectors sqrt(s) k), and the low part
+from the samples that the scaling route took (`WFunctionals.low_mag_sq`),
+on which it applies its own scale factors.
 The signed integrals use different algebra in the two routes: the scaling
 route takes the gradient-tensor quadrature tr(G^T G G) and the convective
 coupling of `spectral_core.nonlinear_integrals`, the multiplier route the
 rotational form -sum |k|^2 Re(conj(w) . F[w x curl w]) (and |k|^4) of
-`spectral_core.rotational_integrals`, which the step's advection term shares.
-So the gap on those columns audits the integration by parts and the
-contraction as well as the exponent table.  Likewise `grad_high_sq` is
+`spectral_core.rotational_integrals`, on the product that the step's
+advection term projects, with its own lattice factors.  So the gap on those
+columns audits the integration by parts and the contraction as well as the
+exponent table, and the low_l4 and low_sup gaps audit the table's `l4` and
+`sup` exponents.  Likewise `grad_high_sq` is
 |curl h|^2 by quadrature in the scaling route and sum |k|^2 |h|^2 in the
 multiplier route; the two agree because h is divergence-free, so a divergent
 state shows as a route gap.  The routes agree in exact arithmetic; the
@@ -42,9 +49,9 @@ ledger records their maximum relative gap per time step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import ClassVar
+from typing import ClassVar, Protocol
 
 import numpy as np
 
@@ -69,6 +76,19 @@ SCALING_EXPONENTS: dict[str, Fraction] = {
 def scale_factor(name: str, remaining: float) -> float:
     """The power of s = T - t mapping a u-side functional to its w-side value."""
     return float(remaining) ** float(SCALING_EXPONENTS[name])
+
+
+class BandState(Protocol):
+    """What a route reads of a velocity state (`ns_dynamics.TrajectoryState`):
+    its `grid`, band coefficients `band`, their `samples`, `max_speed`
+    (max|u| over the samples) and `rotation`, the band coefficients of
+    u x curl u (`spectral_core.rotational_product`)."""
+
+    grid: SpectralGrid
+    band: np.ndarray
+    samples: np.ndarray
+    max_speed: float
+    rotation: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -115,6 +135,9 @@ class WFunctionals:
     (the pointwise identity phi^2 + (1 - phi^2) = 1).  `trilinear_scale` and
     `lap_scale` are magnitude majorants of the two signed integrals, kept so
     that route agreement can be judged even where the integrals cancel.
+    `low_mag_sq` is not a functional: the scaling route keeps there the
+    squared magnitude |w_low|^2 of the samples of the phi-filtered w-field,
+    which the multiplier route reads instead of transforming them again.
     """
 
     w_l2_sq: float
@@ -131,6 +154,7 @@ class WFunctionals:
     lap_coupling: float
     trilinear_scale: float = 0.0
     lap_scale: float = 0.0
+    low_mag_sq: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     COMPARED: ClassVar[tuple[str, ...]] = (
         "w_l2_sq",
@@ -201,11 +225,7 @@ def build_w_field(u_hat: VectorField, clock: SimilarityClock) -> VectorField:
 
 
 def w_functionals_scaling_route(
-    grid: SpectralGrid,
-    coef: np.ndarray,
-    samples: np.ndarray,
-    clock: SimilarityClock,
-    mults: MultiplierSet,
+    state: BandState, clock: SimilarityClock, mults: MultiplierSet
 ) -> WFunctionals:
     """w-functionals from u-side integrals and the exponent table.
 
@@ -214,19 +234,20 @@ def w_functionals_scaling_route(
     u-lattice and multiplied by exact powers of s.  The frequency-split
     quantities are evaluated on the w-field by physical-space quadrature of
     its real inverse transforms; `grad_high_sq` integrates |curl h|^2, equal
-    to |grad h|^2 for the divergence-free high part h.  `coef` are the u
-    coefficients on the dealias band of `grid` and `samples` their physical
-    values.
+    to |grad h|^2 for the divergence-free high part h.  The squared
+    magnitude of the low part's samples is kept in `low_mag_sq`.  Reads the
+    state's `grid`, `band`, `samples` and `max_speed`.
     """
     s = clock.remaining
     root = math.sqrt(s)
+    grid, coef, samples = state.grid, state.band, state.samples
     band = grid.band
     (tri_u, tri_scale_u), (lap_u, lap_scale_u) = spectral_core.nonlinear_integrals(
         coef, samples, band.wavevectors, grid.volume
     )
     power = np.sum(np.abs(coef) ** 2, axis=0)
     l2_u, h1_u, h2_u = (grid.volume * band_sum(band.k_sq**p * power) for p in (0, 1, 2))
-    sup_u = float(np.sqrt(np.max(np.sum(samples**2, axis=0))))
+    sup_u = state.max_speed
 
     prof = mults.profiles(root * band.shells)
     index = band.shell_index
@@ -257,27 +278,30 @@ def w_functionals_scaling_route(
         lap_coupling=scale_factor("lap_coupling", s) * lap_u,
         trilinear_scale=scale_factor("trilinear", s) * tri_scale_u,
         lap_scale=scale_factor("lap_coupling", s) * lap_scale_u,
+        low_mag_sq=low_mag_sq,
     )
 
 
 def w_functionals_multiplier_route(
-    grid: SpectralGrid,
-    coef: np.ndarray,
-    samples: np.ndarray,
-    clock: SimilarityClock,
-    mults: MultiplierSet,
+    state: BandState, clock: SimilarityClock, mults: MultiplierSet, low_mag_sq: np.ndarray
 ) -> WFunctionals:
     """w-functionals via rescaled radial symbols applied to the u-coefficients.
 
     Every quadratic functional is a sum over the band with weights evaluated
-    at xi = sqrt(s) |k|; sup/L4 quantities reconstruct the filtered field on
-    the u-lattice and rescale the samples.  The two signed integrals are
-    taken on the w-field itself, on the box of side L/sqrt(s), in the
-    rotational form of `spectral_core.rotational_integrals`.  `coef` and
-    `samples` are as in `w_functionals_scaling_route`.
+    at xi = sqrt(s) |k|.  The sup and L4 quantities read the u-side samples:
+    max|u| of the state, and the low part |u_low|^2 = |w_low|^2 / s from
+    `low_mag_sq`, the scaling route's `WFunctionals.low_mag_sq`; they are
+    rescaled by the exponent table on the u-lattice.  The two signed
+    integrals are taken on the w-field itself, on the box of side L/sqrt(s),
+    in the rotational form of `spectral_core.rotational_integrals`, with the
+    product s^(3/2) times the state's `rotation`: w x curl w, in the
+    w-variables, is s^(3/2) (u x curl u) on the relabelled lattice.  No
+    transform runs here, except the state's product when it is not yet
+    taken.  Reads the state's `grid`, `band`, `max_speed` and `rotation`.
     """
     s = clock.remaining
     root = math.sqrt(s)
+    grid, coef = state.grid, state.band
     band = grid.band
     power = np.sum(np.abs(coef) ** 2, axis=0)
     prof = mults.profiles(root * band.shells)
@@ -286,22 +310,24 @@ def w_functionals_multiplier_route(
     xi_sq = s * band.k_sq
     pref = scale_factor("l2_sq", s) * grid.volume
 
-    w_sup = root * float(np.sqrt(np.max(np.sum(samples**2, axis=0))))
-    low_mag_sq = np.sum(spectral_core.band_to_physical(coef * phi_xi, grid.n) ** 2, axis=0)
+    low_u_sq = low_mag_sq / s
     (trilinear, tri_scale), (lap_coupling, lap_scale) = spectral_core.rotational_integrals(
-        root * coef, root * samples, [root * k for k in band.k], (grid.box_length / root) ** 3
+        root * coef,
+        (s * root) * state.rotation,
+        [root * k for k in band.k],
+        (grid.box_length / root) ** 3,
     )
 
     return WFunctionals(
         w_l2_sq=pref * band_sum(power),
         w_h1_sq=pref * band_sum(xi_sq * power),
         w_h2_sq=pref * band_sum(xi_sq**2 * power),
-        w_sup=w_sup,
+        w_sup=root * state.max_speed,
         low_l2_sq=pref * band_sum(phi_xi**2 * power),
         e_low=pref * band_sum((prof.chi**2)[index] * power),
         e_high=pref * band_sum((prof.sqrt_one_minus_phi_sq**2)[index] * power),
-        low_l4=scale_factor("l4", s) * float((np.sum(low_mag_sq**2) * grid.cell_volume) ** 0.25),
-        low_sup=root * float(np.sqrt(np.max(low_mag_sq))),
+        low_l4=scale_factor("l4", s) * float((np.sum(low_u_sq**2) * grid.cell_volume) ** 0.25),
+        low_sup=root * float(np.sqrt(np.max(low_u_sq))),
         grad_high_sq=pref * band_sum(xi_sq * (prof.one_minus_phi**2)[index] * power),
         trilinear=trilinear,
         lap_coupling=lap_coupling,

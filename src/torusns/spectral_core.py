@@ -36,14 +36,16 @@ agree with that pair bit for bit; the half-spectrum pair is kept only as
 that reference.
 
 The RK4 step of `ns_dynamics` runs on the band: 8 inverse and 4 forward band
-transforms per step.  So do both routes of a `similarity_frame` ledger row:
-9 inverse transforms (the gradient tensor as three 3-vector batches, the
-phi, chi and sqrt(1 - phi^2) filtered fields, the curl of the high part, the
-low part and omega) and 2 forward ones (F[(u . grad) u] and F[w x curl w])
-per row, besides the state's samples, which the row reads and does not
-compute.  The analytic oracles `convective_product`, `trilinear_form` and
-`advective_laplacian_form` gather the band of their field and run the same
-kernels, so they check what a run computes.
+transforms per step, among them the state's samples and its product
+u x omega (`rotational_product`), which the first stage projects.  So do
+both routes of a `similarity_frame` ledger row: 7 inverse transforms (the
+gradient tensor as three 3-vector batches, the phi, chi and sqrt(1 - phi^2)
+filtered fields and the curl of the high part) and 1 forward one
+(F[(u . grad) u]) per row, all in the scaling route.  The multiplier route
+reads the state's samples, its product and the scaling route's low part,
+and transforms nothing itself.  The analytic oracles `convective_product`,
+`trilinear_form` and `advective_laplacian_form` gather the band of their
+field and run the same kernels, so they check what a run computes.
 """
 
 from __future__ import annotations
@@ -310,16 +312,21 @@ _OUTSIDE_BAND_ROUNDOFF = 1e-12
 def gather_band(field: VectorField) -> np.ndarray:
     """The coefficients of a spectral field on the dealias band, in the band layout.
 
-    Raises ValueError if a coefficient outside the band is nonzero: a
-    computation on the band would otherwise drop it, or advect it with
-    aliased content.  The message says when that coefficient is non-finite.
-    Roundoff below 1e-12 of the largest band coefficient, such as
-    `to_spectral` leaves on the samples of a band-limited field, is dropped.
+    Raises ValueError if a coefficient inside the band is non-finite, and
+    if a coefficient outside the band is nonzero: a computation on the band
+    would otherwise drop it, or advect it with aliased content.  The message
+    says when that coefficient is non-finite.  Roundoff below 1e-12 of the
+    largest band coefficient, such as `to_spectral` leaves on the samples of
+    a band-limited field, is dropped.
     """
     field.require(SPECTRAL)
     grid = field.grid
     n, c = grid.n, band_cutoff(grid.n)
     coef = field.data[grid.band.positions]
+    if not np.isfinite(coef).all():
+        raise ValueError(
+            f"a non-finite coefficient lies inside the dealias band |m| <= {c} of n={n}"
+        )
     data = field.data
     for outside in (data[:, c + 1 : n - c], data[:, :, c + 1 : n - c], data[..., c + 1 : n - c]):
         if outside.any():
@@ -580,25 +587,25 @@ def nonlinear_integrals(
 
 
 def rotational_integrals(
-    coef: np.ndarray, u: np.ndarray, k, volume: float
+    coef: np.ndarray, lam: np.ndarray, k, volume: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """The two integrals of `nonlinear_integrals`, in rotational form.
 
     For a divergence-free f, integration by parts turns the triple product
     into -int ((f . grad) f) . Lap f dx, and (f . grad) f = grad(|f|^2 / 2)
     - f x curl f, whose gradient part pairs to zero with any divergence-free
-    field.  With lam = F[f x curl f] (`rotational_product`) both integrals
-    are Plancherel sums:
+    field.  With lam = F[f x curl f], the band coefficients that
+    `rotational_product` gives, both integrals are Plancherel sums:
 
         triple = -V sum |k|^2 Re(conj(coef) . lam),
         coupling = -V sum |k|^4 Re(conj(coef) . lam),
 
-    each bounded by Cauchy-Schwarz over the band.
-    Arguments as in `nonlinear_integrals`, except that `k` may be three
-    broadcastable axes.  Returns
+    each bounded by Cauchy-Schwarz over the band.  No transform: `lam` is
+    an argument, so a caller that already holds the product passes it.
+    `coef`, `volume` as in `nonlinear_integrals`; `k` holds the band
+    wavevectors, stacked or as three broadcastable axes.  Returns
     ((triple, majorant), (coupling, majorant)).
     """
-    lam = rotational_product(u, coef, k)
     k_sq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
     pair = np.sum(np.real(np.conj(coef) * lam), axis=0)
     lam_power = np.sum(np.abs(lam) ** 2, axis=0)

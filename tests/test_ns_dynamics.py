@@ -39,6 +39,13 @@ def single_mode_state(grid, k_index=(1, 0, 0), amplitude=1.0):
     return TrajectoryState.from_field(single_mode_field(grid, k_index, amplitude), 0.0, 0, 0.0)
 
 
+def _band_state(grid, value):
+    """The single-mode state with `value` written on its band at mode (1, 0, 0)."""
+    band = single_mode_state(grid).band.copy()
+    band[0, 1, 0, 0] = value
+    return TrajectoryState(grid, band, 0.0, 0, 0.0)
+
+
 def full_lattice_initial_data(config, grid):
     """Reference `random_low_mode` initial data, built on the full lattice:
     both Gaussian draws kept whole, symmetrized through a flipped copy,
@@ -267,6 +274,36 @@ class TestStep:
                 state = tn.step(state, tn.cfl_dt(state))
                 assert hermitian_defect(state.u_hat) == 0.0
 
+    def test_step_reuses_the_rows_product(self, monkeypatch):
+        # a logged state's row takes its product u x curl u, and the first
+        # stage of its step projects it: the step makes the other three
+        config = tn.SimulationConfig(n=16, delta=0.3, seed=2)
+        grid = tn.make_grid(16)
+        state = tn.make_initial_data(config, grid)
+        state = tn.step(state, tn.cfl_dt(state))
+        reference = tn.step(TrajectoryState(grid, state.band, state.t, 1, 0.0), 1e-3)
+        _ledger_row(state, config, MultiplierSet(config.alpha))
+        calls = []
+        rotational = spectral_core.rotational_product
+
+        def counted(*args):
+            calls.append(args)
+            return rotational(*args)
+
+        monkeypatch.setattr(spectral_core, "rotational_product", counted)
+        out = tn.step(state, 1e-3)
+        assert len(calls) == 3
+        assert np.array_equal(out.band, reference.band)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_state_gets_no_step(self, grid16, value):
+        # max|u| of a non-finite state is not finite: it neither falls back
+        # to the viscous bound nor steps into a non-finite band
+        with pytest.raises(NumericalBlowupError, match="non-finite velocity"):
+            tn.cfl_dt(_band_state(grid16, value))
+        with pytest.raises(NumericalBlowupError, match="non-finite velocity"):
+            tn.step(_band_state(grid16, value), 1e-3)
+
     def test_route_gap_on_step64_config(self):
         # e_high is ~1e-49 of the energy here: any non-Hermitian roundoff in
         # the state shows up as a gap between the two routes
@@ -328,6 +365,18 @@ class TestDealiasBandStages:
             with pytest.raises(ValueError, match="non-finite coefficient"):
                 build(field)
 
+    @pytest.mark.parametrize("roundoff", [0.0, 1e-20])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coefficient_inside_band_named(self, grid16, value, roundoff):
+        # the band is checked first, so roundoff outside it is not compared
+        # against a non-finite scale: the non-finite value is named
+        field = single_mode_field(grid16)
+        field.data[0, 1, 0, 0] = value
+        field.data[0, 6, 0, 0] = roundoff
+        for build in (spectral_core.gather_band, tn.nonlinear_rhs):
+            with pytest.raises(ValueError, match="non-finite coefficient lies inside"):
+                build(field)
+
     def test_state_keeps_no_full_lattice(self):
         config = tn.SimulationConfig(n=16, delta=2.0, seed=11)
         state = tn.make_initial_data(config, tn.make_grid(16))
@@ -342,10 +391,11 @@ class TestDealiasBandStages:
 
     def test_eight_inverse_transforms_per_step(self, monkeypatch):
         # cfl_dt, the first stage and both routes of a row share the state's
-        # band and samples; the initial data are built on the band, so no
-        # band is gathered, a step hands back a band, a row adds 9 inverse
-        # and 2 forward band transforms and writes one full lattice, for
-        # norms, and only the last state's samples are taken for its row alone
+        # band, samples and product u x curl u; the initial data are built on
+        # the band, so no band is gathered, a step hands back a band, a row
+        # adds 7 inverse and 1 forward band transforms and writes one full
+        # lattice, for norms, and only the last state's samples and product
+        # are taken for its row alone
         counts = {"gather": 0, "full": 0, "inverse": 0, "forward": 0, "half": 0}
 
         def counted(name, key):
@@ -369,8 +419,8 @@ class TestDealiasBandStages:
         assert counts == {
             "gather": 0,
             "full": rows,
-            "inverse": 8 * steps + 9 * rows + 1,
-            "forward": 4 * steps + 2 * rows,
+            "inverse": 8 * steps + 7 * rows + 2,
+            "forward": 4 * steps + rows + 1,
             "half": 0,
         }
 
@@ -417,9 +467,9 @@ class TestRun:
 
     def test_numerical_abort(self, grid16, monkeypatch):
         def bad_initial(config, grid=None):
-            data = np.zeros((3, 16, 16, 16), dtype=complex)
-            data[0, 1, 0, 0] = np.inf
-            return TrajectoryState.from_field(VectorField(grid16, data, SPECTRAL), 0.0, 0, 0.0)
+            band = np.zeros((3,) + grid16.band.k_sq.shape, dtype=complex)
+            band[0, 1, 0, 0] = np.inf
+            return TrajectoryState(grid16, band, 0.0, 0, 0.0)
 
         monkeypatch.setattr(tn.ns_dynamics, "make_initial_data", bad_initial)
         with pytest.raises(NumericalBlowupError):

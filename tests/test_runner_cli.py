@@ -209,13 +209,11 @@ class TestRunCommand:
         assert cmd_run(replace(config, out_dir=str(blocker))) == 4
 
     def test_numerical_abort_exit_three(self, tmp_path, monkeypatch):
-        from torusns.spectral_core import SPECTRAL, VectorField
-
         def bad_initial(config, grid=None):
             g = tn.make_grid(config.n, config.box_length)
-            data = np.zeros((3, config.n, config.n, config.n), dtype=complex)
-            data[0, 1, 0, 0] = np.nan
-            return tn.TrajectoryState.from_field(VectorField(g, data, SPECTRAL), 0.0, 0, 0.0)
+            band = np.zeros((3,) + g.band.k_sq.shape, dtype=complex)
+            band[0, 1, 0, 0] = np.nan
+            return tn.TrajectoryState(g, band, 0.0, 0, 0.0)
 
         monkeypatch.setattr(tn.ns_dynamics, "make_initial_data", bad_initial)
         config = parse_config(FAST_RUN)

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import torusns as tn
 from torusns import multiplier_bank, ns_dynamics, spectral_core
 from torusns.multiplier_bank import MultiplierSet, apply
+from torusns.ns_dynamics import TrajectoryState
 from torusns.similarity_frame import (
     SCALING_EXPONENTS,
     SimilarityClock,
@@ -26,7 +28,6 @@ from torusns.spectral_core import (
     SPECTRAL,
     SpectralGrid,
     VectorField,
-    band_terms,
     hermitian_defect,
     quadrature_l2_sq,
     spectral_derivative,
@@ -35,10 +36,17 @@ from torusns.spectral_core import (
 UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def route_args(u):
-    """The leading route arguments of a full-spectrum field: its grid, band
-    coefficients and samples."""
-    return (u.grid, *band_terms(u)[:2])
+def band_state(u):
+    """The state the routes read of a full-spectrum field: its band, samples,
+    max|u| and product u x curl u."""
+    return TrajectoryState.from_field(u, 0.0, 0, 0.0)
+
+
+def both_routes(state, clock, mults):
+    """The two routes of a row: the multiplier route reads the scaling
+    route's low part."""
+    wa = w_functionals_scaling_route(state, clock, mults)
+    return wa, w_functionals_multiplier_route(state, clock, mults, wa.low_mag_sq)
 
 
 def reference_functionals(u, clock, mults):
@@ -200,12 +208,11 @@ class TestTwoRoutes:
         u = random_field_factory(grid16, rng, divergence_free=True, k_max=4.0)
         mults = MultiplierSet(1.0 / 16.0)
         clock = SimilarityClock(horizon=2.0, t=1.0)  # s = 1
-        wa = w_functionals_scaling_route(*route_args(u), clock, mults)
+        wa, wb = both_routes(band_state(u), clock, mults)
         ns = tn.norms(u)
         assert wa.w_l2_sq == pytest.approx(ns.l2_sq, rel=1e-14)
         assert wa.w_h1_sq == pytest.approx(ns.h1_sq, rel=1e-14)
         assert wa.w_sup == pytest.approx(ns.sup, rel=1e-14)
-        wb = w_functionals_multiplier_route(*route_args(u), clock, mults)
         assert route_gap(wa, wb) <= 1e-12
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 0.75, 0.95])
@@ -213,8 +220,7 @@ class TestTwoRoutes:
         u = random_field_factory(grid16, rng, divergence_free=True, k_max=4.0)
         mults = MultiplierSet(1.0 / 16.0)
         clock = SimilarityClock(horizon=1.0, t=t)
-        wa = w_functionals_scaling_route(*route_args(u), clock, mults)
-        wb = w_functionals_multiplier_route(*route_args(u), clock, mults)
+        wa, wb = both_routes(band_state(u), clock, mults)
         assert route_gap(wa, wb) <= 1e-10
 
     @pytest.mark.parametrize("s", [1.0, 0.25, 0.01])
@@ -225,8 +231,9 @@ class TestTwoRoutes:
         for _ in range(3):
             u = random_field_factory(grid16, rng, divergence_free=True)
             ref = reference_functionals(u, clock, mults)
-            for route in (w_functionals_scaling_route, w_functionals_multiplier_route):
-                assert route_gap(route(*route_args(u), clock, mults), ref) <= 1e-12, route.__name__
+            routes = both_routes(band_state(u), clock, mults)
+            for route, w in zip(("scaling", "multiplier"), routes):
+                assert route_gap(w, ref) <= 1e-12, route
 
     def test_ledger_row_transforms(self, monkeypatch):
         # a row of an exactly Hermitian state runs on real transforms of the
@@ -281,8 +288,7 @@ class TestTwoRoutes:
         state, config = self._solver_state()
         clock = SimilarityClock(horizon=config.horizon, t=state.t)
         mults = MultiplierSet(config.alpha)
-        routes = (w_functionals_scaling_route, w_functionals_multiplier_route)
-        assert route_gap(*(route(*route_args(state.u_hat), clock, mults) for route in routes)) <= 1e-12
+        assert route_gap(*both_routes(state, clock, mults)) <= 1e-12
         original = spectral_core.nonlinear_integrals
 
         def wrong_contraction(coef, u, kvec, volume):
@@ -292,7 +298,48 @@ class TestTwoRoutes:
             return (triple * volume / u.shape[-1] ** 3, tri_scale), coupling
 
         monkeypatch.setattr(spectral_core, "nonlinear_integrals", wrong_contraction)
-        assert route_gap(*(route(*route_args(state.u_hat), clock, mults) for route in routes)) > 1e-6
+        assert route_gap(*both_routes(state, clock, mults)) > 1e-6
+
+    def test_audit_sees_a_wrong_product(self):
+        # the multiplier route takes its signed integrals from the state's
+        # product u x curl u, which the step shares; handed the next state's
+        # product, it disagrees with the scaling route's gradient tensor
+        state, config = self._solver_state()
+        clock = SimilarityClock(horizon=config.horizon, t=state.t)
+        mults = MultiplierSet(config.alpha)
+        assert route_gap(*both_routes(state, clock, mults)) <= 1e-12
+        following = ns_dynamics.step(state, ns_dynamics.cfl_dt(state))
+        wrong = SimpleNamespace(
+            grid=state.grid,
+            band=state.band,
+            samples=state.samples,
+            max_speed=state.max_speed,
+            rotation=following.rotation,
+        )
+        assert route_gap(*both_routes(wrong, clock, mults)) > 1e-6
+
+    def test_multiplier_route_makes_no_band_transform(self, monkeypatch):
+        # a row's 7 inverse and 1 forward band transforms all run in its
+        # scaling route; the multiplier route reads the state's samples and
+        # product, which the step takes as well, and the scaling route's
+        # low part
+        state, config = self._solver_state()
+        clock = SimilarityClock(horizon=config.horizon, t=state.t)
+        mults = MultiplierSet(config.alpha)
+        state.rotation  # the state's own transforms, which its step shares
+        counts = {"inverse": 0, "forward": 0}
+        for name, key in (("band_to_physical", "inverse"), ("band_to_spectral", "forward")):
+            transform = getattr(spectral_core, name)
+
+            def counted(*args, transform=transform, key=key):
+                counts[key] += 1
+                return transform(*args)
+
+            monkeypatch.setattr(spectral_core, name, counted)
+        wa = w_functionals_scaling_route(state, clock, mults)
+        assert counts == {"inverse": 7, "forward": 1}
+        w_functionals_multiplier_route(state, clock, mults, wa.low_mag_sq)
+        assert counts == {"inverse": 7, "forward": 1}
 
     def test_audit_sees_a_divergent_state(self):
         # the taylor_green data built from their samples, through a complex
@@ -314,9 +361,7 @@ class TestTwoRoutes:
         mults = MultiplierSet(1.0 / 16.0)
 
         def gaps(data):
-            u = VectorField(grid, data, SPECTRAL)
-            wa = w_functionals_scaling_route(*route_args(u), clock, mults)
-            wb = w_functionals_multiplier_route(*route_args(u), clock, mults)
+            wa, wb = both_routes(band_state(VectorField(grid, data, SPECTRAL)), clock, mults)
             each = {
                 name: route_gap(wa, replace(wa, **{name: getattr(wb, name)}))
                 for name in WFunctionals.COMPARED
@@ -331,7 +376,7 @@ class TestTwoRoutes:
 
     def test_one_profile_evaluation_and_one_rotational_kernel(self, monkeypatch):
         # each route evaluates phi once, on the |k| shells; the multiplier
-        # route and the step share spectral_core.rotational_product
+        # route and the step share the state's one spectral_core.rotational_product
         state, config = self._solver_state()
         clock = SimilarityClock(horizon=config.horizon, t=state.t)
         mults = MultiplierSet(config.alpha)
@@ -348,21 +393,20 @@ class TestTwoRoutes:
 
         monkeypatch.setattr(multiplier_bank, "_smoothstep", counted_smoothstep)
         monkeypatch.setattr(spectral_core, "rotational_product", counted_rotational)
-        w_functionals_scaling_route(*route_args(state.u_hat), clock, mults)
+        wa = w_functionals_scaling_route(state, clock, mults)
         assert calls == {"phi": 1, "rotational": 0}
-        w_functionals_multiplier_route(*route_args(state.u_hat), clock, mults)
+        w_functionals_multiplier_route(state, clock, mults, wa.low_mag_sq)
         assert calls == {"phi": 2, "rotational": 1}
+        w_functionals_multiplier_route(state, clock, mults, wa.low_mag_sq)
+        assert calls == {"phi": 3, "rotational": 1}
         tn.nonlinear_rhs(state.u_hat)
-        assert calls == {"phi": 2, "rotational": 2}
+        assert calls == {"phi": 3, "rotational": 2}
 
     def test_split_identity(self, grid16, rng, random_field_factory):
         u = random_field_factory(grid16, rng, divergence_free=True)
         mults = MultiplierSet(1.0 / 16.0)
         clock = SimilarityClock(horizon=1.0, t=0.5)
-        for w in (
-            w_functionals_scaling_route(*route_args(u), clock, mults),
-            w_functionals_multiplier_route(*route_args(u), clock, mults),
-        ):
+        for w in both_routes(band_state(u), clock, mults):
             w.validate()
             assert w.low_l2_sq + w.e_high == pytest.approx(w.w_l2_sq, rel=1e-12)
 
@@ -382,7 +426,7 @@ class TestInitialEnergy:
     @staticmethod
     def _initial_functionals(u0, horizon):
         clock = SimilarityClock(horizon=horizon, t=0.0)
-        return w_functionals_multiplier_route(*route_args(u0), clock, MultiplierSet(1.0 / 16.0))
+        return both_routes(band_state(u0), clock, MultiplierSet(1.0 / 16.0))[1]
 
     def test_zero_field(self, grid16):
         u0 = VectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex), SPECTRAL)
