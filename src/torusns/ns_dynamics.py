@@ -17,10 +17,13 @@ evaluated in rotational form, P[u x omega] with omega = curl u: it differs
 from -P[(u . grad) u] only by the gradient grad(|u|^2 / 2), which the
 projection removes.  Each RK4 stage costs two inverse and one forward pruned
 real 3-vector transform, and the forward transform of the band is already
-dealiased.  The first stage projects the state's product u x omega
-(`TrajectoryState.rotation`), which is taken from the state's samples
-(`TrajectoryState.samples`), so a step of `run` takes 8 inverse and 4
-forward band transforms.  A state computes each of its own quantities once,
+dealiased.  The stages and the state's product run over x1-slabs of the
+lattice (`spectral_core.rotational_product`), so at n >= 48 a stage holds
+no lattice-sized temporary; at n <= 32 one slab covers the box.  The first
+stage projects the state's product u x omega (`TrajectoryState.rotation`),
+which is taken from the state's samples (`TrajectoryState.samples`), so a
+step of `run` takes 8 inverse and 4 forward band transforms, each whole or
+over x1-slabs.  A state computes each of its own quantities once,
 on first use: the samples, the product and max|u|
 (`TrajectoryState.max_speed`).  `cfl_dt`, the first stage and both routes of
 the state's ledger row read them, and whichever comes first takes them: in
@@ -88,8 +91,8 @@ class SimulationConfig:
         if not self.box_length > 0 or not self.horizon > 0:
             raise ValueError("box length and horizon must be positive")
         check_alpha(self.alpha)
-        if not self.delta >= 0.0:
-            raise ValueError(f"delta target must be nonnegative, got {self.delta}")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta target must be nonnegative and finite, got {self.delta}")
         if self.initial_kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial data kind {self.initial_kind!r}")
         k_min = 2.0 * math.pi / self.box_length
@@ -156,7 +159,8 @@ class TrajectoryState:
         (`spectral_core.rotational_product`): the first RK4 stage of `step`
         projects them, and the multiplier route of the state's ledger row
         rescales them to the w-field."""
-        return spectral_core.rotational_product(self.samples, self.band, self.grid.band.k)
+        grid = self.grid
+        return spectral_core.rotational_product(self.band, grid.band.k, grid.n, self.samples)
 
     @cached_property
     def max_speed(self) -> float:
@@ -250,8 +254,7 @@ def _project_band(lamb: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 def _rhs_band(coef: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """The projected, dealiased rotational term P[dealias(F[u x omega])] on
     the dealias band, for band coefficients `coef`."""
-    u = spectral_core.band_to_physical(coef, grid.n)
-    return _project_band(spectral_core.rotational_product(u, coef, grid.band.k), grid)
+    return _project_band(spectral_core.rotational_product(coef, grid.band.k, grid.n), grid)
 
 
 def nonlinear_rhs(u_hat: VectorField) -> VectorField:

@@ -22,9 +22,10 @@ as `ns_dynamics.TrajectoryState`): its grid, its band coefficients
 coefficients of u x curl u (the product).  The state computes each of these
 once, so the step, `cfl_dt` and both routes share them; a caller holding a
 full-spectrum field builds the state with `TrajectoryState.from_field`.
-Every inverse transform is `band_to_physical` and the product
-F[(u . grad) u] goes through `band_to_spectral`; every spectral sum is a
-`band_sum` over the band's modes.  Each route evaluates the radial profiles
+Every inverse transform is `band_to_physical`, or, for the gradient
+tensor, its x1-slab form inside `nonlinear_integrals`, which also takes the
+product F[(u . grad) u] slab by slab; every spectral sum is a `band_sum`
+over the band's modes.  Each route evaluates the radial profiles
 once, on the distinct |k| values of the band (`DealiasBand.shells`).  The
 scaling route makes all 7 inverse and 1 forward transforms of a row.  The
 multiplier route makes none: it takes the w-side product as s^(3/2) times
@@ -74,8 +75,19 @@ SCALING_EXPONENTS: dict[str, Fraction] = {
 
 
 def scale_factor(name: str, remaining: float) -> float:
-    """The power of s = T - t mapping a u-side functional to its w-side value."""
-    return float(remaining) ** float(SCALING_EXPONENTS[name])
+    """The power of s = T - t mapping a u-side functional to its w-side value;
+    inf where it overflows a float."""
+    return _power(float(remaining), float(SCALING_EXPONENTS[name]))
+
+
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent for base > 0, or inf where that overflows a float:
+    Python's float power raises OverflowError instead, and a row holding the
+    inf then fails `WFunctionals.validate` as a non-finite functional."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 class BandState(Protocol):
@@ -251,7 +263,7 @@ def w_functionals_scaling_route(
 
     prof = mults.profiles(root * band.shells)
     index = band.shell_index
-    cell_w = (grid.box_length / root / grid.n) ** 3
+    cell_w = _power(grid.box_length / root / grid.n, 3)
     w_coef = root * coef
 
     def physical(weight: np.ndarray) -> np.ndarray:
@@ -259,9 +271,9 @@ def w_functionals_scaling_route(
 
     low_mag_sq = np.sum(physical(prof.phi) ** 2, axis=0)
     high = w_coef * prof.one_minus_phi[index]
-    curl_high = spectral_core.band_to_physical(
-        spectral_core.curl_coefficients(high, [root * k for k in band.k]), grid.n
-    )
+    curl_high = spectral_core.curl_coefficients(high, [root * k for k in band.k])
+    # squared and summed at once, so no samples are held through the next transforms
+    grad_high_sq = float(np.sum(spectral_core.band_to_physical(curl_high, grid.n) ** 2) * cell_w)
 
     return WFunctionals(
         w_l2_sq=scale_factor("l2_sq", s) * l2_u,
@@ -273,7 +285,7 @@ def w_functionals_scaling_route(
         e_high=float(np.sum(physical(prof.sqrt_one_minus_phi_sq) ** 2) * cell_w),
         low_l4=float((np.sum(low_mag_sq**2) * cell_w) ** 0.25),
         low_sup=float(np.sqrt(np.max(low_mag_sq))),
-        grad_high_sq=float(np.sum(curl_high**2) * cell_w),
+        grad_high_sq=grad_high_sq,
         trilinear=scale_factor("trilinear", s) * tri_u,
         lap_coupling=scale_factor("lap_coupling", s) * lap_u,
         trilinear_scale=scale_factor("trilinear", s) * tri_scale_u,
@@ -315,7 +327,7 @@ def w_functionals_multiplier_route(
         root * coef,
         (s * root) * state.rotation,
         [root * k for k in band.k],
-        (grid.box_length / root) ** 3,
+        _power(grid.box_length / root, 3),
     )
 
     return WFunctionals(

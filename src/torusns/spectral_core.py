@@ -35,11 +35,25 @@ one-dimensional transforms of the half-spectrum pair `half_to_physical` and
 agree with that pair bit for bit; the half-spectrum pair is kept only as
 that reference.
 
-The RK4 step of `ns_dynamics` runs on the band: 8 inverse and 4 forward band
-transforms per step, among them the state's samples and its product
-u x omega (`rotational_product`), which the first stage projects.  So do
-both routes of a `similarity_frame` ledger row: 7 inverse transforms (the
-gradient tensor as three 3-vector batches, the phi, chi and sqrt(1 - phi^2)
+The band products, u x omega (`rotational_product`) and the gradient
+contraction with F[(u . grad) u] (`nonlinear_integrals`), run over x1-slabs
+of the lattice: `_physical_slabs` runs the -3 pass of `band_to_physical` on
+the band columns of every field first, then the -2 and -1 passes slab by
+slab, and `_BandAccumulator` runs the -1 pass of `band_to_spectral` and its
+scale slab by slab, then the -3 and -2 passes.  A slab holds at most
+`_SLAB_BYTES` of samples, so at n >= 48 no product holds a lattice-sized
+temporary; at n <= 32 one slab covers the box, and the pair is
+`band_to_physical` and `band_to_spectral`, called in the same order and
+freeing their buffers in the same order as whole-lattice code.  Either way
+the samples and bands are the same bit for bit; only the quadrature sums of
+`nonlinear_integrals`, taken slab by slab, round differently at n >= 48.
+
+A band transform below is one band 3-vector transform, whole or over
+slabs.  The RK4 step of `ns_dynamics` runs on the band: 8 inverse and 4
+forward band transforms per step, among them the state's samples and its
+product u x omega (`rotational_product`), which the first stage projects.
+So do both routes of a `similarity_frame` ledger row: 7 inverse transforms
+(the three rows of the gradient tensor, the phi, chi and sqrt(1 - phi^2)
 filtered fields and the curl of the high part) and 1 forward one
 (F[(u . grad) u]) per row, all in the scaling route.  The multiplier route
 reads the state's samples, its product and the scaling route's low part,
@@ -52,6 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 import scipy.fft
@@ -230,11 +245,16 @@ def to_spectral(field: VectorField) -> VectorField:
 
 
 def to_physical(field: VectorField) -> VectorField:
-    """Inverse transform; discards the roundoff-level imaginary part."""
+    """Inverse transform, one component at a time, so it holds one complex
+    component beside its result; discards the roundoff-level imaginary part."""
     field.require(SPECTRAL)
-    vals = scipy.fft.ifftn(field.data, axes=(1, 2, 3))
-    vals *= field.grid.num_modes
-    return VectorField(field.grid, np.ascontiguousarray(vals.real), PHYSICAL)
+    out = np.empty(field.data.shape)
+    for component, coef in zip(out, field.data):
+        vals = scipy.fft.ifftn(coef)
+        vals *= field.grid.num_modes
+        component[...] = vals.real
+        del vals  # so the next component's transform can take its memory
+    return VectorField(field.grid, out, PHYSICAL)
 
 
 def half_to_spectral(values: np.ndarray) -> np.ndarray:
@@ -268,14 +288,28 @@ def band_to_physical(coef: np.ndarray, n: int) -> np.ndarray:
     then the real transform along -1, which thus pads nothing itself.  The
     result equals `half_to_physical` of the same modes bit for bit.
     """
+    return _inverse_planes(_inverse_columns(coef, n), n)
+
+
+def _inverse_columns(coef: np.ndarray, n: int) -> np.ndarray:
+    """The pass along axis -3 of `band_to_physical`: the (..., n, K, c + 1)
+    band columns, each a function of x1."""
     c = band_cutoff(n)
     lead = coef.shape[:-3]
     cols = np.empty(lead + (n, 2 * c + 1, c + 1), dtype=np.complex128)
     cols[..., : c + 1, :, :] = coef[..., : c + 1, :, :]
     cols[..., c + 1 : n - c, :, :] = 0.0
     cols[..., n - c :, :, :] = coef[..., c + 1 :, :, :]
-    cols = scipy.fft.ifft(cols, axis=-3, norm="forward", overwrite_x=True)
-    rows = np.empty(lead + (n, n, n // 2 + 1), dtype=np.complex128)
+    return scipy.fft.ifft(cols, axis=-3, norm="forward", overwrite_x=True)
+
+
+def _inverse_planes(cols: np.ndarray, n: int) -> np.ndarray:
+    """The passes along -2 and -1 of `band_to_physical`, on the x1-planes
+    of the columns `cols` (..., w, K, c + 1): their (..., w, n, n) samples.
+    Drops the caller's columns before transforming, when it passed the
+    only reference."""
+    c = band_cutoff(n)
+    rows = np.empty(cols.shape[:-2] + (n, n // 2 + 1), dtype=np.complex128)
     head = rows[..., : c + 1]
     head[..., : c + 1, :] = cols[..., : c + 1, :]
     head[..., c + 1 : n - c, :] = 0.0
@@ -297,13 +331,90 @@ def band_to_spectral(values: np.ndarray) -> np.ndarray:
     keeping the band.  The result equals `half_to_spectral` restricted to
     the band bit for bit; it is also the dealiased transform.
     """
+    return _forward_columns(_forward_planes(values))
+
+
+def _forward_planes(values: np.ndarray) -> np.ndarray:
+    """The pass along -1 of `band_to_spectral` and its 1/n^3 scale, on the
+    x1-planes of `values` (..., w, n, n): their (..., w, n, c + 1) columns."""
     n = values.shape[-1]
+    return scipy.fft.rfft(values, axis=-1)[..., : band_cutoff(n) + 1] * (1.0 / n**3)
+
+
+def _forward_columns(cols: np.ndarray) -> np.ndarray:
+    """The passes along -3 and -2 of `band_to_spectral`, on the columns
+    `cols` (..., n, n, c + 1) of every x1-plane, which they overwrite."""
+    n = cols.shape[-2]
     c = band_cutoff(n)
-    cols = scipy.fft.rfft(values, axis=-1)[..., : c + 1] * (1.0 / n**3)
     cols = scipy.fft.fft(cols, axis=-3, overwrite_x=True)
     rows = np.concatenate((cols[..., : c + 1, :, :], cols[..., n - c :, :, :]), axis=-3)
     rows = scipy.fft.fft(rows, axis=-2, overwrite_x=True)
     return np.concatenate((rows[..., : c + 1, :], rows[..., n - c :, :]), axis=-2)
+
+
+#: The bytes of real samples that one x1-slab of `_physical_slabs` holds at
+#: most.  At n <= 32 one slab covers the box for up to nine components, so
+#: those runs transform whole lattices; at n = 64 a slab of three, six and
+#: nine components holds 26, 13 and 8 x1-planes.
+_SLAB_BYTES = 5 * 2**19
+
+
+def _physical_slabs(n: int, count: int, groups):
+    """The samples of `count` band 3-vector fields (3, K, K, c + 1) of an
+    n^3 box, x1-slab by x1-slab.
+
+    `groups` yields the fields; each is taken only when its transform runs
+    and dropped after it.  Yields (slab, samples) for consecutive slices
+    `slab` of the lattice's first axis, each as wide as `_SLAB_BYTES` allows
+    for the 3 * count components; `samples` is an iterator that transforms
+    the groups in turn to their (3, w, n, n) samples on the slab, so a
+    caller that drops each group's samples after use holds one at a time.
+    When one slab covers the box, each group goes through `band_to_physical`
+    whole; otherwise the -3 pass of every group runs first and each slab
+    runs the -2 and -1 passes of its planes.  Either way the samples are
+    those of `band_to_physical`, bit for bit.
+    """
+    width = max(1, _SLAB_BYTES // (3 * count * n * n * np.dtype(np.float64).itemsize))
+    if width >= n:
+        yield slice(0, n), map(band_to_physical, groups, repeat(n))
+        return
+    columns = list(map(_inverse_columns, groups, repeat(n)))
+    for start in range(0, n, width):
+        slab = slice(start, min(start + width, n))
+        yield slab, (_inverse_planes(cols[..., slab, :, :], n) for cols in columns)
+    columns.clear()  # the last slab's iterator holds the list, not the columns
+
+
+class _BandAccumulator:
+    """The dealias band of a field of n^3 samples that arrive x1-slab by
+    x1-slab, as `_physical_slabs` yields them.
+
+    `add(slab, values)` runs the -1 pass of `band_to_spectral` and its
+    1/n^3 scale on the slab's samples `values` (..., w, n, n); `band()`
+    then runs the -3 and -2 passes.  Samples that cover the box go through
+    `band_to_spectral` whole.  Either way the band is that of
+    `band_to_spectral` of all the samples, bit for bit.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.columns = None
+        self.whole = None
+
+    def add(self, slab: slice, values: np.ndarray) -> None:
+        n = self.n
+        if values.shape[-3] == n:
+            self.whole = band_to_spectral(values)
+            return
+        if self.columns is None:
+            shape = values.shape[:-3] + (n, n, band_cutoff(n) + 1)
+            self.columns = np.empty(shape, dtype=np.complex128)
+        self.columns[..., slab, :, :] = _forward_planes(values)
+
+    def band(self) -> np.ndarray:
+        if self.whole is not None:
+            return self.whole
+        return _forward_columns(self.columns)
 
 
 _OUTSIDE_BAND_ROUNDOFF = 1e-12
@@ -445,19 +556,30 @@ def norms(field: VectorField) -> NormSuite:
 
     L2/H1/H2 come from Plancherel sums over the coefficients; the sup and L4
     norms are evaluated on the collocation grid (no over-sampling), which
-    costs one `to_physical`.
+    costs one `to_physical`.  The power |coef|^2 and the squared magnitude
+    of the samples are each summed one component at a time
+    (`_component_power`).
     """
     field.require(SPECTRAL)
-    phys = to_physical(field)
     g = field.grid
-    power = np.sum(np.abs(field.data) ** 2, axis=0)
+    mag_sq = _component_power(to_physical(field).data)
+    sup = float(np.sqrt(np.max(mag_sq)))
+    l4 = float((np.sum(mag_sq**2) * g.cell_volume) ** 0.25)
+    power = _component_power(field.data)
     l2_sq = g.volume * float(np.sum(power))
     h1_sq = g.volume * float(np.sum(g.k_sq * power))
     h2_sq = g.volume * float(np.sum(g.k_sq**2 * power))
-    mag_sq = np.sum(phys.data**2, axis=0)
-    sup = float(np.sqrt(np.max(mag_sq)))
-    l4 = float((np.sum(mag_sq**2) * g.cell_volume) ** 0.25)
     return NormSuite(l2_sq=l2_sq, h1_sq=h1_sq, h2_sq=h2_sq, sup=sup, l4=l4)
+
+
+def _component_power(values: np.ndarray) -> np.ndarray:
+    """np.sum(np.abs(values) ** 2, axis=0) bit for bit, accumulated one
+    component of `values` at a time, in the order of that sum, so it holds
+    one component's temporaries instead of all of them."""
+    power = np.abs(values[0]) ** 2
+    for component in values[1:]:
+        power += np.abs(component) ** 2
+    return power
 
 
 def quadrature_l2_sq(field: VectorField) -> float:
@@ -509,7 +631,9 @@ def gradient_tensor(coef: np.ndarray, kvec: np.ndarray, n: int) -> np.ndarray:
     `kvec` stacks the three wavevector components on the band of the field's
     box.  Each row j takes one inverse band 3-vector transform into one
     preallocated array: a single 9-component batch would hold three times
-    the transforms' staging buffers at once.
+    the transforms' staging buffers at once.  Only the oracle
+    `convective_product` builds the whole tensor; `nonlinear_integrals` takes
+    it x1-slab by x1-slab.
     """
     grads = np.empty((3, 3, n, n, n))
     for j in range(3):
@@ -533,21 +657,37 @@ def curl_coefficients(coef: np.ndarray, k) -> np.ndarray:
     return _cross([1j * k[0], 1j * k[1], 1j * k[2]], coef)
 
 
-def rotational_product(u: np.ndarray, coef: np.ndarray, k) -> np.ndarray:
+def rotational_product(coef: np.ndarray, k, n: int, u: np.ndarray | None = None) -> np.ndarray:
     """Band coefficients of u x omega, omega = curl u, for the real field with
-    samples `u` and band coefficients `coef` on the band wavevectors `k` (as
-    in `curl_coefficients`).
+    band coefficients `coef` of an n^3 box on the band wavevectors `k` (as in
+    `curl_coefficients`); `u` holds its samples, when the caller has them.
 
-    One inverse and one forward band 3-vector transform.  The result is the
-    band of the product, which is also its dealiased transform.
+    One inverse band 3-vector transform (two without `u`) and one forward
+    one, x1-slab by x1-slab through `_physical_slabs` and
+    `_BandAccumulator`, so at n >= 48 it holds no lattice-sized temporary.
+    The result is the band of the product, which is also its dealiased
+    transform, and the same bit for bit at every slab width.
     """
-    n = u.shape[-1]
-    return band_to_spectral(_cross(u, band_to_physical(curl_coefficients(coef, k), n)))
+
+    def groups():  # the curl is taken only when its transform runs
+        if u is None:
+            yield coef
+        yield curl_coefficients(coef, k)
+
+    product = _BandAccumulator(n)
+    for slab, samples in _physical_slabs(n, 1 if u is not None else 2, groups()):
+        u_slab = u[:, slab] if u is not None else next(samples)
+        product.add(slab, _cross(u_slab, next(samples)))
+    return product.band()
 
 
 def _advect(u: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """(u . grad) u from the samples of u and of its gradient tensor."""
-    return u[0] * grads[0] + u[1] * grads[1] + u[2] * grads[2]
+    """(u . grad) u from the samples of u and of its gradient tensor, summed
+    in place in the order u[0] * grads[0] + u[1] * grads[1] + u[2] * grads[2]."""
+    out = u[0] * grads[0]
+    out += u[1] * grads[1]
+    out += u[2] * grads[2]
+    return out
 
 
 def band_sum(values: np.ndarray) -> float:
@@ -572,18 +712,33 @@ def nonlinear_integrals(
     int (Lap f) . Lap((f . grad) f) dx pairs |k|^4 under Plancherel and is
     bounded by Cauchy-Schwarz over the band.  Returns
     ((triple, majorant), (coupling, majorant)).
+
+    Three inverse band 3-vector transforms, the rows of G, and one forward
+    one, F[(f . grad) f], run x1-slab by x1-slab through `_physical_slabs`
+    and `_BandAccumulator`.  Each slab holds all nine components of G, since
+    tr(G^T G G) needs every one of them at each point; the triple product
+    and its majorant are summed slab by slab, and (f . grad) f goes into the
+    accumulator.  So at n >= 48 no (3, 3, n, n, n) tensor is built, and the
+    two sums round differently from sums over the whole tensor; at n <= 32
+    one slab covers the box and they are the whole tensor's.
     """
     n = u.shape[-1]
     cell = volume / n**3
-    grads = gradient_tensor(coef, kvec, n)
-    triple = float(np.einsum("jkxyz,jlxyz,lkxyz->", grads, grads, grads)) * cell
-    mag_cubed = np.einsum("jkxyz,jkxyz->xyz", grads, grads) ** 1.5
-    conv_hat = band_to_spectral(_advect(u, grads))
+    triple = magnitude = 0.0
+    advection = _BandAccumulator(n)
+    for slab, rows in _physical_slabs(n, 3, (1j * k * coef for k in kvec)):
+        grads = np.empty((3, 3, slab.stop - slab.start, n, n))
+        for j in range(3):
+            grads[j] = next(rows)
+        triple += float(np.einsum("jkxyz,jlxyz,lkxyz->", grads, grads, grads))
+        magnitude += float(np.sum(np.einsum("jkxyz,jkxyz->xyz", grads, grads) ** 1.5))
+        advection.add(slab, _advect(u[:, slab], grads))
+    conv_hat = advection.band()
     w4 = np.sum(kvec**2, axis=0) ** 2
     coupling = volume * band_sum(w4 * np.sum(np.real(coef * np.conj(conv_hat)), axis=0))
     lap_f = volume * band_sum(w4 * np.sum(np.abs(coef) ** 2, axis=0))
     lap_c = volume * band_sum(w4 * np.sum(np.abs(conv_hat) ** 2, axis=0))
-    return (triple, float(np.sum(mag_cubed)) * cell), (coupling, float(np.sqrt(lap_f * lap_c)))
+    return (triple * cell, magnitude * cell), (coupling, float(np.sqrt(lap_f * lap_c)))
 
 
 def rotational_integrals(

@@ -10,7 +10,7 @@ import torusns as tn
 from torusns import spectral_core
 from torusns.inequality_lab import CSV_COLUMNS, EnergyLedger
 from torusns.multiplier_bank import MultiplierSet
-from torusns.ns_dynamics import NumericalBlowupError, TrajectoryState, _ledger_row
+from torusns.ns_dynamics import NumericalBlowupError, TrajectoryState, _ledger_row, _rhs_band
 from torusns.spectral_core import (
     SPECTRAL,
     VectorField,
@@ -389,13 +389,15 @@ class TestDealiasBandStages:
                 np.iscomplexobj(v) and np.shape(v) == (3, 16, 16, 16) for v in vars(state).values()
             )
 
-    def test_eight_inverse_transforms_per_step(self, monkeypatch):
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_eight_inverse_transforms_per_step(self, monkeypatch, n):
         # cfl_dt, the first stage and both routes of a row share the state's
         # band, samples and product u x curl u; the initial data are built on
         # the band, so no band is gathered, a step hands back a band, a row
         # adds 7 inverse and 1 forward band transforms and writes one full
         # lattice, for norms, and only the last state's samples and product
-        # are taken for its row alone
+        # are taken for its row alone; at n <= 32 one x1-slab covers the box,
+        # so every band transform is a whole-lattice one
         counts = {"gather": 0, "full": 0, "inverse": 0, "forward": 0, "half": 0}
 
         def counted(name, key):
@@ -413,7 +415,7 @@ class TestDealiasBandStages:
         counted("band_to_spectral", "forward")
         counted("half_to_physical", "half")
         counted("half_to_spectral", "half")
-        ledger = tn.run(tn.SimulationConfig(n=16, delta=0.01, horizon=0.05, stride=4))
+        ledger = tn.run(tn.SimulationConfig(n=n, delta=0.01, horizon=0.05, stride=4))
         steps, rows = ledger.meta["steps"], len(ledger)
         assert steps > 1 and rows > 2
         assert counts == {
@@ -423,6 +425,55 @@ class TestDealiasBandStages:
             "forward": 4 * steps + rows + 1,
             "half": 0,
         }
+
+    def test_slab_products_match_whole_lattice_at_n64(self, rng, monkeypatch):
+        # the stages and the state's product run over x1-slabs at n = 64;
+        # at the default width and at one x1-plane they give the
+        # whole-lattice product bit for bit
+        n = 64
+        grid = tn.make_grid(n)
+        shape = (3,) + grid.band.k_sq.shape
+        coef = spectral_core.hermitian_band(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        u = spectral_core.band_to_physical(coef, n)
+        curl = spectral_core.band_to_physical(spectral_core.curl_coefficients(coef, grid.band.k), n)
+        whole = spectral_core.band_to_spectral(spectral_core._cross(u, curl))
+        rhs = spectral_core.project_coefficients(whole, grid.band.wavevectors, grid.band.k_sq)
+        rhs[:, 0, 0, 0] = 0.0
+        for budget in (spectral_core._SLAB_BYTES, 1):
+            monkeypatch.setattr(spectral_core, "_SLAB_BYTES", budget)
+            assert np.array_equal(spectral_core.rotational_product(coef, grid.band.k, n, u), whole)
+            assert np.array_equal(spectral_core.rotational_product(coef, grid.band.k, n), whole)
+            assert np.array_equal(_rhs_band(coef, grid), rhs)
+
+    def test_row_is_no_bigger_than_a_step_at_n64(self):
+        # at n = 64 the band products run over x1-slabs: a ledger row
+        # allocates at most what the step after it does, and the gradient
+        # contraction less than one (3, 3, n, n, n) tensor
+        config = tn.SimulationConfig(n=64, delta=0.01, horizon=0.0019, seed=51, stride=2)
+        grid = tn.make_grid(config.n)
+        state = tn.make_initial_data(config, grid)
+        state = tn.step(state, tn.cfl_dt(state, config.c_cfl))
+        dt = tn.cfl_dt(state, config.c_cfl)  # takes the samples, as run does before the row
+
+        def peak(compute):
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                compute()
+                return tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+
+        tensor = 9 * config.n**3 * np.dtype(np.float64).itemsize
+        contraction = peak(
+            lambda: spectral_core.nonlinear_integrals(
+                state.band, state.samples, grid.band.wavevectors, grid.volume
+            )
+        )
+        row = peak(lambda: _ledger_row(state, config, MultiplierSet(config.alpha)))
+        step = peak(lambda: tn.step(state, dt))
+        assert contraction < tensor
+        assert row <= step
 
 
 class TestCflBound:

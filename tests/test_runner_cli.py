@@ -426,8 +426,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "line",
-        ["init_k_max = 0.5", "init_k_max = nan", "init_k_max = -1", "delta = nan"],
-        ids=["k_below_lowest_mode", "k_nan", "k_negative", "delta_nan"],
+        ["init_k_max = 0.5", "init_k_max = nan", "init_k_max = -1", "delta = nan", "delta = inf"],
+        ids=["k_below_lowest_mode", "k_nan", "k_negative", "delta_nan", "delta_inf"],
     )
     def test_bad_initial_data_exit_one(self, tmp_path, capsys, line):
         # random_low_mode with no mode |k| <= init_k_max would certify the zero field
@@ -436,6 +436,19 @@ class TestMainEntry:
         out = tmp_path / "o"
         assert main(["--config", str(cfg_path), "--out", str(out), "run"]) == 1
         assert "[torusns] config error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and nan arithmetic of the row
+    @pytest.mark.parametrize("horizon", ["1e300", "1e-300"])
+    def test_extreme_horizon_exit_two(self, tmp_path, capsys, horizon):
+        # a power of s = T - t, or the w-box's cell volume, overflows a
+        # float: the row holds inf and fails validation, not OverflowError
+        cfg_path = tmp_path / "horizon.cfg"
+        cfg_path.write_text(f"n = 16\nhorizon = {horizon}\nstride = 1\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg_path), "--out", str(out), "--strict", "run"]) == 2
+        err = capsys.readouterr().err
+        assert "[torusns] invalid ledger: row at t=0.0: non-finite functional" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "verify"])

@@ -166,6 +166,31 @@ class TestDealiasBand:
             expected = spectral_core.half_to_spectral(values)[band.positions]
             assert np.array_equal(spectral_core.band_to_spectral(values), expected)
 
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_slab_pair_matches_whole_pair(self, n, rng, monkeypatch):
+        # at every slab width, down to one x1-plane, the slab pair gives the
+        # samples and the band of the whole-lattice transforms bit for bit
+        shape = (3,) + tn.make_grid(n).band.k_sq.shape
+        groups = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2)]
+        values = rng.standard_normal((3, n, n, n))
+        whole = [spectral_core.band_to_physical(coef, n) for coef in groups]
+        plane = 3 * len(groups) * n * n * np.dtype(np.float64).itemsize
+        default = spectral_core._SLAB_BYTES // plane
+        for width in (default, 1, 5, n // 2):
+            monkeypatch.setattr(spectral_core, "_SLAB_BYTES", width * plane)
+            samples = [np.empty((3, n, n, n)) for _ in groups]
+            widths = []
+            product = spectral_core._BandAccumulator(n)
+            for slab, each in spectral_core._physical_slabs(n, len(groups), iter(groups)):
+                widths.append(slab.stop - slab.start)
+                for out, part in zip(samples, each):
+                    out[:, slab] = part
+                product.add(slab, values[:, slab])
+            assert max(widths) == width < n and sum(widths) == n
+            for got, expected in zip(samples, whole):
+                assert np.array_equal(got, expected)
+            assert np.array_equal(product.band(), spectral_core.band_to_spectral(values))
+
     @pytest.mark.parametrize("n", [16, 24, 32, 48])
     def test_band_is_the_dealias_mask(self, n):
         grid = tn.make_grid(n)
@@ -194,7 +219,7 @@ class TestDealiasBand:
             terms = spectral_core.band_terms(field)
             gradient = spectral_core.nonlinear_integrals(*terms, grid.volume)
             coef, u, _ = terms
-            lam = spectral_core.rotational_product(u, coef, grid.band.k)
+            lam = spectral_core.rotational_product(coef, grid.band.k, grid.n, u)
             rotational = spectral_core.rotational_integrals(coef, lam, grid.band.k, grid.volume)
             for (a, scale_a), (b, scale_b) in zip(gradient, rotational):
                 assert abs(a - b) <= 1e-15 * max(scale_a, scale_b)
@@ -352,6 +377,26 @@ def _triad_field(grid):
 
 
 class TestNonlinearFunctionals:
+    def test_slab_sums_match_whole_tensor(self, rng, monkeypatch):
+        # at n = 48 the contraction runs over x1-slabs: its two quadratures,
+        # summed slab by slab, agree with those of the whole gradient tensor
+        # (one slab) to roundoff, and the coupling, from the same band of
+        # (f . grad) f, is the same bit for bit
+        n = 48
+        grid = tn.make_grid(n)
+        shape = (3,) + grid.band.k_sq.shape
+        coef = spectral_core.hermitian_band(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        terms = coef, spectral_core.band_to_physical(coef, n), grid.band.wavevectors, grid.volume
+        default = spectral_core._SLAB_BYTES
+        monkeypatch.setattr(spectral_core, "_SLAB_BYTES", 9 * n**3 * 8)
+        (triple, majorant), coupling = spectral_core.nonlinear_integrals(*terms)
+        for budget in (default, 1):
+            monkeypatch.setattr(spectral_core, "_SLAB_BYTES", budget)
+            (tri, tri_scale), slab_coupling = spectral_core.nonlinear_integrals(*terms)
+            assert abs(tri - triple) <= 1e-13 * majorant
+            assert tri_scale == pytest.approx(majorant, rel=1e-13)
+            assert slab_coupling == coupling
+
     def test_trilinear_against_analytic_gradients(self, grid16):
         u, grads, *_ = _triad_field(grid16)
         expected = 0.0
@@ -397,7 +442,7 @@ class TestNonlinearFunctionals:
             terms = spectral_core.band_terms(field)
             gradient = spectral_core.nonlinear_integrals(*terms, grid.volume)
             coef, u, _ = terms
-            lam = spectral_core.rotational_product(u, coef, grid.band.k)
+            lam = spectral_core.rotational_product(coef, grid.band.k, grid.n, u)
             rotational = spectral_core.rotational_integrals(coef, lam, grid.band.k, grid.volume)
             for (a, scale_a), (b, scale_b) in zip(gradient, rotational):
                 assert abs(a) > 1e-6 * scale_a  # not a roundoff-level cancellation
