@@ -3,7 +3,7 @@ rescaled-variable energy inequalities."""
 
 __version__ = "0.1.0"
 
-from .gronwall_comparator import ComparisonParams, TrapResult, gronwall_envelope, h_minus, verify_trap
+from .gronwall_comparator import ComparisonParams, TrapResult, h_minus, verify_trap
 from .inequality_lab import (
     CertificateConstant,
     EnergyLedger,
@@ -31,7 +31,6 @@ from .ns_dynamics import (
     TrajectoryState,
     cfl_dt,
     make_initial_data,
-    nonlinear_rhs,
     run,
     step,
 )
@@ -39,8 +38,6 @@ from .similarity_frame import (
     SCALING_EXPONENTS,
     SimilarityClock,
     WFunctionals,
-    build_w_field,
-    t_of_tau,
     tau_of_t,
     w_functionals_multiplier_route,
     w_functionals_scaling_route,

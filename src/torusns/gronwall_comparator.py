@@ -128,9 +128,3 @@ def envelope_excess(
     decay = np.exp(-rate * (tau - tau[0]))
     return values - (decay * values[0] + (offset / rate) * (1.0 - decay))
 
-
-def gronwall_envelope(
-    tau: np.ndarray, values: np.ndarray, rate: float, offset: float = 0.0
-) -> float:
-    """Max of `envelope_excess`; nonpositive means the envelope holds."""
-    return float(np.max(envelope_excess(tau, values, rate, offset)))

@@ -148,7 +148,11 @@ class EnergyLedger:
     @classmethod
     def read_csv(cls, path, meta: dict | None = None) -> "EnergyLedger":
         with open(path, "r", encoding="ascii") as fh:
-            return cls.from_csv_text(fh.read(), meta=meta)
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise LedgerError(f"ledger file is not ASCII text: {exc}") from exc
+        return cls.from_csv_text(text, meta=meta)
 
 
 @dataclass(frozen=True)

@@ -110,8 +110,8 @@ def evaluate_on_grid(mults: MultiplierSet, name: str, grid) -> np.ndarray:
     """The profile `name` (a field of Profiles) at |k| over the grid lattice.
 
     Values are cached for the most recent lattice (n, L) only, so fields on a
-    sequence of boxes (such as `similarity_frame.build_w_field` makes) keep
-    the cache bounded.
+    sequence of boxes (such as the w-fields of successive rows) keep the
+    cache bounded.
     """
     lattice = (grid.n, grid.box_length)
     key = lattice + (name, mults.alpha)

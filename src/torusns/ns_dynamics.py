@@ -6,39 +6,38 @@ dealiased, projected advection term is advanced with classical RK4.  The mean
 mode is pinned to zero and the field stays real, divergence-free, and
 band-limited for the whole run.
 
-The velocity is held on the dealias band (3, K, K, c + 1) of
-`spectral_core`: the modes |m_j| <= c, 3c < n, with m3 >= 0, which are the
-only ones a state carries.  `make_initial_data` builds the initial state
-there, from the modes of the data, so a run holds no full lattice before its
-first ledger row.  `TrajectoryState.from_field` and `nonlinear_rhs` take a
-full-spectrum field and gather its band through `spectral_core.gather_band`,
-which rejects a field with a coefficient outside it.  The advection term is
-evaluated in rotational form, P[u x omega] with omega = curl u: it differs
-from -P[(u . grad) u] only by the gradient grad(|u|^2 / 2), which the
-projection removes.  Each RK4 stage costs two inverse and one forward pruned
-real 3-vector transform, and the forward transform of the band is already
-dealiased.  The stages and the state's product run over x1-slabs of the
-lattice (`spectral_core.rotational_product`), so at n >= 48 a stage holds
-no lattice-sized temporary; at n <= 32 one slab covers the box.  The first
-stage projects the state's product u x omega (`TrajectoryState.rotation`),
-which is taken from the state's samples (`TrajectoryState.samples`), so a
-step of `run` takes 8 inverse and 4 forward band transforms, each whole or
-over x1-slabs.  A state computes each of its own quantities once,
-on first use: the samples, the product and max|u|
-(`TrajectoryState.max_speed`).  `cfl_dt`, the first stage and both routes of
-the state's ledger row read them, and whichever comes first takes them: in
-`run`, the samples and max|u| inside `cfl_dt`, and the product inside the
-row's multiplier route, which rescales it to the w-field, or inside `step`
-for a state that is not logged.  A row thus adds 7 inverse and 1 forward
-band transform, all in its scaling route, and a run of S steps and R rows
-takes 8 S + 7 R + 2 inverse and 4 S + R + 1 forward ones: the last state's
-samples and product serve its row alone.
+The velocity is held on the dealias band (3, K, K, c + 1) of `spectral_core`:
+the modes |m_j| <= c, 3c < n, with m3 >= 0, which are the only ones a state
+carries.  `make_initial_data` builds the initial state there, from the modes
+of the data, so a run holds no full lattice before its first ledger row.  A
+caller holding a full-spectrum field gathers its band through
+`spectral_core.gather_band`, which rejects a field with a coefficient outside
+it.  The advection term is evaluated in rotational form, P[u x omega] with
+omega = curl u: it differs from -P[(u . grad) u] only by the gradient
+grad(|u|^2 / 2), which the projection removes.  Each RK4 stage costs two
+inverse and one forward pruned real 3-vector transform, and the forward
+transform of the band is already dealiased.  The stages and the state's
+product run over x1-slabs of the lattice
+(`spectral_core.rotational_product`), so at n >= 48 a stage holds no
+lattice-sized temporary; at n <= 32 one slab covers the box.  The first stage
+projects the state's product u x omega (`TrajectoryState.rotation`), which is
+taken from the state's samples (`TrajectoryState.samples`), so a step of
+`run` takes 8 inverse and 4 forward band transforms, each whole or over
+x1-slabs.  A state computes each of its own quantities once, on first use:
+the samples, the product and max|u| (`TrajectoryState.max_speed`).  `cfl_dt`,
+the first stage and both routes of the state's ledger row read them, and
+whichever comes first takes them: in `run`, the samples and max|u| inside
+`cfl_dt`, and the product inside the row's multiplier route, which rescales
+it to the w-field, or inside `step` for a state that is not logged.  A row
+thus adds 7 inverse and 1 forward band transform, all in its scaling route,
+and a run of S steps and R rows takes 8 S + 7 R + 2 inverse and 4 S + R + 1
+forward ones: the last state's samples and product serve its row alone.
 
 A state is its band plus the samples of it, and no state keeps a full
 lattice: `step` hands back a band whose plane m3 = 0 is exactly Hermitian,
 and a full-spectrum field, exactly Hermitian, is written from the band by
 `spectral_core.full_spectrum` only on request (`TrajectoryState.u_hat`, which
-a ledger row's `norms` reads, and the value of `nonlinear_rhs`).
+a ledger row's `norms` reads).
 """
 
 from __future__ import annotations
@@ -95,6 +94,8 @@ class SimulationConfig:
             raise ValueError(f"delta target must be nonnegative and finite, got {self.delta}")
         if self.initial_kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial data kind {self.initial_kind!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         k_min = 2.0 * math.pi / self.box_length
         if self.initial_kind == "random_low_mode" and not self.init_k_max >= k_min:
             raise ValueError(
@@ -114,11 +115,6 @@ class SimulationConfig:
             )
 
 
-def _band_field(coef: np.ndarray, grid: SpectralGrid) -> VectorField:
-    """The exactly Hermitian full-spectrum field with band coefficients `coef`."""
-    return VectorField(grid, spectral_core.full_spectrum(coef, grid.n), SPECTRAL)
-
-
 @dataclass
 class TrajectoryState:
     """A velocity on the clock, held as its dealias band `band` (3, K, K, c + 1)
@@ -133,18 +129,10 @@ class TrajectoryState:
     step_index: int
     last_dt: float
 
-    @classmethod
-    def from_field(
-        cls, u_hat: VectorField, t: float, step_index: int, last_dt: float
-    ) -> "TrajectoryState":
-        """The state with velocity `u_hat`; ValueError for a coefficient
-        outside the dealias band (`spectral_core.gather_band`)."""
-        return cls(u_hat.grid, spectral_core.gather_band(u_hat), t, step_index, last_dt)
-
     @property
     def u_hat(self) -> VectorField:
         """The exactly Hermitian full-spectrum velocity, written from the band."""
-        return _band_field(self.band, self.grid)
+        return VectorField(self.grid, spectral_core.full_spectrum(self.band, self.grid.n), SPECTRAL)
 
     @cached_property
     def samples(self) -> np.ndarray:
@@ -257,19 +245,6 @@ def _rhs_band(coef: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return _project_band(spectral_core.rotational_product(coef, grid.band.k, grid.n), grid)
 
 
-def nonlinear_rhs(u_hat: VectorField) -> VectorField:
-    """Projected, dealiased advection term -P[F[(u . grad) u]], evaluated as
-    P[F[u x omega]].
-
-    The two agree because (u . grad) u = grad(|u|^2 / 2) - u x omega and the
-    projection removes gradients, as it removes the pressure gradient.  The
-    output is mean-free, divergence-free and exactly Hermitian.  Raises
-    ValueError for a field with a coefficient outside the dealias band.
-    """
-    grid = u_hat.grid
-    return _band_field(_rhs_band(spectral_core.gather_band(u_hat), grid), grid)
-
-
 def cfl_dt(state: TrajectoryState, c_cfl: float = 1.0) -> float:
     """Step-size bound c_cfl * min(dx / max|u|, 1 / k_max^2).
 
@@ -339,8 +314,9 @@ def _ledger_row(
     """
     clock = SimilarityClock(horizon=config.horizon, t=state.t)
     u_norms = spectral_core.norms(state.u_hat)
-    wa = w_functionals_scaling_route(state, clock, mults)
-    wb = w_functionals_multiplier_route(state, clock, mults, wa.low_mag_sq)
+    with np.errstate(over="ignore", invalid="ignore"):  # validate rejects what overflows
+        wa = w_functionals_scaling_route(state, clock, mults)
+        wb = w_functionals_multiplier_route(state, clock, mults, wa.low_mag_sq)
     try:
         wa.validate()
         wb.validate()

@@ -168,7 +168,11 @@ def parse_config(text: str) -> RunConfig:
 def load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def _exit_from_reports(reports) -> int:

@@ -21,7 +21,7 @@ as `ns_dynamics.TrajectoryState`): its grid, its band coefficients
 (3, K, K, c + 1), their physical values (the samples), max|u| and the band
 coefficients of u x curl u (the product).  The state computes each of these
 once, so the step, `cfl_dt` and both routes share them; a caller holding a
-full-spectrum field builds the state with `TrajectoryState.from_field`.
+full-spectrum field builds the state from `spectral_core.gather_band` of it.
 Every inverse transform is `band_to_physical`, or, for the gradient
 tensor, its x1-slab form inside `nonlinear_integrals`, which also takes the
 product F[(u . grad) u] slab by slab; every spectral sum is a `band_sum`
@@ -58,7 +58,7 @@ import numpy as np
 
 from . import spectral_core
 from .multiplier_bank import MultiplierSet
-from .spectral_core import SPECTRAL, SpectralGrid, VectorField, band_sum, make_grid
+from .spectral_core import SpectralGrid, band_sum
 
 #: Normative scaling exponents: functional(w) = s**power * functional(u).
 #: Squared integral quantities unless noted; `sup` and `l4` are plain norms.
@@ -121,21 +121,12 @@ class SimilarityClock:
     def remaining(self) -> float:
         return self.horizon - self.t
 
-    @classmethod
-    def from_tau(cls, tau: float, horizon: float) -> "SimilarityClock":
-        return cls(horizon=horizon, t=t_of_tau(tau, horizon))
-
 
 def tau_of_t(t: float, horizon: float) -> float:
     """Slow time tau = -ln(T - t); rejects t >= T."""
     if t >= horizon:
         raise ValueError(f"time {t} reached or passed the horizon {horizon}")
     return -math.log(horizon - t)
-
-
-def t_of_tau(tau: float, horizon: float) -> float:
-    """Inverse clock map t = T - exp(-tau)."""
-    return horizon - math.exp(-tau)
 
 
 @dataclass(frozen=True)
@@ -183,10 +174,6 @@ class WFunctionals:
         "lap_coupling",
     )
 
-    @property
-    def energy(self) -> float:
-        return self.e_low + self.e_high
-
     def validate(self) -> None:
         for f in fields(self):
             v = getattr(self, f.name)
@@ -221,19 +208,6 @@ def route_gap(a: WFunctionals, b: WFunctionals) -> float:
             floor = max(a.lap_scale, b.lap_scale, floor)
         worst = max(worst, abs(va - vb) / max(abs(va), abs(vb), floor))
     return worst
-
-
-def build_w_field(u_hat: VectorField, clock: SimilarityClock) -> VectorField:
-    """The rescaled field as a spectral VectorField on its own (larger) box.
-
-    The collocation lattice of w is the u-lattice relabelled: box side
-    L/sqrt(s), values sqrt(s) * u, identical integer modes.
-    """
-    u_hat.require(SPECTRAL)
-    s = clock.remaining
-    root = math.sqrt(s)
-    w_grid = make_grid(u_hat.grid.n, u_hat.grid.box_length / root)
-    return VectorField(w_grid, u_hat.data * root, SPECTRAL)
 
 
 def w_functionals_scaling_route(

@@ -57,9 +57,9 @@ So do both routes of a `similarity_frame` ledger row: 7 inverse transforms
 filtered fields and the curl of the high part) and 1 forward one
 (F[(u . grad) u]) per row, all in the scaling route.  The multiplier route
 reads the state's samples, its product and the scaling route's low part,
-and transforms nothing itself.  The analytic oracles `convective_product`,
-`trilinear_form` and `advective_laplacian_form` gather the band of their
-field and run the same kernels, so they check what a run computes.
+and transforms nothing itself.  The band kernels are the module's only
+nonlinear computation: a caller holding a full-spectrum field takes its band
+with `gather_band` and calls them itself.
 """
 
 from __future__ import annotations
@@ -227,9 +227,6 @@ class VectorField:
             raise RepresentationError(
                 f"expected a {representation} field, got a {self.representation} one"
             )
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.data.copy(), self.representation)
 
 
 def zero_field(grid: SpectralGrid, representation: str = SPECTRAL) -> VectorField:
@@ -542,14 +539,6 @@ class NormSuite:
     sup: float
     l4: float
 
-    def lm(self, m: float) -> float:
-        """The L^m norm for the supported orders m in {4, inf}."""
-        if m == 4:
-            return self.l4
-        if m == np.inf:
-            return self.sup
-        raise ValueError(f"unsupported norm order m={m}")
-
 
 def norms(field: VectorField) -> NormSuite:
     """Compute the norm suite of a spectral field.
@@ -623,22 +612,6 @@ def hermitian_defect(field: VectorField) -> float:
     if scale == 0.0:
         return 0.0
     return float(defect / scale)
-
-
-def gradient_tensor(coef: np.ndarray, kvec: np.ndarray, n: int) -> np.ndarray:
-    """Samples grads[j, c] = d_j f_c of the real field with band coefficients `coef`.
-
-    `kvec` stacks the three wavevector components on the band of the field's
-    box.  Each row j takes one inverse band 3-vector transform into one
-    preallocated array: a single 9-component batch would hold three times
-    the transforms' staging buffers at once.  Only the oracle
-    `convective_product` builds the whole tensor; `nonlinear_integrals` takes
-    it x1-slab by x1-slab.
-    """
-    grads = np.empty((3, 3, n, n, n))
-    for j in range(3):
-        grads[j] = band_to_physical(1j * kvec[j] * coef, n)
-    return grads
 
 
 def _cross(a, b) -> np.ndarray:
@@ -771,26 +744,3 @@ def rotational_integrals(
     lap_scale = float(np.sqrt(lap_f * volume * band_sum(k_sq**2 * lam_power)))
     return (triple, tri_scale), (coupling, lap_scale)
 
-
-def band_terms(field: VectorField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Band coefficients (`gather_band`), samples and band wavevectors of a
-    real spectral field.  Raises ValueError for a coefficient outside the band."""
-    coef = gather_band(field)
-    g = field.grid
-    return coef, band_to_physical(coef, g.n), g.band.wavevectors
-
-
-def convective_product(field: VectorField) -> VectorField:
-    """Pointwise advection product (u . grad) u of a real spectral field, in physical space."""
-    coef, u, kvec = band_terms(field)
-    return VectorField(field.grid, _advect(u, gradient_tensor(coef, kvec, field.grid.n)), PHYSICAL)
-
-
-def trilinear_form(field: VectorField) -> float:
-    """The gradient triple product of a real spectral field; see `nonlinear_integrals`."""
-    return nonlinear_integrals(*band_terms(field), field.grid.volume)[0][0]
-
-
-def advective_laplacian_form(field: VectorField) -> float:
-    """The coupling integral int (Lap f) . Lap((f . grad) f) dx of a real spectral field."""
-    return nonlinear_integrals(*band_terms(field), field.grid.volume)[1][0]

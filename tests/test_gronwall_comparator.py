@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from torusns.gronwall_comparator import (
     ComparisonParams,
-    gronwall_envelope,
+    envelope_excess,
     h_minus,
     verify_trap,
 )
@@ -126,22 +126,22 @@ class TestEnvelope:
     def test_exact_decay(self):
         tau = np.linspace(0.0, 10.0, 200)
         e = 3.0 * np.exp(-0.5 * tau)
-        assert gronwall_envelope(tau, e, rate=0.5) <= 1e-12
+        assert np.max(envelope_excess(tau, e, rate=0.5, offset=0.0)) <= 1e-12
 
     def test_constant_fixed_point(self):
         tau = np.linspace(0.0, 10.0, 100)
         e0 = 2.0
         rate = 0.7
-        violation = gronwall_envelope(tau, np.full_like(tau, e0), rate, offset=rate * e0)
+        violation = np.max(envelope_excess(tau, np.full_like(tau, e0), rate, offset=rate * e0))
         assert abs(violation) <= 1e-12
 
     def test_subrate_series_fires(self):
         tau = np.linspace(0.0, 10.0, 200)
         e = np.exp(-0.25 * tau)
-        assert gronwall_envelope(tau, e, rate=0.5) > 0.1
+        assert np.max(envelope_excess(tau, e, rate=0.5, offset=0.0)) > 0.1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gronwall_envelope(np.array([]), np.array([]), rate=0.5)
+            envelope_excess(np.array([]), np.array([]), rate=0.5, offset=0.0)
         with pytest.raises(ValueError):
-            gronwall_envelope(np.array([0.0, 1.0]), np.array([1.0, 1.0]), rate=0.0)
+            envelope_excess(np.array([0.0, 1.0]), np.array([1.0, 1.0]), rate=0.0, offset=0.0)

@@ -295,6 +295,12 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "[torusns] invalid ledger: " in err and reason in err
 
+    def test_undecodable_ledger_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(_zero_ledger_text(3).encode("ascii") + b"\xff\n")
+        assert main(["verify", str(path)]) == 1
+        assert "[torusns] invalid ledger: ledger file is not ASCII" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["-2", "nan"])
     def test_bad_decay_tol_exit_one(self, tmp_path, capsys, value):
         ledger_path = tmp_path / "ledger.csv"
@@ -380,6 +386,34 @@ def test_import_leaves_unused_scipy_modules_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_names_the_benchmark_reads_exist():
+    # perfbench's child.py and spans.py reach these by name: a traced run
+    # reads the profile cache, a state's u_hat.grid after every cfl_dt and
+    # the ledger through EnergyLedger, and counts steps, rows and transforms
+    # by these function names
+    from torusns import multiplier_bank, ns_dynamics, runner_cli, similarity_frame, spectral_core
+
+    named = {
+        runner_cli: ("main",),
+        ns_dynamics: ("run", "step", "cfl_dt"),
+        spectral_core: ("to_physical", "to_spectral", "norms"),
+        similarity_frame: (
+            "w_functionals_scaling_route",
+            "w_functionals_multiplier_route",
+            "route_gap",
+        ),
+    }
+    for module, names in named.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    for name in ("read_csv", "validate", "column", "__len__", "write_csv"):
+        assert callable(getattr(tn.EnergyLedger, name, None)), f"EnergyLedger.{name}"
+    assert isinstance(multiplier_bank._profile_cache, dict)
+    grid = tn.make_grid(16)
+    state = tn.make_initial_data(tn.SimulationConfig(n=16), grid)
+    assert state.u_hat.grid is grid
+
+
 class TestMainEntry:
     def test_signcheck_subcommand(self):
         assert main(["signcheck", "0.0625"]) == 0
@@ -438,18 +472,35 @@ class TestMainEntry:
         assert "[torusns] config error: " in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and nan arithmetic of the row
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning reaches stderr
     @pytest.mark.parametrize("horizon", ["1e300", "1e-300"])
     def test_extreme_horizon_exit_two(self, tmp_path, capsys, horizon):
         # a power of s = T - t, or the w-box's cell volume, overflows a
-        # float: the row holds inf and fails validation, not OverflowError
+        # float: the row holds inf and fails validation, not OverflowError,
+        # and the inf and nan arithmetic of the row warns of nothing
         cfg_path = tmp_path / "horizon.cfg"
         cfg_path.write_text(f"n = 16\nhorizon = {horizon}\nstride = 1\n")
         out = tmp_path / "o"
         assert main(["--config", str(cfg_path), "--out", str(out), "--strict", "run"]) == 2
-        err = capsys.readouterr().err
-        assert "[torusns] invalid ledger: row at t=0.0: non-finite functional" in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("[torusns] invalid ledger: row at t=0.0: non-finite functional")
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["random_low_mode", "taylor_green"])
+    def test_negative_seed_exit_one(self, tmp_path, capsys, kind):
+        cfg_path = tmp_path / "seed.cfg"
+        cfg_path.write_text(f"n = 16\nseed = -1\ninitial_kind = {kind}\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg_path), "--out", str(out), "run"]) == 1
+        assert "[torusns] config error: seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_undecodable_config_exit_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "binary.cfg"
+        cfg_path.write_bytes(b"n = 16\n\xff\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "run"]) == 1
+        assert "[torusns] config error: config file is not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     @pytest.mark.parametrize("key", ["epsilon", "decay_tol"])

@@ -10,13 +10,10 @@ from torusns.spectral_core import (
     SPECTRAL,
     RepresentationError,
     VectorField,
-    advective_laplacian_form,
-    convective_product,
     divergence_ratio,
     hermitian_defect,
     inner_l2,
     quadrature_l2_sq,
-    trilinear_form,
     zero_field,
 )
 
@@ -114,10 +111,7 @@ class TestTransforms:
             "inner_l2 (second)": lambda p: inner_l2(spec, p),
             "divergence_ratio": divergence_ratio,
             "hermitian_defect": hermitian_defect,
-            "trilinear_form": trilinear_form,
-            "advective_laplacian_form": advective_laplacian_form,
-            "convective_product": convective_product,
-            "nonlinear_rhs": tn.nonlinear_rhs,
+            "gather_band": spectral_core.gather_band,
         }
         for name, call in takes_spectral.items():
             try:
@@ -216,9 +210,10 @@ class TestDealiasBand:
             field = tn.dealias(
                 random_field_factory(grid, rng, k_max=np.inf, divergence_free=True)
             )
-            terms = spectral_core.band_terms(field)
-            gradient = spectral_core.nonlinear_integrals(*terms, grid.volume)
-            coef, u, _ = terms
+            coef = spectral_core.gather_band(field)
+            u = spectral_core.band_to_physical(coef, grid.n)
+            kvec = grid.band.wavevectors
+            gradient = spectral_core.nonlinear_integrals(coef, u, kvec, grid.volume)
             lam = spectral_core.rotational_product(coef, grid.band.k, grid.n, u)
             rotational = spectral_core.rotational_integrals(coef, lam, grid.band.k, grid.volume)
             for (a, scale_a), (b, scale_b) in zip(gradient, rotational):
@@ -328,13 +323,6 @@ class TestNorms:
         f = embed_scalar(grid16, np.broadcast_to(np.sin(x1), (16, 16, 16)).copy())
         assert tn.norms(tn.to_spectral(f)).h1_sq == pytest.approx(TWO_PI**3 / 2.0, rel=1e-13)
 
-    def test_lm_dispatch(self, grid16, rng, random_field_factory):
-        ns = tn.norms(random_field_factory(grid16, rng))
-        assert ns.lm(4) == ns.l4
-        assert ns.lm(np.inf) == ns.sup
-        with pytest.raises(ValueError):
-            ns.lm(3)
-
     def test_hermitian_defect_zero_for_real(self, grid16, rng, random_field_factory):
         assert hermitian_defect(random_field_factory(grid16, rng)) < 1e-13
 
@@ -405,8 +393,11 @@ class TestNonlinearFunctionals:
                 for l in range(3):
                     expected += np.sum(grads[j, k] * grads[j, l] * grads[l, k])
         expected *= grid16.cell_volume
-        field = tn.to_spectral(VectorField(grid16, u, PHYSICAL))
-        value = trilinear_form(field)
+        coef = spectral_core.gather_band(tn.to_spectral(VectorField(grid16, u, PHYSICAL)))
+        samples = spectral_core.band_to_physical(coef, 16)
+        (value, _), _ = spectral_core.nonlinear_integrals(
+            coef, samples, grid16.band.wavevectors, grid16.volume
+        )
         assert abs(expected) > 1e-6  # the triad really interacts
         assert value == pytest.approx(expected, rel=1e-11)
 
@@ -427,7 +418,11 @@ class TestNonlinearFunctionals:
             for j in range(3):
                 conv[c] += u[j] * grads[j, c]
         expected = np.sum(bilap * conv) * grid16.cell_volume
-        value = advective_laplacian_form(tn.to_spectral(VectorField(grid16, u, PHYSICAL)))
+        coef = spectral_core.gather_band(tn.to_spectral(VectorField(grid16, u, PHYSICAL)))
+        samples = spectral_core.band_to_physical(coef, 16)
+        _, (value, _) = spectral_core.nonlinear_integrals(
+            coef, samples, grid16.band.wavevectors, grid16.volume
+        )
         assert abs(expected) > 1e-6
         assert value == pytest.approx(expected, rel=1e-11)
 
@@ -439,9 +434,10 @@ class TestNonlinearFunctionals:
         grid = tn.make_grid(n)
         for _ in range(2):
             field = tn.dealias(random_field_factory(grid, rng, divergence_free=True))
-            terms = spectral_core.band_terms(field)
-            gradient = spectral_core.nonlinear_integrals(*terms, grid.volume)
-            coef, u, _ = terms
+            coef = spectral_core.gather_band(field)
+            u = spectral_core.band_to_physical(coef, grid.n)
+            kvec = grid.band.wavevectors
+            gradient = spectral_core.nonlinear_integrals(coef, u, kvec, grid.volume)
             lam = spectral_core.rotational_product(coef, grid.band.k, grid.n, u)
             rotational = spectral_core.rotational_integrals(coef, lam, grid.band.k, grid.volume)
             for (a, scale_a), (b, scale_b) in zip(gradient, rotational):
