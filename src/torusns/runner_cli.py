@@ -19,7 +19,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import resource
 import sys
 import time
@@ -45,6 +44,10 @@ SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     """Bad configuration text: unknown key, syntax error, or range violation."""
+
+
+class UsageError(ValueError):
+    """A command line the parser rejects: unknown flag, missing command or bad value."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,6 @@ class RunConfig(SimulationConfig):
     """Full harness configuration: the simulation fields plus the harness
     keys below; defaults reproduce the standard run."""
 
-    strict: bool = False
     epsilon: float = 0.1
     decay_tol: float = 0.05
     out_dir: str = "out"
@@ -114,8 +116,6 @@ class RunConfig(SimulationConfig):
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -129,12 +129,6 @@ def _parse_value(name: str, raw: str, kind, line_no: int):
         if get_origin(kind) is tuple:  # sweep axes
             elem = get_args(kind)[0]
             return tuple(elem(part.strip()) for part in raw.split(",")) if raw else ()
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if kind in (int, float, str):
             return kind(raw)
     except ValueError as exc:
@@ -236,8 +230,6 @@ def cmd_run(config: RunConfig) -> int:
 def _run_point(config: RunConfig) -> tuple[int, ReportBundle | None]:
     """`cmd_run`'s exit code, with the run's report bundle (None if it
     produced no ledger)."""
-    # the FFT worker count is resolved here, so report.json records what ran
-    config = replace(config, threads=1 if config.strict else max(config.threads, _env_threads()))
     started = time.perf_counter()
     try:
         with scipy.fft.set_workers(config.threads):
@@ -351,15 +343,23 @@ def cmd_sweep(config: RunConfig) -> int:
     return worst
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises UsageError on a bad command line, where
+    argparse would exit 2: the exit-code contract reserves 2 for verdicts.
+    Subparsers are built from the same class."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torusns",
         description="periodic-box flow simulator with a rescaled-energy verification harness",
     )
     parser.add_argument("--config", metavar="PATH", help="configuration file")
     parser.add_argument("--out", metavar="DIR", help="output directory override")
-    parser.add_argument("--strict", action="store_true", help="single-threaded, reproducible mode")
-    parser.add_argument("--stride", type=int, metavar="N", help="ledger output stride override")
+    parser.add_argument("--strict", action="store_true", help="one FFT worker: sets threads = 1")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", help="integrate and verify one configuration")
     sub.add_parser("sweep", help="run the configured sweep axes")
@@ -376,10 +376,14 @@ DEFAULT_ALPHAS = (1.0 / 32.0, 1.0 / 16.0, 3.0 / 32.0, 0.124)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except UsageError as exc:
+        print(f"[torusns] usage error: {exc}", file=sys.stderr)
+        return 1
     try:
         config = load_config(args.config)
-        overrides = {"strict": args.strict or None, "stride": args.stride, "out_dir": args.out}
+        overrides = {"threads": 1 if args.strict else None, "out_dir": args.out}
         config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     except ConfigError as exc:
         print(f"[torusns] config error: {exc}", file=sys.stderr)
@@ -398,14 +402,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "signcheck":
         return cmd_signcheck(alphas)
     return cmd_constants(alphas)
-
-
-def _env_threads() -> int:
-    """The worker count in TORUSNS_THREADS; 1 if it is unset or not an integer."""
-    try:
-        return max(1, int(os.environ.get("TORUSNS_THREADS", "")))
-    except ValueError:
-        return 1
 
 
 if __name__ == "__main__":

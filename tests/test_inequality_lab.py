@@ -313,6 +313,24 @@ class TestCorruptions:
             small_ledger.column("tau")[0] = -1.0
 
 
+class TestThreeRowLedger:
+    @pytest.mark.parametrize("rows, status", [(3, "inconclusive"), (4, "holds")])
+    def test_exact_decay_violates_no_differenced_check(self, rows, status):
+        # each column decays at rate 2, and the l2 and h1 inequalities hold
+        # with equality; three points fix a parabola, so on three rows the
+        # stencil's truncation error has no budget
+        tau = np.linspace(0.0, 1.0, rows)
+        decay = np.exp(-2.0 * tau)
+        table = make_table(tau, w_l2sq=decay, w_h1sq=1.25 * decay, w_h2sq=0.9375 * decay)
+        ledger = EnergyLedger(table)
+        for verify in (verify_l2_inequality, verify_h1_inequality):
+            assert verify(ledger).status == status
+        report = verify_h2_inequality(ledger)
+        assert report.status != "violated"
+        if rows == 3:
+            assert report.details["decided_by"] == "rowwise_inequality_without_truncation_budget"
+
+
 class TestVerifyAll:
     @pytest.mark.parametrize(
         "source",

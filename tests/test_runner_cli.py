@@ -1,5 +1,6 @@
 """Tests for configuration parsing, the CLI commands, and exit codes."""
 
+import importlib.util
 import json
 import re
 import resource
@@ -99,7 +100,7 @@ class TestConfigParsing:
             parse_config("n = sixteen\n")
 
     def test_roundtrip_through_text(self):
-        config = parse_config("alpha = 0.09375\nsweep_delta = 0.005, 0.01\nstrict = true\n")
+        config = parse_config("alpha = 0.09375\nsweep_delta = 0.005, 0.01\n")
         assert parse_config(config.as_text()) == config
 
     def test_every_field_roundtrips(self):
@@ -115,7 +116,6 @@ class TestConfigParsing:
             c_cfl=0.5,
             t_min=0.01,
             stride=3,
-            strict=True,
             epsilon=0.2,
             decay_tol=0.1,
             out_dir="elsewhere",
@@ -255,7 +255,6 @@ class TestRunCommand:
             return real_run(*args, **kwargs)
 
         monkeypatch.setattr(tn.ns_dynamics, "run", spy)
-        monkeypatch.delenv("TORUSNS_THREADS", raising=False)
         out = tmp_path / "threads"
         assert cmd_run(replace(parse_config(FAST_RUN + "threads = 2\n"), out_dir=str(out))) == 0
         assert seen == [2]
@@ -414,6 +413,20 @@ def test_names_the_benchmark_reads_exist():
     assert state.u_hat.grid is grid
 
 
+def test_traced_benchmark_run_passes_its_checks(tmp_path, monkeypatch):
+    # the benchmark's traced run of ledger32, through perfbench/run.py's own
+    # runner: a run path without a transform, or without a name perfbench
+    # reads, fails here rather than only in the benchmark
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends perfbench/
+    run_py = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", run_py)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    result = bench.run_once(bench.WORKLOADS["ledger32"], 0, tmp_path / "run", True, 300.0)
+    assert result["traced"] and result["problems"] == []
+    bench.layer_metrics(result)
+
+
 class TestMainEntry:
     def test_signcheck_subcommand(self):
         assert main(["signcheck", "0.0625"]) == 0
@@ -430,15 +443,31 @@ class TestMainEntry:
     def test_strict_flag_roundtrip(self, tmp_path):
         cfg_path = tmp_path / "fast.cfg"
         cfg_path.write_text(FAST_RUN)
-        code = main(
-            ["--config", str(cfg_path), "--strict", "--stride", "16",
-             "--out", str(tmp_path / "s"), "run"]
-        )
+        code = main(["--config", str(cfg_path), "--strict", "--out", str(tmp_path / "s"), "run"])
         assert code == 0
 
     def test_bad_stride_exit_one(self, tmp_path, capsys):
-        assert main(["--stride", "0", "--out", str(tmp_path), "run"]) == 1
+        cfg_path = tmp_path / "stride.cfg"
+        cfg_path.write_text("stride = 0\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path), "run"]) == 1
         assert "[torusns] config error: output stride must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--bogus", "run"], [], ["signcheck", "x"], ["--stride", "4", "run"]],
+        ids=["unknown_flag", "missing_command", "bad_value", "stride_flag"],
+    )
+    def test_usage_error_exit_one(self, capsys, argv):
+        # exit 2 is for verdicts, so a bad command line does not exit as argparse would
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("[torusns] usage error: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: torusns" in capsys.readouterr().out
 
     def test_bad_config_exit_one(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"
@@ -486,6 +515,50 @@ class TestMainEntry:
         assert len(err) == 1
         assert err[0].startswith("[torusns] invalid ledger: row at t=0.0: non-finite functional")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning reaches stderr
+    @pytest.mark.parametrize(
+        "delta, code, message",
+        [
+            ("1e300", 3, "numerical abort: non-finite velocity at t=0.0"),
+            ("1e150", 2, "invalid ledger: row at t=0.0: non-finite functional low_l4"),
+        ],
+        ids=["speed_overflows", "row_overflows"],
+    )
+    def test_huge_delta_exit_on_one_line(self, tmp_path, capsys, delta, code, message):
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text(f"n = 8\ninit_k_max = 1\ndelta = {delta}\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg_path), "--out", str(out), "--strict", "run"]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"[torusns] {message}")
+
+    def test_taylor_green_ignores_init_k_max(self, tmp_path, capsys):
+        # the default init_k_max = 4 does not survive dealiasing at n = 8, but
+        # the vortex's modes +-1 do
+        cfg_path = tmp_path / "tg8.cfg"
+        cfg_path.write_text("n = 8\ninitial_kind = taylor_green\nhorizon = 0.05\nstride = 1\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg_path), "--out", str(out), "--strict", "run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(re.findall(r"\[torusns\] \w+: ", captured.out)) == 6
+
+    def test_three_row_ledger_violates_no_differenced_check(self, tmp_path, capsys):
+        # three points fix a parabola, so differencing_tolerance has no
+        # truncation budget: the differenced checks are inconclusive there
+        cfg_path = tmp_path / "three.cfg"
+        cfg_path.write_text("n = 8\ninit_k_max = 1\nhorizon = 0.05\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg_path), "--out", str(out), "--strict", "run"]) == 2
+        assert len(EnergyLedger.read_csv(out / "ledger.csv")) == 3
+        captured = capsys.readouterr().out
+        for check in ("l2_energy", "h1_gradient", "h2_laplacian"):
+            assert f"[torusns] {check}: inconclusive (" in captured
+        reports = _read_report(out / "report.json")["reports"]
+        assert all(
+            r["details"]["decided_by"].endswith("_without_truncation_budget") for r in reports[:3]
+        )
 
     @pytest.mark.parametrize("kind", ["random_low_mode", "taylor_green"])
     def test_negative_seed_exit_one(self, tmp_path, capsys, kind):
@@ -541,28 +614,23 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "run"]) == 1
         assert "unknown option 'check_decay'" in capsys.readouterr().err
 
-    def test_env_threads_run_and_are_recorded(self, tmp_path, monkeypatch):
-        seen = []
-        real_run = tn.ns_dynamics.run
+    def test_strict_key_is_unknown_option(self, tmp_path, capsys):
+        # --strict is the one input besides threads that sets the worker count
+        cfg_path = tmp_path / "strict.cfg"
+        cfg_path.write_text(FAST_RUN + "strict = true\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "run"]) == 1
+        assert "unknown option 'strict'" in capsys.readouterr().err
 
-        def spy(*args, **kwargs):
-            seen.append(scipy.fft.get_workers())
-            return real_run(*args, **kwargs)
-
-        monkeypatch.setattr(tn.ns_dynamics, "run", spy)
+    def test_environment_sets_no_worker_count(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TORUSNS_THREADS", "2")
         out = _main_run(tmp_path, "env", FAST_RUN)
-        assert seen == [2]
-        assert scipy.fft.get_workers() == 1
-        assert _recorded_threads(out) == 2
-
-    def test_strict_config_records_one_thread(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TORUSNS_THREADS", "2")
-        out = _main_run(tmp_path, "strict", FAST_RUN + "strict = true\nthreads = 4\n")
         assert _recorded_threads(out) == 1
 
-    def test_ledger_does_not_depend_on_worker_count(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("TORUSNS_THREADS", raising=False)
+    def test_strict_config_records_one_thread(self, tmp_path):
+        out = _main_run(tmp_path, "strict", FAST_RUN + "threads = 4\n", "--strict")
+        assert _recorded_threads(out) == 1
+
+    def test_ledger_does_not_depend_on_worker_count(self, tmp_path):
         threaded = _main_run(tmp_path, "threaded", FAST_RUN + "threads = 2\n")
         strict = _main_run(tmp_path, "strict", FAST_RUN, "--strict")
         assert _recorded_threads(threaded) == 2 and _recorded_threads(strict) == 1
