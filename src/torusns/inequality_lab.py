@@ -13,6 +13,7 @@ deterministic functions of the ledger.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,13 @@ CSV_COLUMNS = (
 )
 
 CORRUPTION_KINDS = ("energy_bump", "trilinear_flip", "subrate_energy")
+
+#: The columns that may hold negative values: every other one is a time, a
+#: step, a norm, a squared norm or a relative gap.
+SIGNED_COLUMNS = ("tau", "trilinear_w", "lap_coupling")
+
+#: The values tau = -ln(T - t) takes for a positive finite double T - t.
+TAU_RANGE = (-math.log(sys.float_info.max), -math.log(math.ulp(0.0)))
 
 
 class LedgerError(ValueError):
@@ -91,17 +99,24 @@ class EnergyLedger:
             raise LedgerError(
                 f"ledger has {len(self.table)} rows; differencing needs at least three"
             )
-        tau = self.column("tau")
-        if not np.all(np.diff(tau) > 0):
-            raise LedgerError("tau must be strictly increasing")
         for name in CSV_COLUMNS:
             if not np.all(np.isfinite(self.column(name))):
                 raise LedgerError(f"non-finite entries in column {name}")
+            if name not in SIGNED_COLUMNS and np.any(self.column(name) < 0.0):
+                raise LedgerError(f"negative entries in column {name}")
+        tau = self.column("tau")
+        if not np.all(np.diff(tau) > 0):
+            raise LedgerError("tau must be strictly increasing")
+        if not (TAU_RANGE[0] <= tau[0] and tau[-1] <= TAU_RANGE[1]):
+            raise LedgerError(
+                f"tau outside [{TAU_RANGE[0]:.6g}, {TAU_RANGE[1]:.6g}], the values of"
+                " -ln(T - t) for a positive finite T - t"
+            )
         worst_gap = float(np.max(self.column("route_gap")))
         if worst_gap > ROUTE_GAP_LIMIT:
             raise LedgerError(f"route disagreement {worst_gap} exceeds {ROUTE_GAP_LIMIT}")
-        energy0 = self.column("E_low")[0] + self.column("E_high")[0]
-        if energy0 > self.column("w_l2sq")[0] * (1.0 + 1e-12) + 1e-300:
+        e_low, e_high, total = (float(self.column(c)[0]) for c in ("E_low", "E_high", "w_l2sq"))
+        if (e_low - total) + e_high > 1e-12 * total + 1e-300:  # E_low + E_high may overflow
             raise LedgerError("initial split energy exceeds the total energy")
 
     def subsample(self, stride: int) -> "EnergyLedger":
@@ -166,9 +181,13 @@ class InequalityReport:
     holds_with_certificate).  `max_residual` and `tolerance` are those of the
     check that decided the status (the first check when none fired) at its
     worst row, the row of largest residual - tolerance: a violated or
-    inconclusive report has max_residual > tolerance, a holding one
-    max_residual <= tolerance.  `details` names that check (`decided_by`)
-    and its row (`worst_row`, `worst_tau`).
+    inconclusive report has max_residual > tolerance (unless out of range,
+    below), a holding one max_residual <= tolerance.  `details` names that
+    check (`decided_by`) and its row (`worst_row`, `worst_tau`).  A check
+    whose residual or tolerance is not finite at some row, because the
+    ledger's values took its arithmetic out of the floats, cannot decide: it
+    fires as inconclusive at the first such row, named
+    `<check>_out_of_range`.
     """
 
     inequality_id: str
@@ -297,9 +316,15 @@ def _report(
     quotes, fired = [], []
     for name, first_row, residual, tol, status in checks:
         tol = np.broadcast_to(tol, residual.shape)
-        row = int(np.argmax(residual - tol))
+        finite = np.isfinite(residual) & np.isfinite(tol)
+        if finite.all():
+            row = int(np.argmax(residual - tol))
+            fires = residual[row] > tol[row]
+        else:
+            row, fires = int(np.argmin(finite)), True
+            name, status = f"{name}_out_of_range", INCONCLUSIVE
         quotes.append((status, name, first_row + row, float(residual[row]), float(tol[row])))
-        if residual[row] > tol[row]:
+        if fires:
             fired.append(quotes[-1])
     status, name, row, residual, tol = min(
         fired, key=lambda q: q[0] != VIOLATED, default=quotes[0]
@@ -478,7 +503,9 @@ def verify_decomposition_decay(
     valid = energy > 1e-14 * max(float(np.max(energy)), 1e-300)
     certificate = 0.0
     if np.any(valid):
-        certificate = float(max(0.0, np.max(surplus[valid] / energy[valid] ** 1.5)))
+        # divided in two steps: energy ** 1.5 underflows to 0 long before energy does
+        ratio = (surplus[valid] / energy[valid]) / np.sqrt(energy[valid])
+        certificate = float(max(0.0, np.max(ratio)))
 
     smallness = None if certificate == 0.0 else (alpha / (2.0 * certificate)) ** 2
     condition_active = smallness is None or energy[0] <= smallness
@@ -594,12 +621,18 @@ def verify_all(
     epsilon: float = 0.1,
     decay_tol: float = 0.05,
 ) -> list[InequalityReport]:
-    """The six verdicts over the ledger, in a fixed order."""
-    return [
-        verify_l2_inequality(ledger),
-        verify_h1_inequality(ledger),
-        verify_h2_inequality(ledger),
-        verify_decomposition_decay(ledger, alpha, tol=decay_tol),
-        verify_blowup_rate(ledger, epsilon),
-        route_audit_report(ledger),
-    ]
+    """The six verdicts over the ledger, in a fixed order.
+
+    The ledger's values may take a check's arithmetic out of the floats;
+    `_report` then reads that check as out of range, so the overflow itself
+    warns of nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return [
+            verify_l2_inequality(ledger),
+            verify_h1_inequality(ledger),
+            verify_h2_inequality(ledger),
+            verify_decomposition_decay(ledger, alpha, tol=decay_tol),
+            verify_blowup_rate(ledger, epsilon),
+            route_audit_report(ledger),
+        ]

@@ -36,8 +36,13 @@ forward ones: the last state's samples and product serve its row alone.
 A state is its band plus the samples of it, and no state keeps a full
 lattice: `step` hands back a band whose plane m3 = 0 is exactly Hermitian,
 and a full-spectrum field, exactly Hermitian, is written from the band by
-`spectral_core.full_spectrum` only on request (`TrajectoryState.u_hat`, which
-a ledger row's `norms` reads).
+`spectral_core.full_spectrum` only on request (`TrajectoryState.u_hat`).  A
+ledger row writes none: its u columns are the u-side Plancherel sums of its
+scaling route and the state's max|u|.  Once per run, on the row at step 0,
+`run` checks those four values against `spectral_core.norms` of the
+full-spectrum field (`_audit_u_columns`), an independent full-lattice
+reference; that check is a run's one full lattice and its one complex
+transform (`spectral_core.to_physical`).
 """
 
 from __future__ import annotations
@@ -60,6 +65,10 @@ from .similarity_frame import (
 from .spectral_core import SPECTRAL, SpectralGrid, VectorField, make_grid
 
 INITIAL_KINDS = ("taylor_green", "random_low_mode")
+
+#: The ledger columns that `_audit_u_columns` checks, and its relative limit.
+U_COLUMNS = ("u_l2sq", "u_h1sq", "u_h2sq", "u_sup")
+U_AUDIT_LIMIT = 1e-12
 
 
 class NumericalBlowupError(RuntimeError):
@@ -90,8 +99,11 @@ class SimulationConfig:
         if not self.box_length > 0 or not self.horizon > 0:
             raise ValueError("box length and horizon must be positive")
         check_alpha(self.alpha)
-        if not 0.0 <= self.delta < math.inf:
-            raise ValueError(f"delta target must be nonnegative and finite, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(
+                f"delta target must be positive and finite, got {self.delta}"
+                " (data of norm 0 would certify the zero field)"
+            )
         if self.initial_kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial data kind {self.initial_kind!r}")
         if self.seed < 0:
@@ -302,23 +314,63 @@ def _abort_if_not_finite(coef: np.ndarray, t: float, step_index: int) -> None:
         raise NumericalBlowupError(f"non-finite coefficients at t={t} (step {step_index})")
 
 
+def _audit_u_columns(
+    reference: spectral_core.NormSuite, u_columns: tuple[float, ...], t: float
+) -> tuple[float, str | None]:
+    """The worst relative gap of the u columns `u_columns` (in `U_COLUMNS`
+    order) of the row at time `t` from `reference`, the `spectral_core.norms`
+    of the state's full-spectrum field, and the column that sets it (None
+    when every gap is 0).
+
+    `norms` sums the power over the full lattice and takes the sup norm from
+    a complex transform of it, so it checks the band sums and max|u|
+    independently.  Equal values, 0 against 0 included, have gap 0.  Raises
+    LedgerError naming the first column whose gap exceeds U_AUDIT_LIMIT or
+    is not a number.
+    """
+    expected_columns = (reference.l2_sq, reference.h1_sq, reference.h2_sq, reference.sup)
+    worst, worst_column = 0.0, None
+    for name, value, expected in zip(U_COLUMNS, u_columns, expected_columns):
+        gap = 0.0 if value == expected else abs(value - expected) / max(abs(value), abs(expected))
+        if not gap <= U_AUDIT_LIMIT:
+            raise LedgerError(
+                f"row at t={t!r}: column {name} is {value!r}, but norms of the"
+                f" full-spectrum field gives {expected!r} (relative gap {gap:.3g})"
+            )
+        if gap > worst:
+            worst, worst_column = gap, name
+    return worst, worst_column
+
+
 def _ledger_row(
-    state: TrajectoryState, config: SimulationConfig, mults: MultiplierSet
+    state: TrajectoryState,
+    config: SimulationConfig,
+    mults: MultiplierSet,
+    audit: dict | None = None,
 ) -> tuple[float, ...]:
     """One ledger row, its values in `inequality_lab.CSV_COLUMNS` order.
 
     Both routes take the state and read its samples and max|u|, which
     `cfl_dt` reads as well; the multiplier route reads its product, which
     the next step projects, and the scaling route's low part.  Every
-    transform runs inside `norms` or a route.  The full-spectrum field that
-    `norms` reads is the row's one full lattice, and it is dropped with the
-    row.
+    transform runs inside a route, and the row writes no full lattice: its
+    u columns are the scaling route's u-side Plancherel sums
+    (`WFunctionals.u_l2_sq`, `u_h1_sq`, `u_h2_sq`) and the state's max|u|.
+    Given a dict `audit`, the row checks those columns with
+    `_audit_u_columns`, before its own checks, and records in `audit` the
+    state's t, the worst relative gap (`worst_gap`) and its `column`.  The
+    reference norms are taken before the routes, so their full lattice is
+    freed before the routes allocate, as when every row took them.
     """
     clock = SimilarityClock(horizon=config.horizon, t=state.t)
-    with np.errstate(over="ignore", invalid="ignore"):  # validate rejects what overflows
-        u_norms = spectral_core.norms(state.u_hat)
+    with np.errstate(over="ignore", invalid="ignore"):  # validate and the audit reject it
+        reference = None if audit is None else spectral_core.norms(state.u_hat)
         wa = w_functionals_scaling_route(state, clock, mults)
         wb = w_functionals_multiplier_route(state, clock, mults, wa.low_mag_sq)
+        u_columns = (wa.u_l2_sq, wa.u_h1_sq, wa.u_h2_sq, state.max_speed)
+        if reference is not None:
+            worst_gap, column = _audit_u_columns(reference, u_columns, state.t)
+            audit.update(t=state.t, worst_gap=worst_gap, column=column)
     try:
         wa.validate()
         wb.validate()
@@ -328,10 +380,7 @@ def _ledger_row(
         state.t,
         clock.tau,
         state.last_dt,
-        u_norms.l2_sq,
-        u_norms.h1_sq,
-        u_norms.h2_sq,
-        u_norms.sup,
+        *u_columns,
         wa.w_l2_sq,
         wa.w_h1_sq,
         wa.w_h2_sq,
@@ -357,9 +406,10 @@ def run(config: SimulationConfig) -> EnergyLedger:
     `cfl_dt`, except for the final state, whose row takes them; a logged
     state's product is taken inside its row's multiplier route.  A
     non-finite band, the initial one included, aborts with
-    NumericalBlowupError; a ledger that fails its invariants raises
-    LedgerError.  The metadata is every field of `config` plus the number of
-    steps taken.
+    NumericalBlowupError; a ledger that fails its invariants, or a first row
+    whose u columns fail `_audit_u_columns`, raises LedgerError.  The
+    metadata is every field of `config`, the number of steps taken and the
+    audit (`u_column_audit`: its row, t, worst relative gap and column).
     """
     grid = make_grid(config.n, config.box_length)
     mults = MultiplierSet(config.alpha)
@@ -367,13 +417,19 @@ def run(config: SimulationConfig) -> EnergyLedger:
     _abort_if_not_finite(state.band, state.t, state.step_index)
     t_end = config.horizon - config.t_min
     rows = []
+    audit = {"row": 0}
     while True:
         done = state.t >= t_end * (1.0 - 1e-12)
         if not done:
             dt = min(cfl_dt(state, config.c_cfl), t_end - state.t)
         if done or state.step_index % config.stride == 0:
-            rows.append(_ledger_row(state, config, mults))
+            # The audit runs on the first row, not the last: freeing its full
+            # lattice early raises glibc's dynamic mmap threshold, so the
+            # later lattice-sized temporaries stay in the heap instead of
+            # being mapped and faulted in anew each time.
+            rows.append(_ledger_row(state, config, mults, None if rows else audit))
         if done:
-            return EnergyLedger(rows, meta={**asdict(config), "steps": state.step_index})
+            meta = {**asdict(config), "steps": state.step_index, "u_column_audit": audit}
+            return EnergyLedger(rows, meta=meta)
         state = step(state, dt)
         _abort_if_not_finite(state.band, state.t, state.step_index)

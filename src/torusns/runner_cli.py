@@ -56,6 +56,10 @@ class ReportBundle:
 
     `report.json` is `dataclasses.asdict` of the bundle, so the fields here
     and in InequalityReport and CertificateConstant are its schema.
+    `u_column_audit` is the run's check of its first row's u columns against
+    the full-spectrum norms (`ns_dynamics._audit_u_columns`): the row, its
+    t, the worst relative gap and the column that set it (None when every
+    gap is 0).
     """
 
     config_text: str
@@ -65,6 +69,7 @@ class ReportBundle:
     peak_rss_mb: float
     reports: tuple
     certificates: tuple
+    u_column_audit: dict
     schema: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
@@ -185,7 +190,7 @@ def _report_lines(reports) -> list[str]:
     return lines
 
 
-def _bundle(config: RunConfig, reports, wall_time: float) -> ReportBundle:
+def _bundle(config: RunConfig, ledger: EnergyLedger, reports, wall_time: float) -> ReportBundle:
     """The run's bundle; `peak_rss_mb` is the process's resident high-water
     mark so far, which in a sweep covers the points before this one too."""
     text = config.as_text()
@@ -207,6 +212,7 @@ def _bundle(config: RunConfig, reports, wall_time: float) -> ReportBundle:
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         reports=tuple(reports),
         certificates=certificates,
+        u_column_audit=ledger.meta["u_column_audit"],
     )
 
 
@@ -243,7 +249,7 @@ def _run_point(config: RunConfig) -> tuple[int, ReportBundle | None]:
     if config.inject_corruption != "none":
         ledger = inequality_lab.corrupt_ledger(ledger, config.inject_corruption)
     reports = _verify(ledger, config)
-    bundle = _bundle(config, reports, time.perf_counter() - started)
+    bundle = _bundle(config, ledger, reports, time.perf_counter() - started)
     try:
         _write_outputs(Path(config.out_dir), ledger, bundle)
     except OSError as exc:

@@ -27,7 +27,10 @@ tensor, its x1-slab form inside `nonlinear_integrals`, which also takes the
 product F[(u . grad) u] slab by slab; every spectral sum is a `band_sum`
 over the band's modes.  Each route evaluates the radial profiles
 once, on the distinct |k| values of the band (`DealiasBand.shells`).  The
-scaling route makes all 7 inverse and 1 forward transforms of a row.  The
+scaling route makes all 7 inverse and 1 forward transforms of a row, and
+hands back the u-side Plancherel sums it rescales (`WFunctionals.u_l2_sq`,
+`u_h1_sq`, `u_h2_sq`), which the row records as its u columns beside
+max|u|, so a row takes no norm of a full-spectrum field.  The
 multiplier route makes none: it takes the w-side product as s^(3/2) times
 the state's (w = sqrt(s) u with wavevectors sqrt(s) k), and the low part
 from the samples that the scaling route took (`WFunctionals.low_mag_sq`),
@@ -141,6 +144,9 @@ class WFunctionals:
     `low_mag_sq` is not a functional: the scaling route keeps there the
     squared magnitude |w_low|^2 of the samples of the phi-filtered w-field,
     which the multiplier route reads instead of transforming them again.
+    Nor are `u_l2_sq`, `u_h1_sq` and `u_h2_sq`: the scaling route keeps
+    there the u-side Plancherel sums that it rescales, which a ledger row
+    records as its u columns; the multiplier route leaves them 0.
     """
 
     w_l2_sq: float
@@ -158,6 +164,9 @@ class WFunctionals:
     trilinear_scale: float = 0.0
     lap_scale: float = 0.0
     low_mag_sq: np.ndarray | None = field(default=None, repr=False, compare=False)
+    u_l2_sq: float = field(default=0.0, compare=False)
+    u_h1_sq: float = field(default=0.0, compare=False)
+    u_h2_sq: float = field(default=0.0, compare=False)
 
     COMPARED: ClassVar[tuple[str, ...]] = (
         "w_l2_sq",
@@ -221,7 +230,8 @@ def w_functionals_scaling_route(
     quantities are evaluated on the w-field by physical-space quadrature of
     its real inverse transforms; `grad_high_sq` integrates |curl h|^2, equal
     to |grad h|^2 for the divergence-free high part h.  The squared
-    magnitude of the low part's samples is kept in `low_mag_sq`.  Reads the
+    magnitude of the low part's samples is kept in `low_mag_sq`, and the
+    u-side Plancherel sums in `u_l2_sq`, `u_h1_sq` and `u_h2_sq`.  Reads the
     state's `grid`, `band`, `samples` and `max_speed`.
     """
     s = clock.remaining
@@ -265,6 +275,9 @@ def w_functionals_scaling_route(
         trilinear_scale=scale_factor("trilinear", s) * tri_scale_u,
         lap_scale=scale_factor("lap_coupling", s) * lap_scale_u,
         low_mag_sq=low_mag_sq,
+        u_l2_sq=l2_u,
+        u_h1_sq=h1_u,
+        u_h2_sq=h2_u,
     )
 
 

@@ -57,7 +57,11 @@ So do both routes of a `similarity_frame` ledger row: 7 inverse transforms
 filtered fields and the curl of the high part) and 1 forward one
 (F[(u . grad) u]) per row, all in the scaling route.  The multiplier route
 reads the state's samples, its product and the scaling route's low part,
-and transforms nothing itself.  The band kernels are the module's only
+and transforms nothing itself.  A row makes no complex transform and writes
+no full lattice: its u columns are band sums and max|u|.  `norms` of the
+full-spectrum field, with its one `to_physical`, is the reference that
+`ns_dynamics.run` checks the u columns of a run's first row against.  The
+band kernels are the module's only
 nonlinear computation: a caller holding a full-spectrum field takes its band
 with `gather_band` and calls them itself.
 """
@@ -545,9 +549,10 @@ def norms(field: VectorField) -> NormSuite:
 
     L2/H1/H2 come from Plancherel sums over the coefficients; the sup and L4
     norms are evaluated on the collocation grid (no over-sampling), which
-    costs one `to_physical`.  The power |coef|^2 and the squared magnitude
-    of the samples are each summed one component at a time
-    (`_component_power`).
+    costs one `to_physical`.  A run calls it once, on its first ledger row,
+    as the full-lattice reference for the row's u columns.  The power
+    |coef|^2 and the squared magnitude of the samples are each summed one
+    component at a time (`_component_power`).
     """
     field.require(SPECTRAL)
     g = field.grid

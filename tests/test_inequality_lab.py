@@ -122,6 +122,23 @@ class TestLedgerStorage:
         with pytest.raises(LedgerError):
             EnergyLedger(make_table(tau, w_l2sq=w))
 
+    def test_validate_rejects_negative_entries(self):
+        # tau and the two signed integrals may be negative, nothing else
+        tau = np.linspace(-1.0, 1.0, 10)
+        signed = np.linspace(-1.0, 0.0, 10)
+        EnergyLedger(make_table(tau, t=np.zeros(10), trilinear_w=signed, lap_coupling=signed))
+        for name in CSV_COLUMNS[2:-3] + ("route_gap",):
+            with pytest.raises(LedgerError, match=f"negative entries in column {name}$"):
+                EnergyLedger(make_table(np.arange(4.0), **{name: -1e-300}))
+
+    @pytest.mark.parametrize("row, tau", [(2, 745.0), (0, -710.0)])
+    def test_validate_rejects_tau_no_double_gives(self, row, tau):
+        # -ln(T - t) for T - t a positive finite double lies in about [-709.8, 744.4]
+        table = make_table([-1.0, 0.0, 1.0], t=np.zeros(3))
+        table[row, CSV_COLUMNS.index("tau")] = tau
+        with pytest.raises(LedgerError, match="tau outside"):
+            EnergyLedger(table)
+
     def test_validate_rejects_route_divergence(self):
         tau = np.linspace(0.0, 1.0, 10)
         gap = np.zeros(10)
@@ -133,6 +150,13 @@ class TestLedgerStorage:
         tau = np.linspace(0.0, 1.0, 10)
         with pytest.raises(LedgerError):
             EnergyLedger(make_table(tau, E_low=np.full(10, 2.0), w_l2sq=np.ones(10)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_validate_rejects_split_excess_that_overflows(self):
+        # the sum E_low + E_high overflows, and the check still sees it
+        big = np.full(3, np.finfo(float).max)
+        with pytest.raises(LedgerError, match="initial split energy"):
+            EnergyLedger(make_table(np.arange(3.0), E_low=big, E_high=big, w_l2sq=big))
 
 
 class TestL2Verifier:
@@ -350,6 +374,16 @@ class TestVerifyAll:
             fired = report.status in ("violated", "inconclusive")
             assert fired == (report.max_residual > report.tolerance), report
             assert report.details["worst_tau"] == tau[report.details["worst_row"]]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_check_is_out_of_range(self, small_ledger):
+        # on a tau grid 1e-104 apart the stencil's weights overflow: the
+        # differenced check cannot decide, and says so, without a warning
+        table = small_ledger.table.copy()
+        table[:, CSV_COLUMNS.index("tau")] *= 1e-104
+        report = verify_all(EnergyLedger(table), alpha=0.0625)[0]
+        assert report.status == "inconclusive"
+        assert report.details["decided_by"] == "differential_out_of_range"
 
     def test_full_set(self, small_ledger):
         reports = verify_all(small_ledger, alpha=0.0625, epsilon=0.1)

@@ -10,7 +10,13 @@ import torusns as tn
 from torusns import spectral_core
 from torusns.inequality_lab import CSV_COLUMNS, EnergyLedger
 from torusns.multiplier_bank import MultiplierSet
-from torusns.ns_dynamics import NumericalBlowupError, TrajectoryState, _ledger_row, _rhs_band
+from torusns.ns_dynamics import (
+    U_COLUMNS,
+    NumericalBlowupError,
+    TrajectoryState,
+    _ledger_row,
+    _rhs_band,
+)
 from torusns.spectral_core import (
     PHYSICAL,
     SPECTRAL,
@@ -113,10 +119,11 @@ class TestInitialData:
             u0 = tn.make_initial_data(config, grid16).u_hat
             assert math.sqrt(tn.norms(u0).l2_sq) == pytest.approx(delta, rel=1e-12)
 
-    def test_zero_target_gives_zero_field(self, grid16):
-        config = tn.SimulationConfig(n=16, delta=0.0)
-        u0 = tn.make_initial_data(config, grid16).u_hat
-        assert np.max(np.abs(u0.data)) == 0.0
+    @pytest.mark.parametrize("kind", ["random_low_mode", "taylor_green"])
+    def test_zero_target_rejected(self, kind):
+        # data of norm 0 are the zero field, whose every check holds trivially
+        with pytest.raises(ValueError, match="would certify the zero field"):
+            tn.SimulationConfig(n=16, delta=0.0, initial_kind=kind)
 
     def test_seed_determinism(self, grid16):
         config = tn.SimulationConfig(n=16, seed=7)
@@ -399,11 +406,13 @@ class TestDealiasBandStages:
         # cfl_dt, the first stage and both routes of a row share the state's
         # band, samples and product u x curl u; the initial data are built on
         # the band, so no band is gathered, a step hands back a band, a row
-        # adds 7 inverse and 1 forward band transforms and writes one full
-        # lattice, for norms, and only the last state's samples and product
-        # are taken for its row alone; at n <= 32 one x1-slab covers the box,
-        # so every band transform is a whole-lattice one
-        counts = {"gather": 0, "full": 0, "inverse": 0, "forward": 0, "half": 0}
+        # adds 7 inverse and 1 forward band transforms and writes no full
+        # lattice, and only the last state's samples and product are taken
+        # for its row alone; the run writes one full lattice and makes one
+        # complex transform, for the audit of its first row's u columns; at
+        # n <= 32 one x1-slab covers the box, so every band transform is a
+        # whole-lattice one
+        counts = {"gather": 0, "full": 0, "complex": 0, "inverse": 0, "forward": 0, "half": 0}
 
         def counted(name, key):
             transform = getattr(spectral_core, name)
@@ -416,6 +425,7 @@ class TestDealiasBandStages:
 
         counted("gather_band", "gather")
         counted("full_spectrum", "full")
+        counted("to_physical", "complex")
         counted("band_to_physical", "inverse")
         counted("band_to_spectral", "forward")
         counted("half_to_physical", "half")
@@ -425,7 +435,8 @@ class TestDealiasBandStages:
         assert steps > 1 and rows > 2
         assert counts == {
             "gather": 0,
-            "full": rows,
+            "full": 1,
+            "complex": 1,
             "inverse": 8 * steps + 7 * rows + 2,
             "forward": 4 * steps + rows + 1,
             "half": 0,
@@ -481,6 +492,22 @@ class TestDealiasBandStages:
         assert row <= step
 
 
+class TestUColumnAudit:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_u_columns_match_norms(self, n):
+        # a row's u columns are the scaling route's band sums and max|u|, and
+        # equal the full-lattice norms of the full-spectrum field
+        config = tn.SimulationConfig(n=n, delta=0.3, seed=4)
+        mults = MultiplierSet(config.alpha)
+        state = tn.make_initial_data(config, tn.make_grid(n))
+        for _ in range(3):
+            state = tn.step(state, tn.cfl_dt(state))
+            row = _ledger_row(state, config, mults)
+            ref = tn.norms(state.u_hat)
+            columns = [row[CSV_COLUMNS.index(name)] for name in U_COLUMNS]
+            assert columns == pytest.approx([ref.l2_sq, ref.h1_sq, ref.h2_sq, ref.sup], rel=1e-14)
+
+
 class TestCflBound:
     def test_rest_field_uses_viscous_bound(self, grid16):
         state = rest_state(grid16)
@@ -500,11 +527,15 @@ class TestCflBound:
 
 
 class TestRun:
-    def test_zero_data(self):
-        config = tn.SimulationConfig(n=16, delta=0.0, stride=32)
-        ledger = tn.run(config)
+    def test_zero_data(self, monkeypatch):
+        # delta = 0 is a config error, so the zero field comes in as initial
+        # data: it stays zero, and its first row's audit reads 0 against 0
+        monkeypatch.setattr(tn.ns_dynamics, "make_initial_data", lambda _, grid: rest_state(grid))
+        ledger = tn.run(tn.SimulationConfig(n=16, delta=0.01, stride=32))
         for name in ("u_l2sq", "w_l2sq", "E_low", "E_high", "trilinear_w"):
             assert np.max(np.abs(ledger.column(name))) == 0.0
+        audit = {"row": 0, "t": 0.0, "worst_gap": 0.0, "column": None}
+        assert ledger.meta["u_column_audit"] == audit
 
     def test_strict_determinism(self):
         config = tn.SimulationConfig(n=16, delta=0.01, stride=16)

@@ -192,6 +192,15 @@ class TestRunCommand:
         certificate_keys = {"inequality_id", "value", "n", "delta"}
         assert all(set(c) == certificate_keys for c in bundle["certificates"])
 
+    def test_report_records_the_u_column_audit(self, tmp_path):
+        config = parse_config(FAST_RUN)
+        assert cmd_run(replace(config, out_dir=str(tmp_path))) == 0
+        audit = _read_report(tmp_path / "report.json")["u_column_audit"]
+        assert set(audit) == {"row", "t", "worst_gap", "column"}
+        assert audit["row"] == 0 and audit["t"] == 0.0
+        assert 0.0 <= audit["worst_gap"] <= 1e-12
+        assert audit["column"] in tn.ns_dynamics.U_COLUMNS + (None,)
+
     def test_report_records_peak_rss(self, tmp_path):
         config = parse_config(FAST_RUN)
         assert cmd_run(replace(config, out_dir=str(tmp_path))) == 0
@@ -321,6 +330,54 @@ class TestVerifyCommand:
         for check, status, residual, tol in lines:
             fired = status in ("violated", "inconclusive")
             assert fired == (float(residual) > float(tol)), check
+
+    @pytest.fixture(scope="class")
+    def short_table(self):
+        """The table of the n = 16, horizon = 0.05 ledger."""
+        return tn.run(tn.SimulationConfig(n=16, horizon=0.05)).table.copy()
+
+    @staticmethod
+    def _verify_table(path, table) -> int:
+        lines = [",".join(CSV_COLUMNS)] + [",".join(f"{v:.17g}" for v in row) for row in table]
+        path.write_text("\n".join(lines) + "\n")
+        return main(["verify", str(path)])
+
+    @pytest.mark.parametrize("column", ["t", "u_l2sq", "low_sup", "route_gap"])
+    def test_negative_entry_exit_one(self, tmp_path, capsys, short_table, column):
+        # a time, a norm or a gap is never negative
+        table = short_table.copy()
+        table[:, CSV_COLUMNS.index(column)] = -1.0
+        assert self._verify_table(tmp_path / "neg.csv", table) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"[torusns] invalid ledger: negative entries in column {column}"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning reaches stderr
+    @pytest.mark.parametrize(
+        "case, code",
+        [("huge_tau", 1), ("huge_values", 2), ("tiny_values", 0)],
+    )
+    def test_extreme_values_exit_without_warnings(self, tmp_path, capsys, short_table, case, code):
+        # tau = 1e300 is no -ln(T - t) of a double; values scaled by 1e300
+        # overflow the split-energy check, which cannot decide; values
+        # scaled by 1e-300 keep their verdicts
+        table = short_table.copy()
+        values = slice(CSV_COLUMNS.index("u_l2sq"), CSV_COLUMNS.index("lap_coupling") + 1)
+        if case == "huge_tau":
+            table[:, 1] = 1e300 * np.arange(1, len(table) + 1)
+        else:
+            table[:, values] *= 1e300 if case == "huge_values" else 1e-300
+        assert self._verify_table(tmp_path / "extreme.csv", table) == code
+        captured = capsys.readouterr()
+        if case == "huge_tau":
+            assert captured.err.splitlines() == [
+                "[torusns] invalid ledger: tau outside [-709.783, 744.44], the values of"
+                " -ln(T - t) for a positive finite T - t"
+            ]
+        else:
+            assert captured.err == ""
+            assert len(re.findall(r"\[torusns\] \w+: ", captured.out)) == 6
+        if case == "huge_values":
+            assert "split_energy_decay: inconclusive (residual=inf, tol=inf" in captured.out
 
 
 class TestSweepCommand:
@@ -489,11 +546,28 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "line",
-        ["init_k_max = 0.5", "init_k_max = nan", "init_k_max = -1", "delta = nan", "delta = inf"],
-        ids=["k_below_lowest_mode", "k_nan", "k_negative", "delta_nan", "delta_inf"],
+        [
+            "init_k_max = 0.5",
+            "init_k_max = nan",
+            "init_k_max = -1",
+            "delta = nan",
+            "delta = inf",
+            "delta = 0",
+            "delta = 0\ninitial_kind = taylor_green",
+        ],
+        ids=[
+            "k_below_lowest_mode",
+            "k_nan",
+            "k_negative",
+            "delta_nan",
+            "delta_inf",
+            "delta_zero",
+            "taylor_green_delta_zero",
+        ],
     )
     def test_bad_initial_data_exit_one(self, tmp_path, capsys, line):
-        # random_low_mode with no mode |k| <= init_k_max would certify the zero field
+        # random_low_mode with no mode |k| <= init_k_max, or data of norm 0,
+        # would certify the zero field
         cfg_path = tmp_path / "empty.cfg"
         cfg_path.write_text(f"n = 16\nhorizon = 0.03\nstride = 1\n{line}\n")
         out = tmp_path / "o"
@@ -532,6 +606,29 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path), "--out", str(out), "--strict", "run"]) == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"[torusns] {message}")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_hermitian_state_fails_the_u_column_audit(self, tmp_path, capsys, monkeypatch):
+        # the plane m3 = 0 is its own mirror image: a band that is not
+        # Hermitian there holds power that its full spectrum does not, so the
+        # first row's u columns disagree with norms, and the run says which
+        initial = tn.ns_dynamics.make_initial_data
+
+        def skewed(config, grid):
+            state = initial(config, grid)
+            band = state.band.copy()
+            band[0, 1, 0, 0] += 1j * np.max(np.abs(band))
+            return tn.ns_dynamics.TrajectoryState(grid, band, 0.0, 0, 0.0)
+
+        monkeypatch.setattr(tn.ns_dynamics, "make_initial_data", skewed)
+        cfg_path = tmp_path / "skew.cfg"
+        cfg_path.write_text(FAST_RUN)
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg_path), "--out", str(out), "--strict", "run"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("[torusns] invalid ledger: row at t=0.0: column u_l2sq is ")
+        assert not out.exists()
 
     def test_taylor_green_ignores_init_k_max(self, tmp_path, capsys):
         # the default init_k_max = 4 does not survive dealiasing at n = 8, but

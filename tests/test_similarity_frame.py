@@ -239,8 +239,8 @@ class TestTwoRoutes:
 
     def test_ledger_row_transforms(self, monkeypatch):
         # a row of an exactly Hermitian state runs on real transforms of the
-        # dealias band: the one complex transform is the one inside norms,
-        # which runs once, and no w-grid is built
+        # dealias band: it calls no norms, makes no complex transform and
+        # builds no w-grid
         config = tn.SimulationConfig(n=16, delta=0.01, horizon=0.03)
         state = tn.make_initial_data(config, tn.make_grid(config.n))
         state = ns_dynamics.step(state, ns_dynamics.cfl_dt(state))
@@ -275,7 +275,7 @@ class TestTwoRoutes:
             monkeypatch.setattr(spectral_core, name, counted(getattr(spectral_core, name)))
         monkeypatch.setattr(SpectralGrid, "__post_init__", counted_grid)
         ns_dynamics._ledger_row(state, config, MultiplierSet(config.alpha))
-        assert counts == {"norms": 1, "complex_transforms": 0, "grids": 0}
+        assert counts == {"norms": 0, "complex_transforms": 0, "grids": 0}
 
     @staticmethod
     def _solver_state(n=16):
