@@ -119,7 +119,7 @@ def evaluate_on_grid(mults: MultiplierSet, name: str, grid) -> np.ndarray:
         hit = _profile_cache.get(key)
     if hit is not None:
         return hit
-    values = getattr(mults.profiles(grid.k_mag), name)
+    values = getattr(mults.profiles(np.sqrt(grid.k_sq)), name)
     with _cache_lock:
         if any(cached[:2] != lattice for cached in _profile_cache):
             _profile_cache.clear()

@@ -72,8 +72,9 @@ U_AUDIT_LIMIT = 1e-12
 
 
 class NumericalBlowupError(RuntimeError):
-    """The integrator produced a non-finite value (overflow of the numerics,
-    not a statement about the underlying flow)."""
+    """The integrator produced a non-finite value, or a step size bound that
+    underflows to 0 (limits of the numerics, not a statement about the
+    underlying flow)."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,9 @@ class SimulationConfig:
         if math.isnan(self.t_min):
             object.__setattr__(self, "t_min", self.horizon * math.exp(-6.0))
         spectral_core.check_grid_size(self.n)
-        if not self.box_length > 0 or not self.horizon > 0:
-            raise ValueError("box length and horizon must be positive")
+        spectral_core.check_box_length(self.n, self.box_length)
+        if not self.horizon > 0:
+            raise ValueError(f"horizon must be positive, got {self.horizon}")
         check_alpha(self.alpha)
         if not 0.0 < self.delta < math.inf:
             raise ValueError(
@@ -108,24 +110,25 @@ class SimulationConfig:
             raise ValueError(f"unknown initial data kind {self.initial_kind!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        k_min = 2.0 * math.pi / self.box_length
-        if self.initial_kind == "random_low_mode" and not self.init_k_max >= k_min:
+        # taylor_green reads no init_k_max: its modes are +-1, which every n >= 8 keeps
+        k = spectral_core.wavenumbers(self.n, self.box_length)
+        k_min, k_out = float(k[1]), float(k[spectral_core.band_cutoff(self.n) + 1])
+        if self.initial_kind == "random_low_mode" and not k_min <= self.init_k_max < k_out:
             raise ValueError(
-                f"init_k_max {self.init_k_max} seeds no mode; the smallest wavenumber"
-                f" is 2 pi / L = {k_min!r}"
+                f"init_k_max {self.init_k_max} must lie in [2 pi / L, the smallest wavenumber"
+                f" outside the dealias band) = [{k_min!r}, {k_out!r})"
             )
         if not 0.0 < self.c_cfl <= 1.0:
             raise ValueError(f"CFL safety factor must lie in (0, 1], got {self.c_cfl}")
         if not 0.0 < self.t_min < self.horizon:
             raise ValueError(f"t_min must lie in (0, horizon), got {self.t_min}")
+        if not self.horizon - self.t_min < self.horizon:
+            raise ValueError(
+                f"t_min {self.t_min!r} is below the resolution of horizon {self.horizon!r}:"
+                " horizon - t_min rounds to horizon"
+            )
         if self.stride < 1:
             raise ValueError("output stride must be >= 1")
-        # taylor_green reads no init_k_max: its modes are +-1, which every n >= 8 keeps
-        mode_cap = self.init_k_max * self.box_length / (2.0 * math.pi)
-        if self.initial_kind == "random_low_mode" and 3.0 * mode_cap >= self.n:
-            raise ValueError(
-                "initial modes would not survive dealiasing; lower init_k_max or raise n"
-            )
 
 
 @dataclass
@@ -225,7 +228,8 @@ def _random_low_modes(config: SimulationConfig, grid: SpectralGrid, band: np.nda
     rounds as the full-lattice sum of the norm.
     """
     n = grid.n
-    seeded = np.nonzero((grid.k_mag <= config.init_k_max) & (grid.k_mag > 0.0))
+    k_mag = np.sqrt(grid.k_sq)
+    seeded = np.nonzero((k_mag <= config.init_k_max) & (k_mag > 0.0))
     flat = np.ravel_multi_index(seeded, (n, n, n))
     mirror = np.searchsorted(flat, np.ravel_multi_index(tuple(-i % n for i in seeded), (n, n, n)))
     rng = np.random.default_rng(config.seed)
@@ -265,10 +269,16 @@ def cfl_dt(state: TrajectoryState, c_cfl: float = 1.0) -> float:
     The viscous bound is informational (the integrating factor is exact) but
     it is what limits dt for small data; the advective bound takes over for
     energetic fields.  max|u| is the state's `max_speed`, which raises
-    NumericalBlowupError for a non-finite state.
+    NumericalBlowupError for a non-finite state; so does a bound that
+    underflows to 0, which no step could advance the clock by.
     """
     viscous = 1.0 / state.grid.max_wavenumber**2
-    return c_cfl * min(state.advective_limit, viscous)
+    dt = c_cfl * min(state.advective_limit, viscous)
+    if not dt > 0.0:
+        raise NumericalBlowupError(
+            f"step size bound underflows to {dt} at t={state.t} (step {state.step_index})"
+        )
+    return dt
 
 
 def step(state: TrajectoryState, dt: float) -> TrajectoryState:
@@ -305,13 +315,6 @@ def step(state: TrajectoryState, dt: float) -> TrajectoryState:
         step_index=state.step_index + 1,
         last_dt=dt,
     )
-
-
-def _abort_if_not_finite(coef: np.ndarray, t: float, step_index: int) -> None:
-    """Raise NumericalBlowupError if the coefficients `coef` at (t, step_index)
-    hold a non-finite value."""
-    if not np.isfinite(coef).all():
-        raise NumericalBlowupError(f"non-finite coefficients at t={t} (step {step_index})")
 
 
 def _audit_u_columns(
@@ -406,15 +409,17 @@ def run(config: SimulationConfig) -> EnergyLedger:
     `cfl_dt`, except for the final state, whose row takes them; a logged
     state's product is taken inside its row's multiplier route.  A
     non-finite band, the initial one included, aborts with
-    NumericalBlowupError; a ledger that fails its invariants, or a first row
-    whose u columns fail `_audit_u_columns`, raises LedgerError.  The
-    metadata is every field of `config`, the number of steps taken and the
-    audit (`u_column_audit`: its row, t, worst relative gap and column).
+    NumericalBlowupError from the state's `max_speed`, which `cfl_dt` reads
+    before every step and both routes read in every row; so does a step
+    size bound that underflows to 0.  A ledger that fails its invariants,
+    or a first row whose u columns fail `_audit_u_columns`, raises
+    LedgerError.  The metadata is every field of `config`, the number of
+    steps taken and the audit (`u_column_audit`: its row, t, worst relative
+    gap and column).
     """
     grid = make_grid(config.n, config.box_length)
     mults = MultiplierSet(config.alpha)
     state = make_initial_data(config, grid)
-    _abort_if_not_finite(state.band, state.t, state.step_index)
     t_end = config.horizon - config.t_min
     rows = []
     audit = {"row": 0}
@@ -432,4 +437,3 @@ def run(config: SimulationConfig) -> EnergyLedger:
             meta = {**asdict(config), "steps": state.step_index, "u_column_audit": audit}
             return EnergyLedger(rows, meta=meta)
         state = step(state, dt)
-        _abort_if_not_finite(state.band, state.t, state.step_index)

@@ -9,7 +9,8 @@ codes are a stable contract:
     1  configuration or usage error, or an invalid ledger given to verify
     2  some check was violated or inconclusive, or a run produced a ledger
        that fails its invariants (such as a route gap above 1e-10)
-    3  the integrator aborted on non-finite values
+    3  the integrator aborted on non-finite values, or on a step size
+       bound that underflows to 0
     4  output files could not be written
 """
 

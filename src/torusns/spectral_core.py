@@ -68,8 +68,8 @@ with `gather_band` and calls them itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -123,6 +123,28 @@ def check_grid_size(n: int) -> None:
         raise ValueError(f"grid size must be even and >= 8, got n={n}")
 
 
+def check_box_length(n: int, box_length: float) -> None:
+    """ValueError unless the volume, cell volume and max_wavenumber**2 of an
+    n^3 box of side `box_length`, computed as `SpectralGrid` and `cfl_dt` of
+    `ns_dynamics` compute them, are positive finite floats."""
+    L = float(box_length)
+    try:
+        sizes = (L**3, (L / n) ** 3, (math.sqrt(3.0) * math.pi * n / L) ** 2)
+    except (OverflowError, ZeroDivisionError):
+        sizes = (math.inf,)
+    if not all(0.0 < size < math.inf for size in sizes):
+        raise ValueError(
+            f"box length {box_length!r} at n={n} gives a volume, cell volume or"
+            " max_wavenumber**2 that is not a positive finite float"
+        )
+
+
+def wavenumbers(n: int, box_length: float) -> np.ndarray:
+    """The wavenumbers (2 pi / L) m of one axis of the n^3 lattice, in FFT order."""
+    m1 = np.fft.fftfreq(n, d=1.0 / n)  # integer modes 0..n/2-1, -n/2..-1
+    return (2.0 * np.pi / float(box_length)) * m1
+
+
 @dataclass(frozen=True)
 class SpectralGrid:
     """
@@ -133,7 +155,12 @@ class SpectralGrid:
     n : int
         Collocation points per dimension.  Must be even and at least 8.
     box_length : float
-        Physical side length L of the box.
+        Physical side length L of the box; `check_box_length` must pass.
+
+    The grid holds the wavevector components `k` as three broadcastable
+    axes, |k|^2 on the full lattice as `k_sq`, its one n^3 array, and the
+    dealias band's geometry `band`.  A reader that needs |k|, the stacked
+    wavevectors or the dealias mask derives them where it needs them.
     """
 
     n: int
@@ -141,17 +168,13 @@ class SpectralGrid:
 
     def __post_init__(self) -> None:
         check_grid_size(self.n)
-        if not self.box_length > 0:
-            raise ValueError(f"box length must be positive, got {self.box_length}")
+        check_box_length(self.n, self.box_length)
 
         n, L = self.n, float(self.box_length)
-        m1 = np.fft.fftfreq(n, d=1.0 / n)  # integer modes 0..n/2-1, -n/2..-1
-        k1 = (2.0 * np.pi / L) * m1
+        k1 = wavenumbers(n, L)
         shapes = [(n, 1, 1), (1, n, 1), (1, 1, n)]
-        modes = [m1.reshape(s) for s in shapes]
         k = [k1.reshape(s) for s in shapes]
         k_sq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
-        mask = (3 * np.abs(modes[0]) < n) & (3 * np.abs(modes[1]) < n) & (3 * np.abs(modes[2]) < n)
         # Built here rather than on first use: arrays that live as long as
         # the grid, allocated before the first field, stay out of the way of
         # the step's temporaries in the heap (peak RSS).
@@ -170,8 +193,6 @@ class SpectralGrid:
         )
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "k_sq", k_sq)
-        object.__setattr__(self, "k_mag", np.sqrt(k_sq))
-        object.__setattr__(self, "dealias_mask", mask)
         object.__setattr__(self, "band", band)
         object.__setattr__(self, "dx", L / n)
         object.__setattr__(self, "cell_volume", (L / n) ** 3)
@@ -180,11 +201,6 @@ class SpectralGrid:
     @property
     def num_modes(self) -> int:
         return self.n**3
-
-    @cached_property
-    def wavevectors(self) -> np.ndarray:
-        """The three wavevector components stacked into one (3, n, n, n) array."""
-        return np.stack(np.broadcast_arrays(*self.k))
 
     @property
     def max_wavenumber(self) -> float:
@@ -506,7 +522,8 @@ def leray_project(field: VectorField) -> VectorField:
     """
     field.require(SPECTRAL)
     g = field.grid
-    return VectorField(g, project_coefficients(field.data, g.wavevectors, g.k_sq), SPECTRAL)
+    kvec = np.stack(np.broadcast_arrays(*g.k))
+    return VectorField(g, project_coefficients(field.data, kvec, g.k_sq), SPECTRAL)
 
 
 def spectral_derivative(field: VectorField, beta: tuple[int, int, int]) -> VectorField:
@@ -528,9 +545,13 @@ def spectral_derivative(field: VectorField, beta: tuple[int, int, int]) -> Vecto
 
 
 def dealias(field: VectorField) -> VectorField:
-    """Zero every mode with any axis index 3|m| >= n (two-thirds rule)."""
+    """Zero every mode outside the dealias band: |m| > band_cutoff(n) on any axis."""
     field.require(SPECTRAL)
-    return VectorField(field.grid, field.data * field.grid.dealias_mask, SPECTRAL)
+    n, c = field.grid.n, band_cutoff(field.grid.n)
+    kept = np.ones(n, dtype=bool)
+    kept[c + 1 : n - c] = False
+    mask = kept[:, None, None] & kept[:, None] & kept
+    return VectorField(field.grid, field.data * mask, SPECTRAL)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ def make_random_spectral_field(
         k_max = grid.n / 3.0 * 2.0 * np.pi / grid.box_length
     shape = (3, grid.n, grid.n, grid.n)
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    mask = (grid.k_mag > k_min) & (grid.k_mag <= k_max)
+    k_mag = np.sqrt(grid.k_sq)
+    mask = (k_mag > k_min) & (k_mag <= k_max)
     raw *= mask
     flipped = np.roll(raw[:, ::-1, ::-1, ::-1], 1, axis=(1, 2, 3))
     sym = 0.5 * (raw + np.conj(flipped))

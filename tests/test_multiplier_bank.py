@@ -95,7 +95,7 @@ class TestOperatorIdentities:
         a = evaluate_on_grid(mults, "chi", grid16)
         b = evaluate_on_grid(mults, "chi", grid16)
         assert a is b  # cache hit
-        assert np.array_equal(a, mults.profiles(grid16.k_mag).chi)
+        assert np.array_equal(a, mults.profiles(np.sqrt(grid16.k_sq)).chi)
 
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("s", [1.0, 0.25, 0.01])

@@ -64,7 +64,8 @@ def full_lattice_initial_data(config, grid):
     rng = np.random.default_rng(config.seed)
     shape = (3, grid.n, grid.n, grid.n)
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    raw *= (grid.k_mag <= config.init_k_max) & (grid.k_mag > 0.0)
+    k_mag = np.sqrt(grid.k_sq)
+    raw *= (k_mag <= config.init_k_max) & (k_mag > 0.0)
     flipped = np.roll(raw[:, ::-1, ::-1, ::-1], 1, axis=(1, 2, 3))
     sym = 0.5 * (raw + np.conj(flipped))
     coef = dealias(tn.leray_project(VectorField(grid, sym, SPECTRAL))).data
@@ -80,15 +81,17 @@ def half_spectrum_step(state, dt):
     grid = state.u_hat.grid
     h = grid.n // 2 + 1
     ik = [1j * grid.k[0], 1j * grid.k[1], 1j * grid.k[2][..., :h]]
+    kvec = np.stack(np.broadcast_arrays(grid.k[0], grid.k[1], grid.k[2][..., :h]))
+    m = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n))
+    kept = 3 * m < grid.n  # the two-thirds rule, independent of the band
+    mask = (kept[:, None, None] & kept[:, None] & kept)[..., :h]
 
     def rhs(coef):
         u = spectral_core.half_to_physical(coef, grid.n)
         omega = spectral_core.half_to_physical(spectral_core._cross(ik, coef), grid.n)
         lamb = spectral_core.half_to_spectral(spectral_core._cross(u, omega))
-        lamb *= grid.dealias_mask[..., :h]
-        out = spectral_core.project_coefficients(
-            lamb, grid.wavevectors[..., :h], grid.k_sq[..., :h]
-        )
+        lamb *= mask
+        out = spectral_core.project_coefficients(lamb, kvec, grid.k_sq[..., :h])
         out[:, 0, 0, 0] = 0.0
         return out
 
@@ -141,7 +144,7 @@ class TestInitialData:
         assert hermitian_defect(u0) < 1e-13
         assert divergence_ratio(u0) < 1e-13
         assert u0.data[0, 0, 0, 0] == 0.0
-        outside = np.abs(u0.data) * (grid16.k_mag > config.init_k_max)
+        outside = np.abs(u0.data) * (np.sqrt(grid16.k_sq) > config.init_k_max)
         assert np.max(outside) == 0.0
 
     @pytest.mark.parametrize("n", [16, 24, 32])
@@ -167,11 +170,27 @@ class TestInitialData:
             finally:
                 tracemalloc.stop()
             assert peak <= lattice, kind
-            assert "wavevectors" not in vars(grid)
 
     def test_band_must_survive_dealiasing(self):
         with pytest.raises(ValueError):
             tn.SimulationConfig(n=16, init_k_max=6.0)
+
+    @pytest.mark.parametrize(
+        "n, box_length, below",
+        [(16, 2.0 * math.pi, 5.99), (32, 2.0 * math.pi, 10.7), (16, 3.0, None), (32, 3.0, None)],
+    )
+    def test_init_k_max_below_the_band_edge(self, n, box_length, below):
+        # the smallest wavenumber outside the band is (2 pi / L)(c + 1): any
+        # init_k_max below it seeds band modes only, and the edge itself is
+        # rejected; `below` None is the float just under the edge
+        grid = tn.make_grid(n, box_length)
+        edge = float(grid.k[0].ravel()[spectral_core.band_cutoff(n) + 1])
+        below = np.nextafter(edge, 0.0) if below is None else below
+        config = tn.SimulationConfig(n=n, box_length=box_length, init_k_max=below, delta=0.3)
+        u0 = tn.make_initial_data(config, grid).u_hat
+        assert np.array_equal(u0.data, full_lattice_initial_data(config, grid))
+        with pytest.raises(ValueError, match="outside the dealias band"):
+            tn.SimulationConfig(n=n, box_length=box_length, init_k_max=edge)
 
     def test_band_must_survive_dealiasing_when_3_divides_n(self):
         # the two-thirds rule keeps |m| <= 7 at n = 24, not 8

@@ -607,6 +607,53 @@ class TestMainEntry:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"[torusns] {message}")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning reaches stderr
+    @pytest.mark.parametrize(
+        "line, code, message",
+        [
+            ("box_length = 1e300", 1, "config error: box length 1e+300 at n=8 gives a volume"),
+            ("box_length = 1e-300", 1, "config error: box length 1e-300 at n=8 gives a volume"),
+            ("box_length = inf", 1, "config error: box length inf at n=8 gives a volume"),
+            ("t_min = 1e-300", 1, "config error: t_min 1e-300 is below the resolution"),
+            ("c_cfl = 5e-324", 3, "numerical abort: step size bound underflows to 0.0 at t=0.0"),
+        ],
+        ids=["box_huge", "box_tiny", "box_inf", "t_min_below_resolution", "dt_underflows"],
+    )
+    def test_extreme_run_config_exits_on_one_line(self, tmp_path, capsys, line, code, message):
+        # each raised a traceback: OverflowError or ZeroDivisionError from the
+        # box's volume or max_wavenumber**2, the clock's ValueError at t = T
+        # (horizon - t_min == horizon), and step's ValueError for dt = 0
+        cfg_path = tmp_path / "extreme.cfg"
+        cfg_path.write_text(f"n = 8\nhorizon = 0.05\ninitial_kind = taylor_green\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg_path), "--out", str(out), "--strict", "run"]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"[torusns] {message}")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_band_turning_non_finite_mid_run_exits_three(self, tmp_path, capsys, monkeypatch):
+        # the state's max_speed, which cfl_dt reads before the next step, is
+        # the run's one check for a non-finite state
+        stepped = tn.ns_dynamics.step
+
+        def spoiled(state, dt):
+            new = stepped(state, dt)
+            if new.step_index == 2:
+                new.band[0, 1, 0, 0] = np.nan
+            return new
+
+        monkeypatch.setattr(tn.ns_dynamics, "step", spoiled)
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text("n = 8\nhorizon = 0.05\ninitial_kind = taylor_green\nstride = 1\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg_path), "--out", str(out), "--strict", "run"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        pattern = r"\[torusns\] numerical abort: non-finite velocity at t=\S+ \(step 2\)"
+        assert re.fullmatch(pattern, err[0])
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_hermitian_state_fails_the_u_column_audit(self, tmp_path, capsys, monkeypatch):
         # the plane m3 = 0 is its own mirror image: a band that is not

@@ -374,7 +374,8 @@ class TestTwoRoutes:
         gap, each = gaps(coef)
         assert gap > 1e-10
         assert max(each, key=each.get) == "grad_high_sq"
-        projected = spectral_core.project_coefficients(coef, grid.wavevectors, grid.k_sq)
+        kvec = np.stack(np.broadcast_arrays(*grid.k))
+        projected = spectral_core.project_coefficients(coef, kvec, grid.k_sq)
         assert gaps(projected)[0] <= 1e-12
 
     def test_one_profile_evaluation_and_one_rotational_kernel(self, monkeypatch):

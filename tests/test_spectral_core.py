@@ -27,6 +27,27 @@ def embed_scalar(grid, values):
     return VectorField(grid, data, PHYSICAL)
 
 
+def kept_by_dealias(grid):
+    """The zero pattern of `dealias` on a field of ones: True where it keeps a mode."""
+    ones = VectorField(grid, np.ones((3, grid.n, grid.n, grid.n), dtype=complex), SPECTRAL)
+    kept = tn.dealias(ones).data != 0.0
+    assert (kept == kept[0]).all()
+    return kept[0]
+
+
+def grid_arrays(value, name="grid"):
+    """(name, array) for every array that `value` holds, through its
+    attributes, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        yield name, value
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from grid_arrays(item, f"{name}[{i}]")
+    elif hasattr(value, "__dict__"):
+        for attr, item in vars(value).items():
+            yield from grid_arrays(item, f"{name}.{attr}")
+
+
 class TestMakeGrid:
     def test_unit_mode_present(self):
         grid = tn.make_grid(8, TWO_PI)
@@ -56,11 +77,23 @@ class TestMakeGrid:
 
     def test_zero_mode_once(self):
         grid = tn.make_grid(8, 1.0)
-        assert int(np.sum(grid.k_mag == 0.0)) == 1
+        assert int(np.sum(np.sqrt(grid.k_sq) == 0.0)) == 1
 
     def test_magnitude_bound(self):
         grid = tn.make_grid(16, 3.7)
-        assert np.max(grid.k_mag) <= np.sqrt(3.0) * np.pi * 16 / 3.7 + 1e-12
+        assert np.max(np.sqrt(grid.k_sq)) <= np.sqrt(3.0) * np.pi * 16 / 3.7 + 1e-12
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_k_sq_is_the_only_lattice_array(self, n):
+        # also after the readers that derive |k|, the stacked wavevectors and
+        # the dealias mask have run: none of them is kept on the grid
+        grid = tn.make_grid(n)
+        config = tn.SimulationConfig(n=n, init_k_max=2.0)
+        field = tn.make_initial_data(config, grid).u_hat
+        tn.dealias(tn.leray_project(field))
+        tn.multiplier_bank.evaluate_on_grid(tn.MultiplierSet(0.0625), "phi", grid)
+        large = [name for name, array in grid_arrays(grid) if array.size >= n**3]
+        assert large == ["grid.k_sq"]
 
 
 class TestTransforms:
@@ -192,7 +225,7 @@ class TestDealiasBand:
         assert 3 * c < n <= 3 * (c + 1)
         kept = np.zeros((n, n, n // 2 + 1), dtype=bool)
         kept[grid.band.positions] = True
-        assert np.array_equal(kept, grid.dealias_mask[..., : n // 2 + 1])
+        assert np.array_equal(kept, kept_by_dealias(grid)[..., : n // 2 + 1])
         assert np.array_equal(grid.band.k_sq, grid.k_sq[grid.band.positions])
 
     @pytest.mark.parametrize("n", [16, 32, 64])
@@ -200,7 +233,7 @@ class TestDealiasBand:
         m = np.abs(np.fft.fftfreq(n, d=1.0 / n))
         kept = m <= n / 3.0
         expected = kept[:, None, None] & kept[None, :, None] & kept[None, None, :]
-        assert np.array_equal(tn.make_grid(n).dealias_mask, expected)
+        assert np.array_equal(kept_by_dealias(tn.make_grid(n)), expected)
 
     def test_dealiased_triple_products_are_exact_at_n24(self, rng, random_field_factory):
         # 3 divides 24: keeping m = 8 would alias 8 + 8 = 16 onto -8, and the
