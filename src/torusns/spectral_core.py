@@ -31,9 +31,13 @@ band from a full-spectrum field and rejects a field with a coefficient
 outside it; `full_spectrum` rebuilds the exactly Hermitian full lattice.
 `band_to_physical` and `band_to_spectral` move the band with the
 one-dimensional transforms of the half-spectrum pair `half_to_physical` and
-`half_to_spectral`, skipping the columns that are zero outside the band, and
-agree with that pair bit for bit; the half-spectrum pair is kept only as
-that reference.
+`half_to_spectral`, skipping the columns that are zero outside the band.
+The complex passes along axes -3 and -2 are pocketfft's; the real pass along
+-1 touches only the band's c + 1 of the n//2 + 1 columns, so it is one
+matrix product with a real DFT matrix of those columns
+(`_real_axis_matrices`), which numpy hands to BLAS.  The pair agrees with
+the half-spectrum pair to roundoff, not bit for bit; the half-spectrum pair
+is kept only as that reference.
 
 The band products, u x omega (`rotational_product`) and the gradient
 contraction with F[(u . grad) u] (`nonlinear_integrals`), run over x1-slabs
@@ -68,6 +72,7 @@ with `gather_band` and calls them itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -281,7 +286,7 @@ def half_to_spectral(values: np.ndarray) -> np.ndarray:
     module normalization; the others follow from coef(-k) = conj(coef(k)).
     Leading axes (vector and tensor components) are transformed as a batch.
     No computation uses it: it is the unpruned reference that
-    `band_to_spectral` is tested against bit for bit.
+    `band_to_spectral` is tested against, to roundoff.
     """
     return scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
 
@@ -290,7 +295,7 @@ def half_to_physical(coef: np.ndarray, n: int) -> np.ndarray:
     """Inverse real transform of half-spectrum coefficients to (..., n, n, n) samples.
 
     No computation uses it: it is the unpruned reference that
-    `band_to_physical` is tested against bit for bit.
+    `band_to_physical` is tested against, to roundoff.
     """
     return scipy.fft.irfftn(coef, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
 
@@ -301,9 +306,9 @@ def band_to_physical(coef: np.ndarray, n: int) -> np.ndarray:
 
     The one-dimensional transforms of `half_to_physical` in its order: along
     axis -3 on the band's (m2, m3) columns only, along -2 on its m3 columns
-    only, in place in the half-spectrum rows, whose columns past c are zero,
-    then the real transform along -1, which thus pads nothing itself.  The
-    result equals `half_to_physical` of the same modes bit for bit.
+    only, then the real transform along -1 of those c + 1 columns as one
+    `matmul`, which pads nothing.  The result equals
+    `half_to_physical` of the same modes to roundoff.
     """
     return _inverse_planes(_inverse_columns(coef, n), n)
 
@@ -323,39 +328,74 @@ def _inverse_columns(coef: np.ndarray, n: int) -> np.ndarray:
 def _inverse_planes(cols: np.ndarray, n: int) -> np.ndarray:
     """The passes along -2 and -1 of `band_to_physical`, on the x1-planes
     of the columns `cols` (..., w, K, c + 1): their (..., w, n, n) samples.
-    Drops the caller's columns before transforming, when it passed the
-    only reference."""
+    The pass along -2 runs on the c + 1 columns alone, and the one along -1
+    is the product of their real and imaginary parts with the inverse
+    matrix of `_real_axis_matrices`.  Drops the caller's columns before
+    transforming, when it passed the only reference."""
     c = band_cutoff(n)
-    rows = np.empty(cols.shape[:-2] + (n, n // 2 + 1), dtype=np.complex128)
-    head = rows[..., : c + 1]
+    head = np.empty(cols.shape[:-2] + (n, c + 1), dtype=np.complex128)
     head[..., : c + 1, :] = cols[..., : c + 1, :]
     head[..., c + 1 : n - c, :] = 0.0
     head[..., n - c :, :] = cols[..., c + 1 :, :]
-    rows[..., c + 1 :] = 0.0
     del cols
-    done = scipy.fft.ifft(head, axis=-2, norm="forward", overwrite_x=True)
-    if not np.may_share_memory(done, rows):  # a scipy.fft backend need not work in place
-        head[...] = done
-    return scipy.fft.irfft(rows, n=n, axis=-1, norm="forward")
+    head = scipy.fft.ifft(head, axis=-2, norm="forward", overwrite_x=True)
+    return _real_axis_product(head.view(np.float64), _real_axis_matrices(n)[0])
 
 
 def band_to_spectral(values: np.ndarray) -> np.ndarray:
     """Forward real transform of (..., n, n, n) samples to the dealias band.
 
     The one-dimensional transforms of `half_to_spectral` in its order: the
-    real transform along -1, scaled once by 1/n^3 on the band's m3 columns,
-    then along -3 on those columns, keeping the band rows, then along -2,
-    keeping the band.  The result equals `half_to_spectral` restricted to
-    the band bit for bit; it is also the dealiased transform.
+    real transform along -1 to the band's m3 columns only, scaled by 1/n^3,
+    as one `matmul`, then along -3 on those columns, keeping the band
+    rows, then along -2, keeping the band.  The result equals
+    `half_to_spectral` restricted to the band to roundoff; it is also the
+    dealiased transform.
     """
     return _forward_columns(_forward_planes(values))
 
 
 def _forward_planes(values: np.ndarray) -> np.ndarray:
     """The pass along -1 of `band_to_spectral` and its 1/n^3 scale, on the
-    x1-planes of `values` (..., w, n, n): their (..., w, n, c + 1) columns."""
-    n = values.shape[-1]
-    return scipy.fft.rfft(values, axis=-1)[..., : band_cutoff(n) + 1] * (1.0 / n**3)
+    x1-planes of `values` (..., w, n, n): their (..., w, n, c + 1) columns,
+    the product with the forward matrix of `_real_axis_matrices`, read as
+    complex numbers."""
+    forward = _real_axis_matrices(values.shape[-1])[1]
+    return _real_axis_product(values, forward).view(np.complex128)
+
+
+@functools.lru_cache(maxsize=8)
+def _real_axis_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real DFT matrices of the band's m3 columns 0..c of an n^3 box, read-only.
+
+    `inverse` (2(c + 1), n) maps the interleaved real and imaginary parts
+    of the columns to samples along axis -1, as `irfft` with
+    norm="forward" does on a half spectrum that is zero past c: weight 1 on
+    m3 = 0, whose imaginary part it drops, and 2 above it.  `forward`
+    (n, 2(c + 1)) maps samples to those parts of `rfft` scaled by 1/n^3.
+    """
+    c = band_cutoff(n)
+    # (m j) mod n keeps every angle in [0, 2 pi): no large argument loses digits
+    angle = (2.0 * np.pi / n) * (np.outer(np.arange(c + 1), np.arange(n)) % n)
+    parts = np.empty((c + 1, 2, n))
+    parts[:, 0] = np.cos(angle)
+    parts[:, 1] = -np.sin(angle)
+    forward = np.ascontiguousarray(parts.reshape(2 * (c + 1), n).T * (1.0 / n**3))
+    parts[1:] *= 2.0
+    parts[0, 1] = 0.0
+    inverse = parts.reshape(2 * (c + 1), n)
+    for matrix in (inverse, forward):
+        matrix.flags.writeable = False
+    return inverse, forward
+
+
+def _real_axis_product(values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """values @ matrix, which numpy runs as one BLAS product per x1-plane
+    of `values`; at n >= 32 that measured faster than one product over all
+    planes (OpenBLAS, one thread).  `TrajectoryState.max_speed` reports a
+    non-finite state, so the product does not warn of one."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return values @ matrix
 
 
 def _forward_columns(cols: np.ndarray) -> np.ndarray:

@@ -36,6 +36,15 @@ def make_random_spectral_field(
     return field
 
 
+def assert_roundoff_close(got: np.ndarray, reference: np.ndarray, n: int) -> None:
+    """`got` agrees with `reference` to roundoff of an n-point transform:
+    max|got - reference| <= 4 n eps max|reference|, a bound fixed from float64
+    eps and n, not from the errors measured."""
+    bound = 4 * n * np.finfo(np.float64).eps * float(np.max(np.abs(reference)))
+    assert got.shape == reference.shape
+    assert float(np.max(np.abs(got - reference))) <= bound
+
+
 @pytest.fixture(scope="session")
 def grid16():
     return tn.make_grid(16)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import torusns as tn
+from conftest import assert_roundoff_close
 from torusns import spectral_core
 from torusns.inequality_lab import CSV_COLUMNS, EnergyLedger
 from torusns.multiplier_bank import MultiplierSet
@@ -334,6 +335,7 @@ class TestStep:
         assert np.array_equal(out.band, reference.band)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # max_speed alone reports it
     def test_non_finite_state_gets_no_step(self, grid16, value):
         # max|u| of a non-finite state is not finite: it neither falls back
         # to the viscous bound nor steps into a non-finite band
@@ -370,14 +372,16 @@ class TestStep:
 
 class TestDealiasBandStages:
     @pytest.mark.parametrize("n", [16, 32])
-    def test_step_matches_half_spectrum_reference_bitwise(self, n):
+    def test_step_matches_half_spectrum_reference(self, n):
+        # the band transforms' real-axis pass is a matrix product, so the
+        # step agrees with the unpruned reference to roundoff
         config = tn.SimulationConfig(n=n, delta=2.0, seed=11)
         state = tn.make_initial_data(config, tn.make_grid(n))
         for _ in range(3):
             dt = tn.cfl_dt(state)
             expected = half_spectrum_step(state, dt)
             state = tn.step(state, dt)
-            assert np.array_equal(state.u_hat.data, expected)
+            assert_roundoff_close(state.u_hat.data, expected, n)
 
     @pytest.mark.parametrize("index", [(6, 0, 0), (1, 10, 0), (0, 0, 8), (2, 3, 10)])
     def test_coefficient_outside_band_rejected(self, grid16, index):
@@ -571,6 +575,7 @@ class TestRun:
         ledger = tn.run(config)
         assert len(ledger) == math.ceil(ledger.meta["steps"] / 50) + 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # max_speed alone reports it
     def test_numerical_abort(self, grid16, monkeypatch):
         def bad_initial(config, grid=None):
             band = np.zeros((3,) + grid16.band.k_sq.shape, dtype=complex)

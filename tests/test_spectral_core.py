@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import torusns as tn
+from conftest import assert_roundoff_close
 from torusns import spectral_core
 from torusns.spectral_core import (
     PHYSICAL,
@@ -181,6 +182,8 @@ class TestHalfSpectrum:
 class TestDealiasBand:
     @pytest.mark.parametrize("n", [16, 24, 32, 48, 64])
     def test_pruned_pair_matches_half_spectrum_pair(self, n, rng):
+        # the real-axis pass is a matrix product, not pocketfft's real
+        # transform, so the pair agrees with the reference to roundoff
         grid = tn.make_grid(n)
         band = grid.band
         shape = (3,) + band.k_sq.shape
@@ -188,10 +191,30 @@ class TestDealiasBand:
         half = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
         half[band.positions] = coef
         samples = spectral_core.half_to_physical(half, n)
-        assert np.array_equal(spectral_core.band_to_physical(coef, n), samples)
+        assert_roundoff_close(spectral_core.band_to_physical(coef, n), samples, n)
         for values in (samples, rng.standard_normal((3, n, n, n))):
             expected = spectral_core.half_to_spectral(values)[band.positions]
-            assert np.array_equal(spectral_core.band_to_spectral(values), expected)
+            assert_roundoff_close(spectral_core.band_to_spectral(values), expected, n)
+
+    def test_real_axis_matrices_are_read_only_and_shared(self):
+        # built once per n: two grids of the same n transform with the same
+        # matrices, which no caller can write to
+        grids = [tn.make_grid(16), tn.make_grid(16, box_length=3.0)]
+        coef = np.zeros((3,) + grids[0].band.k_sq.shape, dtype=complex)
+        coef[0, 1, 0, 1] = 1.0
+        matrices = []
+        for grid in grids:
+            spectral_core.band_to_physical(coef, grid.n)
+            spectral_core.band_to_spectral(np.ones((3, grid.n, grid.n, grid.n)))
+            matrices.append(spectral_core._real_axis_matrices(grid.n))
+        c = spectral_core.band_cutoff(16)
+        assert [m.shape for m in matrices[0]] == [(2 * (c + 1), 16), (16, 2 * (c + 1))]
+        for first, second in zip(*matrices):
+            assert first is second
+            assert not first.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                first[0, 0] = 1.0
+        assert spectral_core._real_axis_matrices(32)[0] is not matrices[0][0]
 
     @pytest.mark.parametrize("n", [48, 64])
     def test_slab_pair_matches_whole_pair(self, n, rng, monkeypatch):
