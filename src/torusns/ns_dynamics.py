@@ -12,26 +12,29 @@ carries.  `make_initial_data` builds the initial state there, from the modes
 of the data, so a run holds no full lattice before its first ledger row.  A
 caller holding a full-spectrum field gathers its band through
 `spectral_core.gather_band`, which rejects a field with a coefficient outside
-it.  The advection term is evaluated in rotational form, P[u x omega] with
-omega = curl u: it differs from -P[(u . grad) u] only by the gradient
-grad(|u|^2 / 2), which the projection removes.  Each RK4 stage costs two
-inverse and one forward pruned real 3-vector transform, and the forward
-transform of the band is already dealiased.  The stages and the state's
-product run over x1-slabs of the lattice
-(`spectral_core.rotational_product`), so at n >= 48 a stage holds no
-lattice-sized temporary; at n <= 32 one slab covers the box.  The first stage
-projects the state's product u x omega (`TrajectoryState.rotation`), which is
-taken from the state's samples (`TrajectoryState.samples`), so a step of
-`run` takes 8 inverse and 4 forward band transforms, each whole or over
-x1-slabs.  A state computes each of its own quantities once, on first use:
-the samples, the product and max|u| (`TrajectoryState.max_speed`).  `cfl_dt`,
-the first stage and both routes of the state's ledger row read them, and
-whichever comes first takes them: in `run`, the samples and max|u| inside
-`cfl_dt`, and the product inside the row's multiplier route, which rescales
-it to the w-field, or inside `step` for a state that is not logged.  A row
-thus adds 7 inverse and 1 forward band transform, all in its scaling route,
-and a run of S steps and R rows takes 8 S + 7 R + 2 inverse and 4 S + R + 1
-forward ones: the last state's samples and product serve its row alone.
+it.  The advection term is evaluated in stress-divergence form,
+P[-div(u (x) u - u2^2 I)] (`spectral_core.stress_product`): for a
+divergence-free band field it equals -P[(u . grad) u] and the rotational
+form P[u x curl u] exactly, since it differs from both only by a gradient,
+which the projection removes.  It needs the samples of u alone, so each RK4
+stage costs one inverse pruned real 3-vector transform and one forward
+transform of the stress's five components, and the forward transform of
+the band is already dealiased.  The stages and the state's product run over
+x1-slabs of the lattice, so at n >= 48 a stage holds no lattice-sized
+temporary; at n <= 32 one slab covers the box.  The first stage projects
+the state's product (`TrajectoryState.product`), which is taken from the
+state's samples (`TrajectoryState.samples`) with no inverse transform of
+its own, so a step of `run` takes 4 inverse and 4 forward band transforms,
+each whole or over x1-slabs.  A state computes each of its own quantities
+once, on first use: the samples, the product and max|u|
+(`TrajectoryState.max_speed`).  `cfl_dt`, the first stage and both routes
+of the state's ledger row read them, and whichever comes first takes them:
+in `run`, the samples and max|u| inside `cfl_dt`, and the product inside
+the row's multiplier route, which rescales it to the w-field, or inside
+`step` for a state that is not logged.  A row thus adds 7 inverse and 1
+forward band transform, all in its scaling route, and a run of S steps and
+R rows takes 4 S + 7 R + 1 inverse and 4 S + R + 1 forward ones: the last
+state's samples and product serve its row alone.
 
 A state is its band plus the samples of it, and no state keeps a full
 lattice: `step` hands back a band whose plane m3 = 0 is exactly Hermitian,
@@ -134,7 +137,7 @@ class SimulationConfig:
 @dataclass
 class TrajectoryState:
     """A velocity on the clock, held as its dealias band `band` (3, K, K, c + 1)
-    of `grid`.  The state is not modified once built: `samples`, `rotation`,
+    of `grid`.  The state is not modified once built: `samples`, `product`,
     `max_speed` and `advective_limit` are computed from the band on first
     use and kept, and `u_hat`, the full-spectrum field, is written on each
     access and never kept."""
@@ -153,18 +156,18 @@ class TrajectoryState:
     @cached_property
     def samples(self) -> np.ndarray:
         """The physical velocity: the state's one inverse band transform of
-        its band, which gives `max_speed`, `rotation` and the u samples of
+        its band, which gives `max_speed`, `product` and the u samples of
         the scaling route of the state's ledger row."""
         return spectral_core.band_to_physical(self.band, self.grid.n)
 
     @cached_property
-    def rotation(self) -> np.ndarray:
-        """The unprojected band coefficients of u x omega, omega = curl u
-        (`spectral_core.rotational_product`): the first RK4 stage of `step`
-        projects them, and the multiplier route of the state's ledger row
-        rescales them to the w-field."""
+    def product(self) -> np.ndarray:
+        """The unprojected band coefficients of -div(u (x) u - u2^2 I)
+        (`spectral_core.stress_product`), taken from `samples`: the first
+        RK4 stage of `step` projects them, and the multiplier route of the
+        state's ledger row rescales them to the w-field."""
         grid = self.grid
-        return spectral_core.rotational_product(self.band, grid.band.k, grid.n, self.samples)
+        return spectral_core.stress_product(self.band, grid.band.k, grid.n, self.samples)
 
     @cached_property
     def max_speed(self) -> float:
@@ -172,7 +175,7 @@ class TrajectoryState:
         routes of the state's ledger row.  Raises NumericalBlowupError if it
         is not finite, so a non-finite state gets no step size."""
         with np.errstate(over="ignore"):  # an overflow is the non-finite case below
-            vmax = float(np.sqrt(np.max(np.sum(self.samples**2, axis=0))))
+            vmax = float(np.sqrt(np.max(spectral_core._component_power(self.samples))))
         if not math.isfinite(vmax):
             raise NumericalBlowupError(
                 f"non-finite velocity at t={self.t} (step {self.step_index})"
@@ -258,9 +261,9 @@ def _project_band(lamb: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 
 def _rhs_band(coef: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """The projected, dealiased rotational term P[dealias(F[u x omega])] on
+    """The projected, dealiased advection term P[-div(u (x) u - u2^2 I)] on
     the dealias band, for band coefficients `coef`."""
-    return _project_band(spectral_core.rotational_product(coef, grid.band.k, grid.n), grid)
+    return _project_band(spectral_core.stress_product(coef, grid.band.k, grid.n), grid)
 
 
 def cfl_dt(state: TrajectoryState, c_cfl: float = 1.0) -> float:
@@ -287,7 +290,7 @@ def step(state: TrajectoryState, dt: float) -> TrajectoryState:
     With the advection term zeroed this reduces to the heat kernel
     exp(-|k|^2 dt) exactly; with it, the scheme is classical fourth order.
     The stages run on the dealias band; the first projects the state's
-    product `rotation`, which its ledger row may already have taken.  The
+    `product`, which its ledger row may already have taken.  The
     returned state's band has its plane m3 = 0 made exactly Hermitian
     (`spectral_core.hermitian_band`), so it is the band of its own
     full-spectrum field.
@@ -303,7 +306,7 @@ def step(state: TrajectoryState, dt: float) -> TrajectoryState:
     e_half = np.exp(-grid.band.k_sq * (0.5 * dt))
     e_full = e_half * e_half
 
-    ka = dt * _project_band(state.rotation, grid)
+    ka = dt * _project_band(state.product, grid)
     kb = dt * _rhs_band(e_half * (u0 + 0.5 * ka), grid)
     kc = dt * _rhs_band(e_half * u0 + 0.5 * kb, grid)
     kd = dt * _rhs_band(e_full * u0 + e_half * kc, grid)

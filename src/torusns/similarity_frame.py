@@ -19,9 +19,10 @@ per row.  Two computation routes are provided and audited against each other:
 Both take a state on the dealias band of `spectral_core` (`BandState`, such
 as `ns_dynamics.TrajectoryState`): its grid, its band coefficients
 (3, K, K, c + 1), their physical values (the samples), max|u| and the band
-coefficients of u x curl u (the product).  The state computes each of these
-once, so the step, `cfl_dt` and both routes share them; a caller holding a
-full-spectrum field builds the state from `spectral_core.gather_band` of it.
+coefficients of the advection term -div(u (x) u - u2^2 I) (the product).
+The state computes each of these once, so the step, `cfl_dt` and both
+routes share them; a caller holding a full-spectrum field builds the state
+from `spectral_core.gather_band` of it.
 Every inverse transform is `band_to_physical`, or, for the gradient
 tensor, its x1-slab form inside `nonlinear_integrals`, which also takes the
 product F[(u . grad) u] slab by slab; every spectral sum is a `band_sum`
@@ -39,11 +40,14 @@ The signed integrals use different algebra in the two routes: the scaling
 route takes the gradient-tensor quadrature tr(G^T G G) and the convective
 coupling of `spectral_core.nonlinear_integrals`, the multiplier route the
 rotational form -sum |k|^2 Re(conj(w) . F[w x curl w]) (and |k|^4) of
-`spectral_core.rotational_integrals`, on the product that the step's
-advection term projects, with its own lattice factors.  So the gap on those
-columns audits the integration by parts and the contraction as well as the
-exponent table, and the low_l4 and low_sup gaps audit the table's `l4` and
-`sup` exponents.  Likewise `grad_high_sq` is
+`spectral_core.rotational_integrals`, with its own lattice factors.  In
+place of F[w x curl w] it pairs the product that the step's advection term
+projects: the two differ by a gradient, whose pairing with the
+divergence-free w is zero, so the integrals are the same (their majorants,
+which take the product's magnitude, are not).  So the gap on those columns
+audits the integration by parts, the stress form and the contraction as
+well as the exponent table, and the low_l4 and low_sup gaps audit the
+table's `l4` and `sup` exponents.  Likewise `grad_high_sq` is
 |curl h|^2 by quadrature in the scaling route and sum |k|^2 |h|^2 in the
 multiplier route; the two agree because h is divergence-free, so a divergent
 state shows as a route gap.  The routes agree in exact arithmetic; the
@@ -96,14 +100,14 @@ def _power(base: float, exponent: float) -> float:
 class BandState(Protocol):
     """What a route reads of a velocity state (`ns_dynamics.TrajectoryState`):
     its `grid`, band coefficients `band`, their `samples`, `max_speed`
-    (max|u| over the samples) and `rotation`, the band coefficients of
-    u x curl u (`spectral_core.rotational_product`)."""
+    (max|u| over the samples) and `product`, the band coefficients of
+    -div(u (x) u - u2^2 I) (`spectral_core.stress_product`)."""
 
     grid: SpectralGrid
     band: np.ndarray
     samples: np.ndarray
     max_speed: float
-    rotation: np.ndarray
+    product: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -253,11 +257,15 @@ def w_functionals_scaling_route(
     def physical(weight: np.ndarray) -> np.ndarray:
         return spectral_core.band_to_physical(w_coef * weight[index], grid.n)
 
-    low_mag_sq = np.sum(physical(prof.phi) ** 2, axis=0)
+    def quadrature(samples: np.ndarray) -> float:
+        # squared in place and summed at once, so no samples are held
+        # through the next transforms
+        return float(np.sum(np.square(samples, out=samples)) * cell_w)
+
+    low_mag_sq = spectral_core._component_power(physical(prof.phi))
     high = w_coef * prof.one_minus_phi[index]
     curl_high = spectral_core.curl_coefficients(high, [root * k for k in band.k])
-    # squared and summed at once, so no samples are held through the next transforms
-    grad_high_sq = float(np.sum(spectral_core.band_to_physical(curl_high, grid.n) ** 2) * cell_w)
+    grad_high_sq = quadrature(spectral_core.band_to_physical(curl_high, grid.n))
 
     return WFunctionals(
         w_l2_sq=scale_factor("l2_sq", s) * l2_u,
@@ -265,8 +273,8 @@ def w_functionals_scaling_route(
         w_h2_sq=scale_factor("h2_sq", s) * h2_u,
         w_sup=scale_factor("sup", s) * sup_u,
         low_l2_sq=float(np.sum(low_mag_sq)) * cell_w,
-        e_low=float(np.sum(physical(prof.chi) ** 2) * cell_w),
-        e_high=float(np.sum(physical(prof.sqrt_one_minus_phi_sq) ** 2) * cell_w),
+        e_low=quadrature(physical(prof.chi)),
+        e_high=quadrature(physical(prof.sqrt_one_minus_phi_sq)),
         low_l4=float((np.sum(low_mag_sq**2) * cell_w) ** 0.25),
         low_sup=float(np.sqrt(np.max(low_mag_sq))),
         grad_high_sq=grad_high_sq,
@@ -293,10 +301,12 @@ def w_functionals_multiplier_route(
     rescaled by the exponent table on the u-lattice.  The two signed
     integrals are taken on the w-field itself, on the box of side L/sqrt(s),
     in the rotational form of `spectral_core.rotational_integrals`, with the
-    product s^(3/2) times the state's `rotation`: w x curl w, in the
-    w-variables, is s^(3/2) (u x curl u) on the relabelled lattice.  No
-    transform runs here, except the state's product when it is not yet
-    taken.  Reads the state's `grid`, `band`, `max_speed` and `rotation`.
+    product s^(3/2) times the state's `product`: -div(w (x) w - w2^2 I), in
+    the w-variables, is s^(3/2) times that of u on the relabelled lattice.
+    It differs from F[w x curl w] by a gradient, which pairs to zero with
+    the divergence-free w, so the integrals are unchanged.  No transform
+    runs here, except the state's product when it is not yet taken.  Reads
+    the state's `grid`, `band`, `max_speed` and `product`.
     """
     s = clock.remaining
     root = math.sqrt(s)
@@ -312,7 +322,7 @@ def w_functionals_multiplier_route(
     low_u_sq = low_mag_sq / s
     (trilinear, tri_scale), (lap_coupling, lap_scale) = spectral_core.rotational_integrals(
         root * coef,
-        (s * root) * state.rotation,
+        (s * root) * state.product,
         [root * k for k in band.k],
         _power(grid.box_length / root, 3),
     )

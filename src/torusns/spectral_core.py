@@ -39,24 +39,30 @@ matrix product with a real DFT matrix of those columns
 the half-spectrum pair to roundoff, not bit for bit; the half-spectrum pair
 is kept only as that reference.
 
-The band products, u x omega (`rotational_product`) and the gradient
-contraction with F[(u . grad) u] (`nonlinear_integrals`), run over x1-slabs
-of the lattice: `_physical_slabs` runs the -3 pass of `band_to_physical` on
-the band columns of every field first, then the -2 and -1 passes slab by
-slab, and `_BandAccumulator` runs the -1 pass of `band_to_spectral` and its
-scale slab by slab, then the -3 and -2 passes.  A slab holds at most
-`_SLAB_BYTES` of samples, so at n >= 48 no product holds a lattice-sized
-temporary; at n <= 32 one slab covers the box, and the pair is
-`band_to_physical` and `band_to_spectral`, called in the same order and
+The band products, the advection term -div(u (x) u - u2^2 I)
+(`stress_product`) and the gradient contraction with F[(u . grad) u]
+(`nonlinear_integrals`), run over x1-slabs of the lattice:
+`_physical_slabs` runs the -3 pass of `band_to_physical` on the band
+columns of every field first, then the -2 and -1 passes slab by slab, and
+`_BandAccumulator` runs the -1 and -2 passes of `band_to_spectral` slab by
+slab, then the -3 pass; `band_to_spectral` itself runs them in the same
+order.  A slab holds at most `_SLAB_BYTES` of samples, and both products
+size their slabs for nine live components, so at n >= 48 no product holds
+a lattice-sized temporary; at n <= 32 one slab covers the box, and the pair
+is `band_to_physical` and `band_to_spectral`, called in the same order and
 freeing their buffers in the same order as whole-lattice code.  Either way
 the samples and bands are the same bit for bit; only the quadrature sums of
 `nonlinear_integrals`, taken slab by slab, round differently at n >= 48.
 
-A band transform below is one band 3-vector transform, whole or over
-slabs.  The RK4 step of `ns_dynamics` runs on the band: 8 inverse and 4
-forward band transforms per step, among them the state's samples and its
-product u x omega (`rotational_product`), which the first stage projects.
-So do both routes of a `similarity_frame` ledger row: 7 inverse transforms
+A band transform below is one call of the band pair, whole or over slabs,
+of a 3-vector or of the stress's five components.  The advection term is
+taken in stress-divergence form: for a divergence-free band field under
+the two-thirds rule, P[-div(u (x) u - u2^2 I)] equals P[u x curl u]
+exactly, since both products are alias-free and they differ by a gradient.
+It needs the samples of u alone, so the RK4 step of `ns_dynamics` makes 4
+inverse and 4 forward band transforms: the state's samples and its
+product, which the first stage projects, and one of each per later stage.
+Both routes of a `similarity_frame` ledger row make 7 inverse transforms
 (the three rows of the gradient tensor, the phi, chi and sqrt(1 - phi^2)
 filtered fields and the curl of the high part) and 1 forward one
 (F[(u . grad) u]) per row, all in the scaling route.  The multiplier route
@@ -345,23 +351,27 @@ def _inverse_planes(cols: np.ndarray, n: int) -> np.ndarray:
 def band_to_spectral(values: np.ndarray) -> np.ndarray:
     """Forward real transform of (..., n, n, n) samples to the dealias band.
 
-    The one-dimensional transforms of `half_to_spectral` in its order: the
-    real transform along -1 to the band's m3 columns only, scaled by 1/n^3,
-    as one `matmul`, then along -3 on those columns, keeping the band
-    rows, then along -2, keeping the band.  The result equals
-    `half_to_spectral` restricted to the band to roundoff; it is also the
-    dealiased transform.
+    The one-dimensional transforms of `half_to_spectral`, in the order
+    -1, -2, -3: the real transform along -1 to the band's m3 columns only,
+    scaled by 1/n^3, as one `matmul`, then along -2 on those columns,
+    keeping the band rows, then along -3, keeping the band.  The result
+    equals `half_to_spectral` restricted to the band to roundoff; it is also
+    the dealiased transform.
     """
     return _forward_columns(_forward_planes(values))
 
 
 def _forward_planes(values: np.ndarray) -> np.ndarray:
-    """The pass along -1 of `band_to_spectral` and its 1/n^3 scale, on the
-    x1-planes of `values` (..., w, n, n): their (..., w, n, c + 1) columns,
-    the product with the forward matrix of `_real_axis_matrices`, read as
-    complex numbers."""
-    forward = _real_axis_matrices(values.shape[-1])[1]
-    return _real_axis_product(values, forward).view(np.complex128)
+    """The passes along -1 and -2 of `band_to_spectral`, on the x1-planes
+    of `values` (..., w, n, n): their (..., w, K, c + 1) band columns.  The
+    pass along -1, with its 1/n^3 scale, is the product with the forward
+    matrix of `_real_axis_matrices`, read as complex numbers; the pass
+    along -2 runs on its c + 1 columns and keeps the band rows."""
+    n = values.shape[-1]
+    c = band_cutoff(n)
+    head = _real_axis_product(values, _real_axis_matrices(n)[1]).view(np.complex128)
+    head = scipy.fft.fft(head, axis=-2, overwrite_x=True)
+    return np.concatenate((head[..., : c + 1, :], head[..., n - c :, :]), axis=-2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -399,31 +409,30 @@ def _real_axis_product(values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 
 def _forward_columns(cols: np.ndarray) -> np.ndarray:
-    """The passes along -3 and -2 of `band_to_spectral`, on the columns
-    `cols` (..., n, n, c + 1) of every x1-plane, which they overwrite."""
-    n = cols.shape[-2]
+    """The pass along -3 of `band_to_spectral`, on the band columns `cols`
+    (..., n, K, c + 1) of every x1-plane, which it overwrites: the band."""
+    n = cols.shape[-3]
     c = band_cutoff(n)
     cols = scipy.fft.fft(cols, axis=-3, overwrite_x=True)
-    rows = np.concatenate((cols[..., : c + 1, :, :], cols[..., n - c :, :, :]), axis=-3)
-    rows = scipy.fft.fft(rows, axis=-2, overwrite_x=True)
-    return np.concatenate((rows[..., : c + 1, :], rows[..., n - c :, :]), axis=-2)
+    return np.concatenate((cols[..., : c + 1, :, :], cols[..., n - c :, :, :]), axis=-3)
 
 
 #: The bytes of real samples that one x1-slab of `_physical_slabs` holds at
 #: most.  At n <= 32 one slab covers the box for up to nine components, so
-#: those runs transform whole lattices; at n = 64 a slab of three, six and
-#: nine components holds 26, 13 and 8 x1-planes.
+#: those runs transform whole lattices; at n = 64 a slab of nine components,
+#: the size both band products ask for, holds 8 x1-planes.
 _SLAB_BYTES = 5 * 2**19
 
 
 def _physical_slabs(n: int, count: int, groups):
-    """The samples of `count` band 3-vector fields (3, K, K, c + 1) of an
-    n^3 box, x1-slab by x1-slab.
+    """The samples of band 3-vector fields (3, K, K, c + 1) of an n^3 box,
+    x1-slab by x1-slab, in slabs sized for `count` 3-vectors of samples.
 
-    `groups` yields the fields; each is taken only when its transform runs
-    and dropped after it.  Yields (slab, samples) for consecutive slices
-    `slab` of the lattice's first axis, each as wide as `_SLAB_BYTES` allows
-    for the 3 * count components; `samples` is an iterator that transforms
+    `groups` yields the fields, at most `count` of them and possibly none;
+    each is taken only when its transform runs and dropped after it.
+    Yields (slab, samples) for consecutive slices `slab` of the lattice's
+    first axis, each as wide as `_SLAB_BYTES` allows for 3 * count
+    components; `samples` is an iterator that transforms
     the groups in turn to their (3, w, n, n) samples on the slab, so a
     caller that drops each group's samples after use holds one at a time.
     When one slab covers the box, each group goes through `band_to_physical`
@@ -446,11 +455,11 @@ class _BandAccumulator:
     """The dealias band of a field of n^3 samples that arrive x1-slab by
     x1-slab, as `_physical_slabs` yields them.
 
-    `add(slab, values)` runs the -1 pass of `band_to_spectral` and its
-    1/n^3 scale on the slab's samples `values` (..., w, n, n); `band()`
-    then runs the -3 and -2 passes.  Samples that cover the box go through
-    `band_to_spectral` whole.  Either way the band is that of
-    `band_to_spectral` of all the samples, bit for bit.
+    `add(slab, values)` runs the -1 and -2 passes of `band_to_spectral` on
+    the slab's samples `values` (..., w, n, n) and keeps their (..., w, K,
+    c + 1) band columns; `band()` then runs the -3 pass.  Samples that
+    cover the box go through `band_to_spectral` whole.  Either way the band
+    is that of `band_to_spectral` of all the samples, bit for bit.
     """
 
     def __init__(self, n: int) -> None:
@@ -463,10 +472,11 @@ class _BandAccumulator:
         if values.shape[-3] == n:
             self.whole = band_to_spectral(values)
             return
+        planes = _forward_planes(values)
         if self.columns is None:
-            shape = values.shape[:-3] + (n, n, band_cutoff(n) + 1)
+            shape = values.shape[:-3] + (n,) + planes.shape[-2:]
             self.columns = np.empty(shape, dtype=np.complex128)
-        self.columns[..., slab, :, :] = _forward_planes(values)
+        self.columns[..., slab, :, :] = planes
 
     def band(self) -> np.ndarray:
         if self.whole is not None:
@@ -696,28 +706,55 @@ def curl_coefficients(coef: np.ndarray, k) -> np.ndarray:
     return _cross([1j * k[0], 1j * k[1], 1j * k[2]], coef)
 
 
-def rotational_product(coef: np.ndarray, k, n: int, u: np.ndarray | None = None) -> np.ndarray:
-    """Band coefficients of u x omega, omega = curl u, for the real field with
-    band coefficients `coef` of an n^3 box on the band wavevectors `k` (as in
-    `curl_coefficients`); `u` holds its samples, when the caller has them.
+#: The stress tensor T = u (x) u - u2^2 I as its five free components, in the
+#: order `_stress` stores them (T22 = 0), and row i of T as indices into them.
+_STRESS_ROWS = ((0, 2, 3), (2, 1, 4), (3, 4))
 
-    One inverse band 3-vector transform (two without `u`) and one forward
-    one, x1-slab by x1-slab through `_physical_slabs` and
-    `_BandAccumulator`, so at n >= 48 it holds no lattice-sized temporary.
-    The result is the band of the product, which is also its dealiased
-    transform, and the same bit for bit at every slab width.
+
+def _stress(u: np.ndarray) -> np.ndarray:
+    """The five components (u0^2 - u2^2, u1^2 - u2^2, u0 u1, u0 u2, u1 u2) of
+    the stress T = u (x) u - u2^2 I from the samples `u` (3, ...)."""
+    t = np.empty((5,) + u.shape[1:])
+    np.multiply(u[2], u[2], out=t[4])  # u2^2, until the last product
+    for i in (0, 1):
+        np.multiply(u[i], u[i], out=t[i])
+        t[i] -= t[4]
+    np.multiply(u[0], u[1], out=t[2])
+    np.multiply(u[0], u[2], out=t[3])
+    np.multiply(u[1], u[2], out=t[4])
+    return t
+
+
+def stress_product(coef: np.ndarray, k, n: int, u: np.ndarray | None = None) -> np.ndarray:
+    """Band coefficients of -div(T), T = u (x) u - u2^2 I, for the real field
+    with band coefficients `coef` of an n^3 box on the band wavevectors `k`
+    (as in `curl_coefficients`); `u` holds its samples, when the caller has
+    them.
+
+    For a divergence-free u, div(u (x) u) = (u . grad) u, so the result is
+    the band of -(u . grad) u + grad(u2^2) and of u x curl u - grad(|u|^2 / 2
+    - u2^2): it differs from the rotational form only by a gradient, which
+    the projection removes.  Both products are alias-free under the
+    two-thirds rule.  T is formed from the samples slab by slab, and its
+    five components take one forward band transform; lam_i = -i k_j T_ij
+    then runs on the band.  Without `u`, one inverse band 3-vector
+    transform comes first.  Slabs are sized for about nine live components
+    (`_physical_slabs` with count 3: u, T and the forward pass's columns;
+    8 x1-planes at n = 64), so at n >= 48 it
+    holds no lattice-sized temporary, and the result is the same bit for
+    bit at every slab width.
     """
-
-    def groups():  # the curl is taken only when its transform runs
-        if u is None:
-            yield coef
-        yield curl_coefficients(coef, k)
-
-    product = _BandAccumulator(n)
-    for slab, samples in _physical_slabs(n, 1 if u is not None else 2, groups()):
-        u_slab = u[:, slab] if u is not None else next(samples)
-        product.add(slab, _cross(u_slab, next(samples)))
-    return product.band()
+    stress = _BandAccumulator(n)
+    for slab, samples in _physical_slabs(n, 3, [coef] if u is None else []):
+        stress.add(slab, _stress(next(samples) if u is None else u[:, slab]))
+    t = stress.band()
+    minus_ik = [-1j * component for component in k]
+    lam = np.empty((3,) + t.shape[1:], dtype=np.complex128)
+    for out, row in zip(lam, _STRESS_ROWS):
+        np.multiply(minus_ik[0], t[row[0]], out=out)
+        for ik, m in zip(minus_ik[1:], row[1:]):
+            out += ik * t[m]
+    return lam
 
 
 def _advect(u: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -788,13 +825,17 @@ def rotational_integrals(
     For a divergence-free f, integration by parts turns the triple product
     into -int ((f . grad) f) . Lap f dx, and (f . grad) f = grad(|f|^2 / 2)
     - f x curl f, whose gradient part pairs to zero with any divergence-free
-    field.  With lam = F[f x curl f], the band coefficients that
-    `rotational_product` gives, both integrals are Plancherel sums:
+    field.  So with lam the band coefficients of f x curl f, or of any
+    field that differs from it by a gradient, both integrals are Plancherel
+    sums:
 
         triple = -V sum |k|^2 Re(conj(coef) . lam),
         coupling = -V sum |k|^4 Re(conj(coef) . lam),
 
-    each bounded by Cauchy-Schwarz over the band.  No transform: `lam` is
+    each bounded by Cauchy-Schwarz over the band.  The lam of
+    `stress_product`, -div(f (x) f - f2^2 I), is such a field: it is
+    f x curl f - grad(|f|^2 / 2 - f2^2).  The pairing does not see the
+    gradient; the majorants, which take |lam|, do.  No transform: `lam` is
     an argument, so a caller that already holds the product passes it.
     `coef`, `volume` as in `nonlinear_integrals`; `k` holds the band
     wavevectors, stacked or as three broadcastable axes.  Returns

@@ -214,8 +214,9 @@ class TestNonlinearTerm:
         assert np.max(np.abs(rhs)) < 1e-14
 
     def test_matches_convective_form_oracle(self, grid16, rng, random_field_factory):
-        # -P[(u . grad) u] and P[u x omega] differ by the gradient of |u|^2/2;
-        # (u . grad) u is taken from complex transforms of the full spectrum
+        # -P[(u . grad) u] and P[-div(u (x) u - u2^2 I)] differ by the
+        # gradient of u2^2; (u . grad) u is taken from complex transforms of
+        # the full spectrum
         for _ in range(5):
             u = random_field_factory(grid16, rng, divergence_free=True)
             u = VectorField(grid16, u.data / tn.norms(u).sup, SPECTRAL)  # max|u| = 1
@@ -314,8 +315,9 @@ class TestStep:
                 assert hermitian_defect(state.u_hat) == 0.0
 
     def test_step_reuses_the_rows_product(self, monkeypatch):
-        # a logged state's row takes its product u x curl u, and the first
-        # stage of its step projects it: the step makes the other three
+        # a logged state's row takes its product -div(u (x) u - u2^2 I), and
+        # the first stage of its step projects it: the step makes the other
+        # three
         config = tn.SimulationConfig(n=16, delta=0.3, seed=2)
         grid = tn.make_grid(16)
         state = tn.make_initial_data(config, grid)
@@ -323,13 +325,13 @@ class TestStep:
         reference = tn.step(TrajectoryState(grid, state.band, state.t, 1, 0.0), 1e-3)
         _ledger_row(state, config, MultiplierSet(config.alpha))
         calls = []
-        rotational = spectral_core.rotational_product
+        stress = spectral_core.stress_product
 
         def counted(*args):
             calls.append(args)
-            return rotational(*args)
+            return stress(*args)
 
-        monkeypatch.setattr(spectral_core, "rotational_product", counted)
+        monkeypatch.setattr(spectral_core, "stress_product", counted)
         out = tn.step(state, 1e-3)
         assert len(calls) == 3
         assert np.array_equal(out.band, reference.band)
@@ -425,10 +427,12 @@ class TestDealiasBandStages:
             )
 
     @pytest.mark.parametrize("n", [16, 32])
-    def test_eight_inverse_transforms_per_step(self, monkeypatch, n):
+    def test_four_inverse_and_four_forward_transforms_per_step(self, monkeypatch, n):
         # cfl_dt, the first stage and both routes of a row share the state's
-        # band, samples and product u x curl u; the initial data are built on
-        # the band, so no band is gathered, a step hands back a band, a row
+        # band, samples and product -div(u (x) u - u2^2 I), which takes no
+        # inverse transform of its own; each later stage makes one inverse
+        # and one forward; the initial data are built on the band, so no
+        # band is gathered, a step hands back a band, a row
         # adds 7 inverse and 1 forward band transforms and writes no full
         # lattice, and only the last state's samples and product are taken
         # for its row alone; the run writes one full lattice and makes one
@@ -460,7 +464,7 @@ class TestDealiasBandStages:
             "gather": 0,
             "full": 1,
             "complex": 1,
-            "inverse": 8 * steps + 7 * rows + 2,
+            "inverse": 4 * steps + 7 * rows + 1,
             "forward": 4 * steps + rows + 1,
             "half": 0,
         }
@@ -468,20 +472,27 @@ class TestDealiasBandStages:
     def test_slab_products_match_whole_lattice_at_n64(self, rng, monkeypatch):
         # the stages and the state's product run over x1-slabs at n = 64;
         # at the default width and at one x1-plane they give the
-        # whole-lattice product bit for bit
+        # whole-lattice stress divergence bit for bit
         n = 64
         grid = tn.make_grid(n)
         shape = (3,) + grid.band.k_sq.shape
         coef = spectral_core.hermitian_band(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         u = spectral_core.band_to_physical(coef, n)
-        curl = spectral_core.band_to_physical(spectral_core.curl_coefficients(coef, grid.band.k), n)
-        whole = spectral_core.band_to_spectral(spectral_core._cross(u, curl))
+        t = spectral_core.band_to_spectral(spectral_core._stress(u))
+        k = grid.band.k
+        whole = np.stack(
+            [
+                -1j * (k[0] * t[0] + k[1] * t[2] + k[2] * t[3]),
+                -1j * (k[0] * t[2] + k[1] * t[1] + k[2] * t[4]),
+                -1j * (k[0] * t[3] + k[1] * t[4]),
+            ]
+        )
         rhs = spectral_core.project_coefficients(whole, grid.band.wavevectors, grid.band.k_sq)
         rhs[:, 0, 0, 0] = 0.0
         for budget in (spectral_core._SLAB_BYTES, 1):
             monkeypatch.setattr(spectral_core, "_SLAB_BYTES", budget)
-            assert np.array_equal(spectral_core.rotational_product(coef, grid.band.k, n, u), whole)
-            assert np.array_equal(spectral_core.rotational_product(coef, grid.band.k, n), whole)
+            assert np.array_equal(spectral_core.stress_product(coef, k, n, u), whole)
+            assert np.array_equal(spectral_core.stress_product(coef, k, n), whole)
             assert np.array_equal(_rhs_band(coef, grid), rhs)
 
     def test_row_is_no_bigger_than_a_step_at_n64(self):

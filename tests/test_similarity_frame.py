@@ -39,7 +39,7 @@ UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 def band_state(u):
     """The state the routes read of a full-spectrum field: its band, samples,
-    max|u| and product u x curl u."""
+    max|u| and product -div(u (x) u - u2^2 I)."""
     return TrajectoryState(u.grid, gather_band(u), 0.0, 0, 0.0)
 
 
@@ -305,8 +305,9 @@ class TestTwoRoutes:
 
     def test_audit_sees_a_wrong_product(self):
         # the multiplier route takes its signed integrals from the state's
-        # product u x curl u, which the step shares; handed the next state's
-        # product, it disagrees with the scaling route's gradient tensor
+        # product -div(u (x) u - u2^2 I), which the step shares; handed the
+        # next state's product, it disagrees with the scaling route's
+        # gradient tensor
         state, config = self._solver_state()
         clock = SimilarityClock(horizon=config.horizon, t=state.t)
         mults = MultiplierSet(config.alpha)
@@ -317,7 +318,7 @@ class TestTwoRoutes:
             band=state.band,
             samples=state.samples,
             max_speed=state.max_speed,
-            rotation=following.rotation,
+            product=following.product,
         )
         assert route_gap(*both_routes(wrong, clock, mults)) > 1e-6
 
@@ -329,7 +330,7 @@ class TestTwoRoutes:
         state, config = self._solver_state()
         clock = SimilarityClock(horizon=config.horizon, t=state.t)
         mults = MultiplierSet(config.alpha)
-        state.rotation  # the state's own transforms, which its step shares
+        state.product  # the state's own transforms, which its step shares
         counts = {"inverse": 0, "forward": 0}
         for name, key in (("band_to_physical", "inverse"), ("band_to_spectral", "forward")):
             transform = getattr(spectral_core, name)
@@ -380,12 +381,12 @@ class TestTwoRoutes:
 
     def test_one_profile_evaluation_and_one_rotational_kernel(self, monkeypatch):
         # each route evaluates phi once, on the |k| shells; the multiplier
-        # route and the step share the state's one spectral_core.rotational_product
+        # route and the step share the state's one spectral_core.stress_product
         state, config = self._solver_state()
         clock = SimilarityClock(horizon=config.horizon, t=state.t)
         mults = MultiplierSet(config.alpha)
         calls = {"phi": 0, "rotational": 0}
-        smoothstep, rotational = multiplier_bank._smoothstep, spectral_core.rotational_product
+        smoothstep, stress = multiplier_bank._smoothstep, spectral_core.stress_product
 
         def counted_smoothstep(x):
             calls["phi"] += 1
@@ -393,10 +394,10 @@ class TestTwoRoutes:
 
         def counted_rotational(*args):
             calls["rotational"] += 1
-            return rotational(*args)
+            return stress(*args)
 
         monkeypatch.setattr(multiplier_bank, "_smoothstep", counted_smoothstep)
-        monkeypatch.setattr(spectral_core, "rotational_product", counted_rotational)
+        monkeypatch.setattr(spectral_core, "stress_product", counted_rotational)
         wa = w_functionals_scaling_route(state, clock, mults)
         assert calls == {"phi": 1, "rotational": 0}
         w_functionals_multiplier_route(state, clock, mults, wa.low_mag_sq)

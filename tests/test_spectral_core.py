@@ -258,6 +258,33 @@ class TestDealiasBand:
         expected = kept[:, None, None] & kept[None, :, None] & kept[None, None, :]
         assert np.array_equal(kept_by_dealias(tn.make_grid(n)), expected)
 
+    @pytest.mark.parametrize("n", [16, 24, 32, 48, 64])
+    def test_stress_form_projects_to_the_rotational_form(self, n, rng, monkeypatch):
+        # for a divergence-free band field the two alias-free products
+        # -div(u (x) u - u2^2 I) and u x curl u differ by a gradient, which
+        # the projection removes; at n >= 48 the slab product is the
+        # whole-lattice one bit for bit
+        grid = tn.make_grid(n)
+        band = grid.band
+        shape = (3,) + band.k_sq.shape
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coef = spectral_core.hermitian_band(
+            spectral_core.project_coefficients(raw, band.wavevectors, band.k_sq)
+        )
+        u = spectral_core.band_to_physical(coef, n)
+        curl = spectral_core.band_to_physical(spectral_core.curl_coefficients(coef, band.k), n)
+        rotational = spectral_core.band_to_spectral(spectral_core._cross(u, curl))
+        stress = spectral_core.stress_product(coef, band.k, n, u)
+        assert np.array_equal(stress, spectral_core.stress_product(coef, band.k, n))
+
+        def project(lam):
+            return spectral_core.project_coefficients(lam, band.wavevectors, band.k_sq)
+
+        assert_roundoff_close(project(stress), project(rotational), n)
+        assert np.max(np.abs(stress - rotational)) > 1e-3 * np.max(np.abs(rotational))
+        monkeypatch.setattr(spectral_core, "_SLAB_BYTES", 9 * n**3 * 8)  # one slab covers the box
+        assert np.array_equal(spectral_core.stress_product(coef, band.k, n, u), stress)
+
     def test_dealiased_triple_products_are_exact_at_n24(self, rng, random_field_factory):
         # 3 divides 24: keeping m = 8 would alias 8 + 8 = 16 onto -8, and the
         # triple-product quadrature would reach mode 24 = 0
@@ -270,7 +297,7 @@ class TestDealiasBand:
             u = spectral_core.band_to_physical(coef, grid.n)
             kvec = grid.band.wavevectors
             gradient = spectral_core.nonlinear_integrals(coef, u, kvec, grid.volume)
-            lam = spectral_core.rotational_product(coef, grid.band.k, grid.n, u)
+            lam = spectral_core.stress_product(coef, grid.band.k, grid.n, u)
             rotational = spectral_core.rotational_integrals(coef, lam, grid.band.k, grid.volume)
             for (a, scale_a), (b, scale_b) in zip(gradient, rotational):
                 assert abs(a - b) <= 1e-15 * max(scale_a, scale_b)
@@ -494,7 +521,7 @@ class TestNonlinearFunctionals:
             u = spectral_core.band_to_physical(coef, grid.n)
             kvec = grid.band.wavevectors
             gradient = spectral_core.nonlinear_integrals(coef, u, kvec, grid.volume)
-            lam = spectral_core.rotational_product(coef, grid.band.k, grid.n, u)
+            lam = spectral_core.stress_product(coef, grid.band.k, grid.n, u)
             rotational = spectral_core.rotational_integrals(coef, lam, grid.band.k, grid.volume)
             for (a, scale_a), (b, scale_b) in zip(gradient, rotational):
                 assert abs(a) > 1e-6 * scale_a  # not a roundoff-level cancellation
