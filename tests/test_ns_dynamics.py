@@ -427,7 +427,8 @@ class TestDealiasBandStages:
             )
 
     @pytest.mark.parametrize("n", [16, 32])
-    def test_four_inverse_and_four_forward_transforms_per_step(self, monkeypatch, n):
+    def test_eight_inverse_transforms_per_step(self, monkeypatch, n):
+        # a step's eight band transforms are four inverse and four forward:
         # cfl_dt, the first stage and both routes of a row share the state's
         # band, samples and product -div(u (x) u - u2^2 I), which takes no
         # inverse transform of its own; each later stage makes one inverse
