@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral_core import SPECTRAL, VectorField, spectral_derivative
+from .spectral_core import VectorField, spectral_derivative
 
 _FD_STEP = 1e-5  # central-difference step for profile derivatives, error O(h^2)
 
@@ -109,9 +109,10 @@ class MultiplierSet:
 def evaluate_on_grid(mults: MultiplierSet, name: str, grid) -> np.ndarray:
     """The profile `name` (a field of Profiles) at |k| over the grid lattice.
 
-    Values are cached for the most recent lattice (n, L) only, so fields on a
-    sequence of boxes (such as the w-fields of successive rows) keep the
-    cache bounded.
+    Values are cached for the most recent lattice (n, L) only, so the cache
+    stays bounded.  No ledger row calls it (rows evaluate the profiles on the
+    band's shells); the cache is kept because the benchmark's traced runs
+    read `_profile_cache`.
     """
     lattice = (grid.n, grid.box_length)
     key = lattice + (name, mults.alpha)
@@ -129,9 +130,8 @@ def evaluate_on_grid(mults: MultiplierSet, name: str, grid) -> np.ndarray:
 
 def apply(mults: MultiplierSet, name: str, field: VectorField) -> VectorField:
     """Multiply the coefficients by the profile `name` at |k|."""
-    field.require(SPECTRAL)
     weights = evaluate_on_grid(mults, name, field.grid)
-    return VectorField(field.grid, field.data * weights, SPECTRAL)
+    return VectorField(field.grid, field.data * weights)
 
 
 def hausdorff_young_constant(alpha: float, m: float) -> float:

@@ -65,7 +65,7 @@ from .similarity_frame import (
     w_functionals_multiplier_route,
     w_functionals_scaling_route,
 )
-from .spectral_core import SPECTRAL, SpectralGrid, VectorField, make_grid
+from .spectral_core import SpectralGrid, VectorField, make_grid
 
 INITIAL_KINDS = ("taylor_green", "random_low_mode")
 
@@ -151,7 +151,7 @@ class TrajectoryState:
     @property
     def u_hat(self) -> VectorField:
         """The exactly Hermitian full-spectrum velocity, written from the band."""
-        return VectorField(self.grid, spectral_core.full_spectrum(self.band, self.grid.n), SPECTRAL)
+        return VectorField(self.grid, spectral_core.full_spectrum(self.band, self.grid.n))
 
     @cached_property
     def samples(self) -> np.ndarray:

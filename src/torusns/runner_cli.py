@@ -162,6 +162,9 @@ def parse_config(text: str) -> RunConfig:
         if key in values:
             raise ConfigError(f"line {line_no}: repeated option {key!r}")
         values[key] = _parse_value(key, raw_value, _FIELD_TYPES[key], line_no)
+        if key == "t_min" and math.isnan(values[key]):
+            # NaN is SimulationConfig's "unset" value: a file leaves the key out instead
+            raise ConfigError(f"line {line_no}: t_min must lie in (0, horizon), got nan")
     return RunConfig(**values)
 
 

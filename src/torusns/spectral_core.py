@@ -17,10 +17,10 @@ and derivatives act as fhat(k) -> (i k_j) fhat(k).  Physical-space integrals
 use the trapezoidal (here: exact for band-limited fields) quadrature weight
 (L/n)^3.
 
-Every function of a VectorField takes it in one representation, spectral
-except for `to_spectral`, and raises RepresentationError on the other.
-Nothing transforms implicitly: a function that needs physical samples says
-so and calls `to_physical` or `band_to_physical` itself.
+A VectorField holds full-spectrum coefficients; samples, of a VectorField or
+of the band below, are plain (3, n, n, n) float arrays.  Nothing transforms
+implicitly: a function that needs samples calls `to_physical` or
+`band_to_physical` itself.
 
 Besides the full lattice (3, n, n, n) of a VectorField, the coefficients of
 a real field have one layout, the dealias band (..., K, K, c + 1): the modes
@@ -71,9 +71,8 @@ and transforms nothing itself.  A row makes no complex transform and writes
 no full lattice: its u columns are band sums and max|u|.  `norms` of the
 full-spectrum field, with its one `to_physical`, is the reference that
 `ns_dynamics.run` checks the u columns of a run's first row against.  The
-band kernels are the module's only
-nonlinear computation: a caller holding a full-spectrum field takes its band
-with `gather_band` and calls them itself.
+band kernels are the module's only nonlinear computation: a caller holding a
+full-spectrum field takes its band with `gather_band` and calls them itself.
 """
 
 from __future__ import annotations
@@ -85,14 +84,6 @@ from itertools import repeat
 
 import numpy as np
 import scipy.fft
-
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
-
-
-class RepresentationError(ValueError):
-    """A field was passed in the wrong representation (physical vs spectral)."""
-
 
 def band_cutoff(n: int) -> int:
     """The largest mode c with 3c < n: the two-thirds rule keeps |m| <= c on each axis."""
@@ -231,58 +222,44 @@ def make_grid(n: int, box_length: float = 2.0 * np.pi) -> SpectralGrid:
 
 @dataclass
 class VectorField:
-    """A 3-component field with a physical or spectral representation tag.
+    """A 3-component field as its full-spectrum coefficients.
 
-    `data` has shape (3, n, n, n): float64 samples when physical, complex128
-    coefficients (in the normalization of the module docstring) when spectral.
+    `data` has shape (3, n, n, n) and holds complex coefficients in the
+    normalization of the module docstring; real samples are rejected.
     """
 
     grid: SpectralGrid
     data: np.ndarray
-    representation: str
 
     def __post_init__(self) -> None:
         n = self.grid.n
         if self.data.shape != (3, n, n, n):
             raise ValueError(f"expected data shape (3, {n}, {n}, {n}), got {self.data.shape}")
-        if self.representation not in (PHYSICAL, SPECTRAL):
-            raise ValueError(f"unknown representation {self.representation!r}")
-        if self.representation == PHYSICAL and np.iscomplexobj(self.data):
-            raise ValueError("physical fields must hold real data")
-        if self.representation == SPECTRAL and not np.iscomplexobj(self.data):
-            raise ValueError("spectral fields must hold complex data")
-
-    def require(self, representation: str) -> None:
-        """Raise RepresentationError unless the field is in `representation`."""
-        if self.representation != representation:
-            raise RepresentationError(
-                f"expected a {representation} field, got a {self.representation} one"
-            )
+        if not np.iscomplexobj(self.data):
+            raise ValueError("a VectorField holds complex coefficients, not real samples")
 
 
-def zero_field(grid: SpectralGrid, representation: str = SPECTRAL) -> VectorField:
-    dtype = np.complex128 if representation == SPECTRAL else np.float64
-    return VectorField(grid, np.zeros((3, grid.n, grid.n, grid.n), dtype=dtype), representation)
+def zero_field(grid: SpectralGrid) -> VectorField:
+    return VectorField(grid, np.zeros((3, grid.n, grid.n, grid.n), dtype=np.complex128))
 
 
-def to_spectral(field: VectorField) -> VectorField:
-    """Forward transform of a physical field; fhat(k) = DFT[f]/n^3."""
-    field.require(PHYSICAL)
-    coef = scipy.fft.fftn(field.data, axes=(1, 2, 3)) / field.grid.num_modes
-    return VectorField(field.grid, coef, SPECTRAL)
+def to_spectral(samples: np.ndarray, grid: SpectralGrid) -> VectorField:
+    """Forward transform of the (3, n, n, n) samples of a field on `grid`;
+    fhat(k) = DFT[f]/n^3."""
+    return VectorField(grid, scipy.fft.fftn(samples, axes=(1, 2, 3)) / grid.num_modes)
 
 
-def to_physical(field: VectorField) -> VectorField:
-    """Inverse transform, one component at a time, so it holds one complex
-    component beside its result; discards the roundoff-level imaginary part."""
-    field.require(SPECTRAL)
+def to_physical(field: VectorField) -> np.ndarray:
+    """The (3, n, n, n) samples of `field`, transformed one component at a
+    time, so it holds one complex component beside its result; discards the
+    roundoff-level imaginary part."""
     out = np.empty(field.data.shape)
     for component, coef in zip(out, field.data):
         vals = scipy.fft.ifftn(coef)
         vals *= field.grid.num_modes
         component[...] = vals.real
         del vals  # so the next component's transform can take its memory
-    return VectorField(field.grid, out, PHYSICAL)
+    return out
 
 
 def half_to_spectral(values: np.ndarray) -> np.ndarray:
@@ -488,7 +465,7 @@ _OUTSIDE_BAND_ROUNDOFF = 1e-12
 
 
 def gather_band(field: VectorField) -> np.ndarray:
-    """The coefficients of a spectral field on the dealias band, in the band layout.
+    """The coefficients of a field on the dealias band, in the band layout.
 
     Raises ValueError if a coefficient inside the band is non-finite, and
     if a coefficient outside the band is nonzero: a computation on the band
@@ -497,7 +474,6 @@ def gather_band(field: VectorField) -> np.ndarray:
     largest band coefficient, such as `to_spectral` leaves on the samples of
     a band-limited field, is dropped.
     """
-    field.require(SPECTRAL)
     grid = field.grid
     n, c = grid.n, band_cutoff(grid.n)
     coef = field.data[grid.band.positions]
@@ -570,10 +546,9 @@ def leray_project(field: VectorField) -> VectorField:
     The k=0 mode is left unchanged.  The projection removes any gradient
     component, which is how the pressure term is eliminated.
     """
-    field.require(SPECTRAL)
     g = field.grid
     kvec = np.stack(np.broadcast_arrays(*g.k))
-    return VectorField(g, project_coefficients(field.data, kvec, g.k_sq), SPECTRAL)
+    return VectorField(g, project_coefficients(field.data, kvec, g.k_sq))
 
 
 def spectral_derivative(field: VectorField, beta: tuple[int, int, int]) -> VectorField:
@@ -581,7 +556,6 @@ def spectral_derivative(field: VectorField, beta: tuple[int, int, int]) -> Vecto
 
     Orders up to |beta| <= 3 are supported; the harness never needs more.
     """
-    field.require(SPECTRAL)
     if len(beta) != 3 or any(b < 0 for b in beta):
         raise ValueError(f"beta must be three nonnegative integers, got {beta}")
     if sum(beta) > 3:
@@ -591,17 +565,16 @@ def spectral_derivative(field: VectorField, beta: tuple[int, int, int]) -> Vecto
     for j, b in enumerate(beta):
         if b:
             symbol = symbol * (1j * g.k[j]) ** b
-    return VectorField(g, field.data * symbol, SPECTRAL)
+    return VectorField(g, field.data * symbol)
 
 
 def dealias(field: VectorField) -> VectorField:
     """Zero every mode outside the dealias band: |m| > band_cutoff(n) on any axis."""
-    field.require(SPECTRAL)
     n, c = field.grid.n, band_cutoff(field.grid.n)
     kept = np.ones(n, dtype=bool)
     kept[c + 1 : n - c] = False
     mask = kept[:, None, None] & kept[:, None] & kept
-    return VectorField(field.grid, field.data * mask, SPECTRAL)
+    return VectorField(field.grid, field.data * mask)
 
 
 @dataclass(frozen=True)
@@ -616,7 +589,7 @@ class NormSuite:
 
 
 def norms(field: VectorField) -> NormSuite:
-    """Compute the norm suite of a spectral field.
+    """Compute the norm suite of a field.
 
     L2/H1/H2 come from Plancherel sums over the coefficients; the sup and L4
     norms are evaluated on the collocation grid (no over-sampling), which
@@ -625,9 +598,8 @@ def norms(field: VectorField) -> NormSuite:
     |coef|^2 and the squared magnitude of the samples are each summed one
     component at a time (`_component_power`).
     """
-    field.require(SPECTRAL)
     g = field.grid
-    mag_sq = _component_power(to_physical(field).data)
+    mag_sq = _component_power(to_physical(field))
     sup = float(np.sqrt(np.max(mag_sq)))
     l4 = float((np.sum(mag_sq**2) * g.cell_volume) ** 0.25)
     power = _component_power(field.data)
@@ -648,16 +620,13 @@ def _component_power(values: np.ndarray) -> np.ndarray:
 
 
 def quadrature_l2_sq(field: VectorField) -> float:
-    """L2 norm squared of a spectral field by quadrature of its `to_physical`
+    """L2 norm squared of a field by quadrature of its `to_physical`
     samples (independent of Plancherel)."""
-    phys = to_physical(field)
-    return float(np.sum(phys.data**2) * field.grid.cell_volume)
+    return float(np.sum(to_physical(field) ** 2) * field.grid.cell_volume)
 
 
 def inner_l2(f: VectorField, g: VectorField) -> float:
     """Discrete L2 inner product <f, g> via the spectral coefficients."""
-    f.require(SPECTRAL)
-    g.require(SPECTRAL)
     return f.grid.volume * float(np.real(np.sum(f.data * np.conj(g.data))))
 
 
@@ -667,7 +636,6 @@ def divergence_ratio(field: VectorField) -> float:
     Zero for exactly divergence-free fields; ~1 for a pure gradient.  Returns
     0 for the zero field.
     """
-    field.require(SPECTRAL)
     g = field.grid
     div = g.k[0] * field.data[0] + g.k[1] * field.data[1] + g.k[2] * field.data[2]
     num = np.sqrt(np.sum(np.abs(div) ** 2))
@@ -679,7 +647,6 @@ def divergence_ratio(field: VectorField) -> float:
 
 def hermitian_defect(field: VectorField) -> float:
     """Relative deviation from coef(-k) = conj(coef(k)) for a real field."""
-    field.require(SPECTRAL)
     flipped = field.data[:, ::-1, ::-1, ::-1]
     # index -m lives at position n-m; rolling by one aligns 0 with 0.
     flipped = np.roll(flipped, 1, axis=(1, 2, 3))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import torusns as tn
-from torusns.spectral_core import SPECTRAL, VectorField
+from torusns.spectral_core import VectorField
 
 
 def make_random_spectral_field(
@@ -30,7 +30,7 @@ def make_random_spectral_field(
     raw *= mask
     flipped = np.roll(raw[:, ::-1, ::-1, ::-1], 1, axis=(1, 2, 3))
     sym = 0.5 * (raw + np.conj(flipped))
-    field = VectorField(grid, sym, SPECTRAL)
+    field = VectorField(grid, sym)
     if divergence_free:
         field = tn.leray_project(field)
     return field

@@ -19,8 +19,6 @@ from torusns.ns_dynamics import (
     _rhs_band,
 )
 from torusns.spectral_core import (
-    PHYSICAL,
-    SPECTRAL,
     VectorField,
     dealias,
     divergence_ratio,
@@ -38,7 +36,7 @@ def single_mode_field(grid, k_index=(1, 0, 0), amplitude=1.0):
     i, j, l = k_index
     data[:, i, j, l] = 0.5 * amplitude * v
     data[:, -i, -j, -l] = 0.5 * amplitude * v
-    return VectorField(grid, data, SPECTRAL)
+    return VectorField(grid, data)
 
 
 def single_mode_state(grid, k_index=(1, 0, 0), amplitude=1.0):
@@ -47,7 +45,7 @@ def single_mode_state(grid, k_index=(1, 0, 0), amplitude=1.0):
 
 
 def rest_state(grid):
-    return TrajectoryState(grid, gather_band(zero_field(grid, SPECTRAL)), 0.0, 0, 0.0)
+    return TrajectoryState(grid, gather_band(zero_field(grid)), 0.0, 0, 0.0)
 
 
 def _band_state(grid, value):
@@ -69,7 +67,7 @@ def full_lattice_initial_data(config, grid):
     raw *= (k_mag <= config.init_k_max) & (k_mag > 0.0)
     flipped = np.roll(raw[:, ::-1, ::-1, ::-1], 1, axis=(1, 2, 3))
     sym = 0.5 * (raw + np.conj(flipped))
-    coef = dealias(tn.leray_project(VectorField(grid, sym, SPECTRAL))).data
+    coef = dealias(tn.leray_project(VectorField(grid, sym))).data
     coef[:, 0, 0, 0] = 0.0
     current = math.sqrt(grid.volume * float(np.sum(np.abs(coef) ** 2)))
     return coef * (config.delta / current) if current > 0.0 else coef * 0.0
@@ -209,7 +207,7 @@ class TestNonlinearTerm:
         _, x2, _ = grid16.coordinates()
         data = np.zeros((3, 16, 16, 16))
         data[0] = 2.0 * np.broadcast_to(np.sin(x2), (16, 16, 16))
-        u = tn.to_spectral(VectorField(grid16, data, PHYSICAL))
+        u = tn.to_spectral(data, grid16)
         rhs = _rhs_band(gather_band(u), grid16)
         assert np.max(np.abs(rhs)) < 1e-14
 
@@ -219,13 +217,13 @@ class TestNonlinearTerm:
         # the full spectrum
         for _ in range(5):
             u = random_field_factory(grid16, rng, divergence_free=True)
-            u = VectorField(grid16, u.data / tn.norms(u).sup, SPECTRAL)  # max|u| = 1
-            samples = tn.to_physical(u).data
+            u = VectorField(grid16, u.data / tn.norms(u).sup)  # max|u| = 1
+            samples = tn.to_physical(u)
             conv = sum(
-                samples[j] * tn.to_physical(tn.spectral_derivative(u, beta)).data
+                samples[j] * tn.to_physical(tn.spectral_derivative(u, beta))
                 for j, beta in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
             )
-            conv_hat = tn.to_spectral(VectorField(grid16, conv, PHYSICAL))
+            conv_hat = tn.to_spectral(conv, grid16)
             oracle = -tn.leray_project(dealias(conv_hat)).data[grid16.band.positions]
             oracle[:, 0, 0, 0] = 0.0
             rhs = _rhs_band(gather_band(u), grid16)
@@ -234,13 +232,13 @@ class TestNonlinearTerm:
     def test_exactly_hermitian(self, grid16, rng, random_field_factory):
         u = random_field_factory(grid16, rng, divergence_free=True)
         rhs = spectral_core.full_spectrum(_rhs_band(gather_band(u), grid16), 16)
-        assert hermitian_defect(VectorField(grid16, rhs, SPECTRAL)) == 0.0
+        assert hermitian_defect(VectorField(grid16, rhs)) == 0.0
 
     def test_energy_neutrality(self, grid16, rng, random_field_factory):
         for _ in range(5):
             u = random_field_factory(grid16, rng, divergence_free=True, k_max=4.0)
             rhs = spectral_core.full_spectrum(_rhs_band(gather_band(u), grid16), 16)
-            rhs = VectorField(grid16, rhs, SPECTRAL)
+            rhs = VectorField(grid16, rhs)
             coupling = inner_l2(u, rhs)
             scale = math.sqrt(tn.norms(u).l2_sq * tn.norms(rhs).l2_sq)
             assert abs(coupling) <= 1e-10 * scale

@@ -413,8 +413,6 @@ class TestSweepCommand:
     def test_failed_points_report_no_stale_certificates(self, tmp_path, monkeypatch):
         # a second sweep into the same directory whose points all abort must
         # not list the certificates the first sweep left on disk
-        from torusns.spectral_core import SPECTRAL, VectorField
-
         config = parse_config(FAST_RUN + "sweep_delta = 0.01\n")
         table = tmp_path / "certificates.csv"
         assert cmd_sweep(replace(config, out_dir=str(tmp_path))) == 0
@@ -615,14 +613,17 @@ class TestMainEntry:
             ("box_length = 1e-300", 1, "config error: box length 1e-300 at n=8 gives a volume"),
             ("box_length = inf", 1, "config error: box length inf at n=8 gives a volume"),
             ("t_min = 1e-300", 1, "config error: t_min 1e-300 is below the resolution"),
+            ("t_min = nan", 1, "config error: line 4: t_min must lie in (0, horizon), got nan"),
             ("c_cfl = 5e-324", 3, "numerical abort: step size bound underflows to 0.0 at t=0.0"),
         ],
-        ids=["box_huge", "box_tiny", "box_inf", "t_min_below_resolution", "dt_underflows"],
+        ids=["box_huge", "box_tiny", "box_inf", "t_min_below_resolution", "t_min_nan",
+             "dt_underflows"],
     )
     def test_extreme_run_config_exits_on_one_line(self, tmp_path, capsys, line, code, message):
         # each raised a traceback: OverflowError or ZeroDivisionError from the
         # box's volume or max_wavenumber**2, the clock's ValueError at t = T
-        # (horizon - t_min == horizon), and step's ValueError for dt = 0
+        # (horizon - t_min == horizon), and step's ValueError for dt = 0; a
+        # NaN t_min, SimulationConfig's "unset" value, ran with the default
         cfg_path = tmp_path / "extreme.cfg"
         cfg_path.write_text(f"n = 8\nhorizon = 0.05\ninitial_kind = taylor_green\n{line}\n")
         out = tmp_path / "o"

@@ -23,8 +23,6 @@ from torusns.similarity_frame import (
     w_functionals_scaling_route,
 )
 from torusns.spectral_core import (
-    PHYSICAL,
-    SPECTRAL,
     SpectralGrid,
     VectorField,
     gather_band,
@@ -56,19 +54,19 @@ def reference_functionals(u, clock, mults):
     triple-product loop and the convective product taken from the gradients."""
     root = math.sqrt(clock.remaining)  # w lives on a box of side L / sqrt(s)
     g = make_grid(u.grid.n, u.grid.box_length / root)
-    w = VectorField(g, root * u.data, SPECTRAL)
+    w = VectorField(g, root * u.data)
     ns_w = tn.norms(w)
-    low_mag_sq = np.sum(tn.to_physical(apply(mults, "phi", w)).data ** 2, axis=0)
+    low_mag_sq = np.sum(tn.to_physical(apply(mults, "phi", w)) ** 2, axis=0)
     high = apply(mults, "one_minus_phi", w)
-    grads = np.stack([tn.to_physical(spectral_derivative(w, b)).data for b in UNIT])
+    grads = np.stack([tn.to_physical(spectral_derivative(w, b)) for b in UNIT])
     trilinear = 0.0
     for j in range(3):
         for k in range(3):
             for l in range(3):
                 trilinear += float(np.sum(grads[j, k] * grads[j, l] * grads[l, k]))
-    w_phys = tn.to_physical(w).data
+    w_phys = tn.to_physical(w)
     conv = sum(w_phys[j] * grads[j] for j in range(3))
-    conv_hat = tn.to_spectral(VectorField(g, conv, PHYSICAL)).data
+    conv_hat = tn.to_spectral(conv, g).data
     w4 = g.k_sq**2
     lap_f = g.volume * float(np.sum(w4 * np.abs(w.data) ** 2))
     lap_c = g.volume * float(np.sum(w4 * np.abs(conv_hat) ** 2))
@@ -181,7 +179,7 @@ class TestExponentTableOracle:
         clock = SimilarityClock(horizon=1.0, t=0.63)
         s = clock.remaining
         w_grid = make_grid(16, grid16.box_length / math.sqrt(s))
-        w = VectorField(w_grid, math.sqrt(s) * u.data, SPECTRAL)
+        w = VectorField(w_grid, math.sqrt(s) * u.data)
 
         u_norms = tn.norms(u)
         w_norms = tn.norms(w)
@@ -359,13 +357,13 @@ class TestTwoRoutes:
                 np.zeros((16, 16, 16)),
             ]
         )
-        coef = tn.dealias(tn.to_spectral(VectorField(grid, samples, PHYSICAL))).data
+        coef = tn.dealias(tn.to_spectral(samples, grid)).data
         coef[:, 0, 0, 0] = 0.0
         clock = SimilarityClock(horizon=0.05, t=0.0)
         mults = MultiplierSet(1.0 / 16.0)
 
         def gaps(data):
-            wa, wb = both_routes(band_state(VectorField(grid, data, SPECTRAL)), clock, mults)
+            wa, wb = both_routes(band_state(VectorField(grid, data)), clock, mults)
             each = {
                 name: route_gap(wa, replace(wa, **{name: getattr(wb, name)}))
                 for name in WFunctionals.COMPARED
@@ -427,7 +425,7 @@ class TestInitialEnergy:
         return both_routes(band_state(u0), clock, MultiplierSet(1.0 / 16.0))[1]
 
     def test_zero_field(self, grid16):
-        u0 = VectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex), SPECTRAL)
+        u0 = VectorField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
         w = self._initial_functionals(u0, 1.0)
         assert w.e_low + w.e_high == 0.0 and w.w_l2_sq == 0.0
 

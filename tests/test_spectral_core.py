@@ -7,11 +7,7 @@ import torusns as tn
 from conftest import assert_roundoff_close
 from torusns import spectral_core
 from torusns.spectral_core import (
-    PHYSICAL,
-    SPECTRAL,
-    RepresentationError,
     VectorField,
-    divergence_ratio,
     hermitian_defect,
     inner_l2,
     quadrature_l2_sq,
@@ -22,15 +18,15 @@ TWO_PI = 2.0 * np.pi
 
 
 def embed_scalar(grid, values):
-    """Scalar test function as component 0 of a vector field."""
+    """Scalar test function as component 0 of the samples of a vector field."""
     data = np.zeros((3, grid.n, grid.n, grid.n))
     data[0] = values
-    return VectorField(grid, data, PHYSICAL)
+    return data
 
 
 def kept_by_dealias(grid):
     """The zero pattern of `dealias` on a field of ones: True where it keeps a mode."""
-    ones = VectorField(grid, np.ones((3, grid.n, grid.n, grid.n), dtype=complex), SPECTRAL)
+    ones = VectorField(grid, np.ones((3, grid.n, grid.n, grid.n), dtype=complex))
     kept = tn.dealias(ones).data != 0.0
     assert (kept == kept[0]).all()
     return kept[0]
@@ -100,7 +96,7 @@ class TestMakeGrid:
 class TestTransforms:
     def test_constant_field_is_mean_mode(self, grid16):
         f = embed_scalar(grid16, np.full((16, 16, 16), 2.5))
-        spec = tn.to_spectral(f)
+        spec = tn.to_spectral(f, grid16)
         assert spec.data[0, 0, 0, 0] == pytest.approx(2.5)
         off = spec.data.copy()
         off[0, 0, 0, 0] = 0.0
@@ -109,7 +105,7 @@ class TestTransforms:
     def test_sine_has_two_modes(self, grid16):
         x1, _, _ = grid16.coordinates()
         f = embed_scalar(grid16, np.broadcast_to(np.sin(x1), (16, 16, 16)).copy())
-        spec = tn.to_spectral(f)
+        spec = tn.to_spectral(f, grid16)
         nonzero = np.abs(spec.data[0]) > 1e-13
         assert int(np.sum(nonzero)) == 2
         assert abs(spec.data[0, 1, 0, 0]) == pytest.approx(0.5, abs=1e-13)
@@ -118,9 +114,9 @@ class TestTransforms:
     def test_roundtrip(self, grid16, rng, random_field_factory):
         f = random_field_factory(grid16, rng)
         phys = tn.to_physical(f)
-        back = tn.to_physical(tn.to_spectral(phys))
-        scale = np.max(np.abs(phys.data))
-        assert np.max(np.abs(back.data - phys.data)) <= 1e-12 * scale
+        back = tn.to_physical(tn.to_spectral(phys, grid16))
+        scale = np.max(np.abs(phys))
+        assert np.max(np.abs(back - phys)) <= 1e-12 * scale
 
     def test_parseval_two_routes(self, grid16, rng, random_field_factory):
         f = random_field_factory(grid16, rng)
@@ -128,37 +124,21 @@ class TestTransforms:
         quadrature = quadrature_l2_sq(f)
         assert quadrature == pytest.approx(plancherel, rel=1e-12)
 
-    def test_representation_mismatch(self, grid16, rng, random_field_factory):
-        f = zero_field(grid16, SPECTRAL)
-        with pytest.raises(RepresentationError):
-            tn.to_spectral(f)
-        with pytest.raises(RepresentationError):
-            tn.to_physical(tn.to_physical(f))
-        # every function that needs samples transforms explicitly, so none
-        # accepts a physical field in place of a spectral one
-        spec = random_field_factory(grid16, rng)
-        phys = tn.to_physical(spec)
-        takes_spectral = {
-            "norms": tn.norms,
-            "quadrature_l2_sq": quadrature_l2_sq,
-            "inner_l2 (first)": lambda p: inner_l2(p, spec),
-            "inner_l2 (second)": lambda p: inner_l2(spec, p),
-            "divergence_ratio": divergence_ratio,
-            "hermitian_defect": hermitian_defect,
-            "gather_band": spectral_core.gather_band,
-        }
-        for name, call in takes_spectral.items():
-            try:
-                call(phys)
-            except RepresentationError:
-                continue
-            pytest.fail(f"{name} accepted a physical field")
+    def test_vector_field_rejects_samples_and_wrong_shape(self, grid16, rng, random_field_factory):
+        # a VectorField is a full spectrum, so samples cannot pass as one
+        samples = tn.to_physical(random_field_factory(grid16, rng))
+        with pytest.raises(ValueError, match="complex coefficients"):
+            VectorField(grid16, samples)
+        with pytest.raises(ValueError, match="expected data shape"):
+            VectorField(grid16, np.zeros((3, 16, 16, 9), dtype=complex))
+        with pytest.raises(ValueError, match="expected data shape"):
+            VectorField(grid16, np.zeros((3, 8, 8, 8), dtype=complex))
 
 
 class TestHalfSpectrum:
     def test_transforms_match_full_spectrum(self, grid16, rng, random_field_factory):
         f = random_field_factory(grid16, rng)
-        phys = tn.to_physical(f).data
+        phys = tn.to_physical(f)
         half = tn.spectral_core.half_to_spectral(phys)
         assert half.shape == (3, 16, 16, 9)
         assert np.max(np.abs(half - f.data[..., :9])) <= 1e-14 * np.max(np.abs(f.data))
@@ -173,9 +153,9 @@ class TestHalfSpectrum:
             noisy = band + 1e-3 * (rng.standard_normal(band.shape) + 1j)
             for coef in (band, noisy):
                 full = spectral_core.full_spectrum(coef, n)
-                assert hermitian_defect(VectorField(grid, full, SPECTRAL)) == 0.0
-                samples = VectorField(grid, spectral_core.band_to_physical(coef, n), PHYSICAL)
-                expected = tn.to_spectral(samples).data
+                assert hermitian_defect(VectorField(grid, full)) == 0.0
+                samples = spectral_core.band_to_physical(coef, n)
+                expected = tn.to_spectral(samples, grid).data
                 assert np.max(np.abs(full - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
@@ -317,7 +297,7 @@ class TestLerayProjection:
         # coefficients parallel to k are pure gradient
         scalar = rng.standard_normal((16, 16, 16)) + 1j * rng.standard_normal((16, 16, 16))
         data = np.stack([1j * grid16.k[j] * scalar for j in range(3)])
-        projected = tn.leray_project(VectorField(grid16, data, SPECTRAL))
+        projected = tn.leray_project(VectorField(grid16, data))
         assert np.max(np.abs(projected.data)) < 1e-12 * np.max(np.abs(data))
 
     def test_divergence_free_unchanged(self, grid16, rng, random_field_factory):
@@ -359,9 +339,9 @@ class TestSpectralDerivative:
     def test_sine_to_cosine(self, grid16):
         x1, _, _ = grid16.coordinates()
         f = embed_scalar(grid16, np.broadcast_to(np.sin(x1), (16, 16, 16)).copy())
-        df = tn.to_physical(tn.spectral_derivative(tn.to_spectral(f), (1, 0, 0)))
+        df = tn.to_physical(tn.spectral_derivative(tn.to_spectral(f, grid16), (1, 0, 0)))
         expected = np.broadcast_to(np.cos(x1), (16, 16, 16))
-        assert np.max(np.abs(df.data[0] - expected)) < 1e-12
+        assert np.max(np.abs(df[0] - expected)) < 1e-12
 
     def test_zero_multi_index_is_identity(self, grid16, rng, random_field_factory):
         f = random_field_factory(grid16, rng)
@@ -370,12 +350,12 @@ class TestSpectralDerivative:
     def test_second_derivative(self, grid16):
         _, x2, _ = grid16.coordinates()
         f = embed_scalar(grid16, np.broadcast_to(np.sin(2 * x2), (16, 16, 16)).copy())
-        d2 = tn.to_physical(tn.spectral_derivative(tn.to_spectral(f), (0, 2, 0)))
+        d2 = tn.to_physical(tn.spectral_derivative(tn.to_spectral(f, grid16), (0, 2, 0)))
         expected = -4.0 * np.broadcast_to(np.sin(2 * x2), (16, 16, 16))
-        assert np.max(np.abs(d2.data[0] - expected)) < 1e-11
+        assert np.max(np.abs(d2[0] - expected)) < 1e-11
 
     def test_order_cap(self, grid16):
-        f = zero_field(grid16, SPECTRAL)
+        f = zero_field(grid16)
         with pytest.raises(ValueError):
             tn.spectral_derivative(f, (2, 2, 0))
 
@@ -386,7 +366,7 @@ class TestDealias:
         assert np.array_equal(tn.dealias(f).data, f.data)
 
     def test_high_mode_zeroed(self, grid32):
-        f = zero_field(grid32, SPECTRAL)
+        f = zero_field(grid32)
         f.data[0, 12, 0, 0] = 1.0
         assert np.max(np.abs(tn.dealias(f).data)) == 0.0
 
@@ -399,12 +379,14 @@ class TestNorms:
     def test_sine_l2(self, grid16):
         x1, _, _ = grid16.coordinates()
         f = embed_scalar(grid16, np.broadcast_to(np.sin(x1), (16, 16, 16)).copy())
-        assert tn.norms(tn.to_spectral(f)).l2_sq == pytest.approx(TWO_PI**3 / 2.0, rel=1e-13)
+        suite = tn.norms(tn.to_spectral(f, grid16))
+        assert suite.l2_sq == pytest.approx(TWO_PI**3 / 2.0, rel=1e-13)
 
     def test_sine_h1(self, grid16):
         x1, _, _ = grid16.coordinates()
         f = embed_scalar(grid16, np.broadcast_to(np.sin(x1), (16, 16, 16)).copy())
-        assert tn.norms(tn.to_spectral(f)).h1_sq == pytest.approx(TWO_PI**3 / 2.0, rel=1e-13)
+        suite = tn.norms(tn.to_spectral(f, grid16))
+        assert suite.h1_sq == pytest.approx(TWO_PI**3 / 2.0, rel=1e-13)
 
     def test_hermitian_defect_zero_for_real(self, grid16, rng, random_field_factory):
         assert hermitian_defect(random_field_factory(grid16, rng)) < 1e-13
@@ -476,7 +458,7 @@ class TestNonlinearFunctionals:
                 for l in range(3):
                     expected += np.sum(grads[j, k] * grads[j, l] * grads[l, k])
         expected *= grid16.cell_volume
-        coef = spectral_core.gather_band(tn.to_spectral(VectorField(grid16, u, PHYSICAL)))
+        coef = spectral_core.gather_band(tn.to_spectral(u, grid16))
         samples = spectral_core.band_to_physical(coef, 16)
         (value, _), _ = spectral_core.nonlinear_integrals(
             coef, samples, grid16.band.wavevectors, grid16.volume
@@ -501,7 +483,7 @@ class TestNonlinearFunctionals:
             for j in range(3):
                 conv[c] += u[j] * grads[j, c]
         expected = np.sum(bilap * conv) * grid16.cell_volume
-        coef = spectral_core.gather_band(tn.to_spectral(VectorField(grid16, u, PHYSICAL)))
+        coef = spectral_core.gather_band(tn.to_spectral(u, grid16))
         samples = spectral_core.band_to_physical(coef, 16)
         _, (value, _) = spectral_core.nonlinear_integrals(
             coef, samples, grid16.band.wavevectors, grid16.volume
